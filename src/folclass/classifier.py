@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 from .derivation import DerivationTriple, LieCase, failed_conditions, scale
 from .errors import FieldMismatchError, InvalidParameterError, NotAFoliationError
-from .finite_field import embed, extension_field, parse_element
+# embed and extension_field are not called here; the per-layer benchmark
+# tracer (perfbench/tracer.py) wraps them as attributes of this module.
+from .finite_field import embed, extension_field, parse_element  # noqa: F401
 from .polynomial import Poly
 
 
@@ -82,14 +84,12 @@ class FamilyMatch:
     family: FamilyId
     params: dict
     lam: object  # nonzero FieldElement
-    ext_degree: int
 
     def to_json_dict(self):
         return {
             "family": self.family.value,
             "params": {k: str(self.params[k]) for k in self.family.param_names},
             "lambda": str(self.lam),
-            "ext": self.ext_degree,
         }
 
     def sort_key(self):
@@ -265,7 +265,7 @@ def _shape_matches(family, d):
     }[family]
 
 
-def _candidates(family, a, b, c, spec):
+def _candidates(family, d):
     """Parameter/scalar candidates read off the triple's coefficients.
 
     Every family formula pins its parameters as coefficient ratios or as
@@ -273,6 +273,7 @@ def _candidates(family, a, b, c, spec):
     at most one candidate (the IV-iii / IV-iv product s1*s2 is reported with
     s1 normalized to 1, absorbing the redundant rescaling of s1, s2, r2).
     """
+    a, b, c, spec = d.a, d.b, d.c, d.spec
     f = FamilyId
     if family in (f.I_A, f.I_B):
         main, other = (b, a) if family is f.I_A else (a, b)
@@ -338,14 +339,15 @@ def _candidates(family, a, b, c, spec):
     raise AssertionError(family)  # pragma: no cover
 
 
-def classify(d: DerivationTriple, max_ext: int = 6):
-    """All family matches of a valid triple, parameters in GF(q^m), m <= max_ext.
+def classify(d: DerivationTriple):
+    """All family matches of a valid triple, parameters in the triple's field.
 
-    Matches are reported at the smallest extension degree where they exist
-    (for these families the parameters are rational in the coefficients, so
-    matches found at all are found at m = 1; larger m are searched anyway).
-    Every returned match re-instantiates to the input exactly.  Results are
-    sorted by family tag, then parameter tuple, then scalar.
+    The structure theorem is stated over an algebraically closed field, but
+    no extension is needed here: _candidates reads every parameter as a
+    rational function of the coefficients, and embedding into an extension
+    is a field homomorphism, so a match over GF(q^m) is the image of one
+    over GF(q).  Every returned match re-instantiates to the input exactly.
+    Results are sorted by family tag, then parameter tuple, then scalar.
     """
     failed = failed_conditions(d)
     if failed:
@@ -356,26 +358,13 @@ def classify(d: DerivationTriple, max_ext: int = 6):
     for family in families_of_case(d.case):
         if not _shape_matches(family, d):
             continue
-        for m in range(1, max_ext + 1):
-            ext = extension_field(d.spec, m)
-            if m == 1:
-                a, b, c = d.a, d.b, d.c
-            else:
-                a = d.a.map_coeffs(lambda x: embed(x, ext), ext)
-                b = d.b.map_coeffs(lambda x: embed(x, ext), ext)
-                c = d.c.map_coeffs(lambda x: embed(x, ext), ext)
-            target = DerivationTriple(d.case, a, b, c)
-            found = []
-            for params, lam in _candidates(family, a, b, c, ext):
-                if not lam:
-                    continue
-                try:
-                    inst = instantiate(family, params, ext)
-                except InvalidParameterError:
-                    continue
-                if scale(lam, inst) == target:
-                    found.append(FamilyMatch(family, params, lam, m))
-            if found:
-                matches.extend(found)
-                break
+        for params, lam in _candidates(family, d):
+            if not lam:
+                continue
+            try:
+                inst = instantiate(family, params, d.spec)
+            except InvalidParameterError:
+                continue
+            if scale(lam, inst) == d:
+                matches.append(FamilyMatch(family, params, lam))
     return sorted(matches, key=FamilyMatch.sort_key)

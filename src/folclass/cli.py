@@ -36,14 +36,15 @@ from .polynomial import parse_poly
 _ALL_CASES = tuple(LieCase)
 
 
-def _jobs_default():
-    env = os.environ.get("FOLCLASS_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _positive_int(text):
+    """argparse type for counts that must be at least 1 (--jobs, --e-max)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_cases(text):
@@ -135,11 +136,9 @@ def cmd_classify(args):
     if failed:
         print("error: not an admissible foliation generator: " + "; ".join(failed), file=sys.stderr)
         return 1
-    matches = classify(triple, max_ext=args.max_ext)
+    matches = classify(triple)
     payload = {
-        "manifest": _manifest(
-            "classify", args, field=spec.literal(), case=case.name, max_ext=args.max_ext
-        ),
+        "manifest": _manifest("classify", args, field=spec.literal(), case=case.name),
         "triple": triple.to_json_dict(),
         "matches": [m.to_json_dict() for m in matches],
     }
@@ -178,7 +177,7 @@ def cmd_enumerate(args):
     detail_lines = []
     unmatched = 0
     for case in cases:
-        report = verify_completeness(spec, case, max_ext=args.max_ext, jobs=args.jobs)
+        report = verify_completeness(spec, case, jobs=args.jobs)
         unmatched += len(report.unmatched)
         results.append(report.to_json_dict(with_timing=not args.no_timing))
         detail_lines.extend(_detail_lines(report, not args.no_timing))
@@ -188,7 +187,6 @@ def cmd_enumerate(args):
             args,
             field=spec.literal(),
             cases=[c.name for c in cases],
-            max_ext=args.max_ext,
         ),
         "results": results,
         "findings": unmatched,
@@ -278,7 +276,7 @@ def cmd_verify_theorem(args):
     findings = 0
     for case in cases:
         soundness = verify_soundness(spec, case)
-        completeness = verify_completeness(spec, case, max_ext=args.max_ext, jobs=args.jobs)
+        completeness = verify_completeness(spec, case, jobs=args.jobs)
         findings += len(soundness.failures) + len(completeness.unmatched)
         entry = {
             "case": case.name,
@@ -303,7 +301,6 @@ def cmd_verify_theorem(args):
             args,
             field=spec.literal(),
             cases=[c.name for c in cases],
-            max_ext=args.max_ext,
             total_triples_per_case=total_triple_count(spec),
         ),
         "results": results,
@@ -376,16 +373,15 @@ def cmd_cartier(args):
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(p, with_jobs=False, with_maxext=False, with_case=True):
+def _add_common(p, with_jobs=False, with_case=True):
     p.add_argument("--field", required=True, help="field literal, e.g. GF(4) or GF(8;mod=x3+x+1)")
     if with_case:
         p.add_argument("--case", default="all", help="Lie case: I, II, III, IV, a comma list, or all")
-    if with_maxext:
-        p.add_argument("--max-ext", type=int, default=6, dest="max_ext",
-                       help="largest extension degree searched for family parameters")
     if with_jobs:
-        p.add_argument("--jobs", type=int, default=_jobs_default(),
-                       help="worker processes for the scan (default $FOLCLASS_JOBS or 1)")
+        # a string default goes through type=, so a bad $FOLCLASS_JOBS is a usage error
+        p.add_argument("--jobs", type=_positive_int, default=os.environ.get("FOLCLASS_JOBS", "1"),
+                       help="worker processes for the scan, at most q^2 are used "
+                       "(default $FOLCLASS_JOBS or 1)")
     p.add_argument("--out", help="write the summary report to this path (atomic)")
     p.add_argument("--detail", help="write JSON-lines per-class detail to this path")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="summary format")
@@ -424,14 +420,13 @@ def build_parser():
     p.add_argument("--a", required=True, help="polynomial literal for a(t)")
     p.add_argument("--b", required=True, help="polynomial literal for b(t)")
     p.add_argument("--c", required=True, help="polynomial literal for c(t)")
-    p.add_argument("--max-ext", type=int, default=6, dest="max_ext")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate", help="enumerate, filter and classify all triples of a case")
-    _add_common(p, with_jobs=True, with_maxext=True)
+    _add_common(p, with_jobs=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify-families", help="check every family instance is admissible")
@@ -439,12 +434,12 @@ def build_parser():
     p.set_defaults(func=cmd_verify_families)
 
     p = sub.add_parser("verify-theorem", help="soundness + completeness over one field")
-    _add_common(p, with_jobs=True, with_maxext=True)
+    _add_common(p, with_jobs=True)
     p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("cartier", help="verify nonvanishing of the iterated trace")
     p.add_argument("--G", default="s,t", help="quadric coefficients: `s,t` or `u,u+1@GF(4)`")
-    p.add_argument("--e-max", type=int, default=None, dest="e_max",
+    p.add_argument("--e-max", type=_positive_int, default=None, dest="e_max",
                    help="check e = 1..e_max (default 4 for p=2, 3 otherwise)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json",), default="json")

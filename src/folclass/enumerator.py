@@ -237,10 +237,13 @@ def _full_check(alpha_sq, beta_sq, a0, a1, b0, b1, c0, c1, c2, c3, as0, as2, c2_
 
 def _scan(spec, case, jobs=1):
     """All valid packed triples of the case, in lexicographic order."""
+    if spec.p != 2:
+        raise ValueError("enumeration is specific to characteristic 2")
     field_key = (spec.p, spec.k, spec.modulus)
     q = spec.order
     blocks = [(field_key, case.name, ia, ia + 1) for ia in range(q * q)]
-    if jobs and jobs > 1:
+    jobs = min(jobs, len(blocks))
+    if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
@@ -407,7 +410,6 @@ class EnumerationReport:
     matched: int
     unmatched: list
     overlaps: list
-    ext_degree_histogram: dict
     runtime_seconds: float
     class_matches: list = field(default_factory=list)  # [(triple, [FamilyMatch...])]
 
@@ -425,7 +427,6 @@ class EnumerationReport:
             "matched": self.matched,
             "unmatched": list(self.unmatched),
             "overlaps": list(self.overlaps),
-            "ext_degree_histogram": {str(k): v for k, v in sorted(self.ext_degree_histogram.items())},
             "complete": self.complete,
         }
         if with_timing:
@@ -433,7 +434,7 @@ class EnumerationReport:
         return out
 
 
-def verify_completeness(spec, case, max_ext=6, jobs=1):
+def verify_completeness(spec, case, jobs=1):
     """Classify every valid scalar class; unmatched classes are report data."""
     start = time.monotonic()
     _, _add, mul, _inv = spec.tables()
@@ -447,17 +448,14 @@ def verify_completeness(spec, case, max_ext=6, jobs=1):
         )
     unmatched = []
     overlaps = []
-    histogram: dict = {}
     matched = 0
     class_matches = []
     for pk in reps_packed:
         triple = _packed_to_triple(pk, spec, case)
-        matches = classify(triple, max_ext=max_ext)
+        matches = classify(triple)
         class_matches.append((triple, matches))
         if matches:
             matched += 1
-            for m in matches:
-                histogram[m.ext_degree] = histogram.get(m.ext_degree, 0) + 1
             families = sorted({m.family.value for m in matches})
             if len(families) > 1:
                 overlaps.append({"triple": triple.to_json_dict(), "families": families})
@@ -474,7 +472,6 @@ def verify_completeness(spec, case, max_ext=6, jobs=1):
         matched=matched,
         unmatched=unmatched,
         overlaps=overlaps,
-        ext_degree_histogram=histogram,
         runtime_seconds=time.monotonic() - start,
         class_matches=class_matches,
     )

@@ -360,14 +360,6 @@ class FieldElement:
         return format_element(self)
 
 
-def pth_root(x):
-    return x.pth_root()
-
-
-def enumerate_elements(spec):
-    return spec.elements()
-
-
 def embed(x, target):
     """Embed x into the extension field `target`.
 
@@ -408,16 +400,6 @@ def extension_field(spec, m):
     if m == 1:
         return spec
     return FieldSpec(spec.p, spec.k * m)
-
-
-def minimal_degree_over(x, base_order):
-    """Degree of x over the order-`base_order` subfield, via Frobenius orbits."""
-    d = 1
-    y = x ** base_order
-    while y != x:
-        y = y ** base_order
-        d += 1
-    return d
 
 
 # -- literals ----------------------------------------------------------------

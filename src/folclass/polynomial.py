@@ -10,10 +10,8 @@ treat zero uniformly.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .errors import FieldMismatchError, ParseError
-from .finite_field import embed, extension_field, minimal_degree_over, parse_element
+from .finite_field import parse_element
 
 NEG_INF = float("-inf")
 
@@ -194,61 +192,6 @@ def poly_gcd(f, g):
     while g:
         f, g = g, f % g
     return f.monic()
-
-
-def is_perfect_square(f):
-    """Char 2 only: f is a square iff every odd-exponent coefficient vanishes."""
-    if f.spec.p != 2:
-        raise ValueError("perfect-square test is specific to characteristic 2")
-    return all(not f.coeffs[e] for e in range(1, len(f.coeffs), 2))
-
-
-def poly_sqrt(f):
-    """Square root of a perfect square in char 2: sqrt maps c*t^(2i) to sqrt(c)*t^i."""
-    if not is_perfect_square(f):
-        raise ValueError(f"{format_poly(f)} is not a perfect square")
-    return Poly(f.spec, tuple(f.coeffs[2 * i].pth_root() for i in range((len(f.coeffs) + 1) // 2)))
-
-
-RootRecord = namedtuple("RootRecord", ["root", "ext_degree", "multiplicity"])
-
-
-def embed_poly(f, target):
-    return Poly(target, tuple(embed(c, target) for c in f.coeffs))
-
-
-def roots_in_extension(f, max_ext):
-    """All roots of f in GF(q^m) for m = 1..max_ext, by exhaustive evaluation.
-
-    Each root is reported once, in the smallest extension containing it
-    (ext_degree = degree of the root over the base field), with its
-    multiplicity obtained by repeated division by the linear factor.  Records
-    are ordered by (ext_degree, element index).
-    """
-    if not f:
-        raise ValueError("the zero polynomial has every element as a root")
-    out = []
-    base_order = f.spec.order
-    for m in range(1, max_ext + 1):
-        ext = extension_field(f.spec, m)
-        fe = embed_poly(f, ext)
-        lin = Poly.t(ext)
-        for x in ext.elements():
-            if fe.eval(x):
-                continue
-            if minimal_degree_over(x, base_order) != m:
-                continue  # already reported in a smaller field
-            mult = 0
-            g = fe
-            factor = lin - Poly.constant(x)
-            while True:
-                q, r = divmod(g, factor)
-                if r:
-                    break
-                g = q
-                mult += 1
-            out.append(RootRecord(x, m, mult))
-    return out
 
 
 # -- literals ----------------------------------------------------------------

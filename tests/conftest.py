@@ -1,17 +1,14 @@
-import os
-
 import pytest
 
 from folclass import GF
+from folclass.cli import build_parser
 from folclass.derivation import LieCase
 from folclass.enumerator import verify_completeness
 
 
 def _jobs():
-    env = os.environ.get("FOLCLASS_JOBS")
-    if env:
-        return max(1, int(env))
-    return 1
+    # the CLI's own reading of $FOLCLASS_JOBS, so the suite validates it the same way
+    return build_parser().parse_args(["enumerate", "--field", "GF(2)"]).jobs
 
 
 @pytest.fixture(scope="session")
@@ -45,9 +42,9 @@ def F9():
 
 @pytest.fixture(scope="session")
 def gf4_reports(F4):
-    return {case: verify_completeness(F4, case, max_ext=6, jobs=_jobs()) for case in LieCase}
+    return {case: verify_completeness(F4, case, jobs=_jobs()) for case in LieCase}
 
 
 @pytest.fixture(scope="session")
 def gf8_reports(F8):
-    return {case: verify_completeness(F8, case, max_ext=6, jobs=_jobs()) for case in LieCase}
+    return {case: verify_completeness(F8, case, jobs=_jobs()) for case in LieCase}

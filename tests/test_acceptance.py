@@ -86,7 +86,7 @@ def test_criterion_3_completeness_desk_scale(gf4_reports, gf8_reports):
         print(f"[acceptance] UNMATCHED: {json.dumps(um)}")
     _report(
         3,
-        "every valid scalar class over GF(4) and GF(8) is classified (max_ext 6)",
+        "every valid scalar class over GF(4) and GF(8) is classified",
         not unmatched,
         f" [{classes} classes, {len(unmatched)} unmatched, {elapsed:.1f}s + fixture scans]",
     )
@@ -127,7 +127,7 @@ def test_criterion_5_scaling_invariance(F4, gf4_reports):
             base = [(m.family, tuple(sorted((k, str(v)) for k, v in m.params.items()))) for m in matches]
             base_lams = [m.lam for m in matches]
             for lam in nonzero:
-                got = classify(scale(lam, triple), max_ext=6)
+                got = classify(scale(lam, triple))
                 keyed = [(m.family, tuple(sorted((k, str(v)) for k, v in m.params.items()))) for m in got]
                 if keyed != base or [m.lam for m in got] != [lam * l0 for l0 in base_lams]:
                     exceptions += 1

@@ -8,9 +8,9 @@ from folclass.classifier import (
     scalar_equivalent,
 )
 from folclass.derivation import DerivationTriple, LieCase, is_valid_foliation, scale
-from folclass.enumerator import iter_family_instances
+from folclass.enumerator import find_valid, iter_family_instances
 from folclass.errors import FieldMismatchError, InvalidParameterError, NotAFoliationError
-from folclass.finite_field import GF
+from folclass.finite_field import GF, embed
 from folclass.polynomial import parse_poly
 
 
@@ -72,7 +72,7 @@ def test_instantiate_constraint_errors(F4):
 def test_classify_case_ii_example(F4):
     matches = classify(triple("II", "1", "t", "t^2+t", F4))
     assert [m.to_json_dict() for m in matches] == [
-        {"family": "II-i", "params": {"t1": "0", "t2": "1"}, "lambda": "1", "ext": 1}
+        {"family": "II-i", "params": {"t1": "0", "t2": "1"}, "lambda": "1"}
     ]
 
 
@@ -80,7 +80,7 @@ def test_classify_case_i_example(F4):
     matches = classify(triple("I", "1", "t", "0", F4))
     assert len(matches) == 1
     m = matches[0]
-    assert m.family is FamilyId.I_A and str(m.lam) == "1" and m.ext_degree == 1
+    assert m.family is FamilyId.I_A and str(m.lam) == "1"
 
 
 def test_classify_case_iv_example(F2):
@@ -126,8 +126,7 @@ def test_scalar_equivalent(F4):
 def test_match_serialization_shape(F4):
     m = classify(triple("II", "1", "t", "t^2+t", F4))[0]
     js = m.to_json_dict()
-    assert set(js) == {"family", "params", "lambda", "ext"}
-    assert isinstance(js["ext"], int)
+    assert set(js) == {"family", "params", "lambda"}
 
 
 @pytest.mark.parametrize("q", [4, 8])
@@ -143,46 +142,33 @@ def test_round_trip_every_instance_is_recovered(q):
     spec = GF(q)
     for family in FamilyId:
         for _params, d in iter_family_instances(spec, family):
-            matches = classify(d, max_ext=2)
+            matches = classify(d)
             assert any(
                 scale(m.lam, instantiate(m.family, m.params, spec)) == d for m in matches
             ), f"{family} instance {d} not recovered"
 
 
-def test_classification_commutes_with_embedding(F2, F4):
-    # classify(embedded triple) recovers the embedded parameters
-    from folclass.finite_field import embed
-    from folclass.polynomial import embed_poly
-
-    d2 = triple("II", "t+1", "t", "t^2+t", F2)
-    lifted = DerivationTriple(
-        LieCase.II, embed_poly(d2.a, F4), embed_poly(d2.b, F4), embed_poly(d2.c, F4)
-    )
-    base = classify(d2)
-    lifted_matches = classify(lifted)
-    assert [(m.family, sorted(str(v) for v in m.params.values())) for m in lifted_matches] == [
-        (m.family, sorted(str(embed(v, F4)) for v in m.params.values())) for m in base
-    ]
-    assert [m.lam for m in lifted_matches] == [embed(m.lam, F4) for m in base]
-
-
-def test_extension_search_path(F2, monkeypatch):
-    # suppress base-field candidates so the search must move to GF(4);
-    # the recovered parameters then live in the degree-2 extension
-    import folclass.classifier as cl
-
-    real = cl._candidates
-
-    def gated(family, a, b, c, spec):
-        if spec.order == 2:
-            return []
-        return real(family, a, b, c, spec)
-
-    monkeypatch.setattr(cl, "_candidates", gated)
-    d = triple("II", "1", "t", "t^2+t", F2)
-    matches = cl.classify(d, max_ext=3)
-    assert matches and all(m.ext_degree == 2 for m in matches)
-    assert {str(m.params["t1"]) for m in matches} == {"0"}
+def test_classification_commutes_with_embedding(F2, F8, F16, gf4_reports):
+    # classify(embed(d)) == embed(classify(d)) on every scalar class of every
+    # case over GF(2) (into GF(8)) and GF(4) (into GF(16)): a match over an
+    # extension is the image of one over the base field, which is why
+    # classify never searches extensions
+    F16.tables()
+    classes = [(d, F8) for case in LieCase for d in find_valid(F2, case)]
+    classes += [(d, F16) for report in gf4_reports.values() for d, _m in report.class_matches]
+    assert len(classes) == 4 * (6 + 60)
+    for d, F in classes:
+        lifted = DerivationTriple(
+            d.case, *(f.map_coeffs(lambda x: embed(x, F), F) for f in d.components())
+        )
+        base = classify(d)
+        assert base, f"{d} unmatched"
+        expected = [
+            (m.family, {k: embed(v, F) for k, v in m.params.items()}, embed(m.lam, F))
+            for m in base
+        ]
+        got = [(m.family, m.params, m.lam) for m in classify(lifted)]
+        assert got == expected, f"{d} over {F.literal()}"
 
 
 def test_classification_equivariant_under_scaling(F4):

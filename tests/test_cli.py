@@ -22,7 +22,7 @@ def test_classify_match_output(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["matches"] == [
-        {"family": "II-i", "params": {"t1": "0", "t2": "1"}, "lambda": "1", "ext": 1}
+        {"family": "II-i", "params": {"t1": "0", "t2": "1"}, "lambda": "1"}
     ]
     assert payload["manifest"]["tool"] == "folclass"
     assert "timing" not in payload
@@ -230,6 +230,35 @@ def test_jobs_env_default(monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["verify-theorem", "--field", "GF(2)"])
     assert args.jobs == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_exits_one(jobs, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--field", "GF(2)", "--jobs", jobs])
+    assert exc.value.code == 1
+    assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
+    # the $FOLCLASS_JOBS default is validated the same way, not ignored
+    monkeypatch.setenv("FOLCLASS_JOBS", jobs)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--field", "GF(2)"])
+    assert exc.value.code == 1
+    assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("e_max", ["0", "-1"])
+def test_cartier_e_max_below_one_exits_one(e_max, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cartier", "--e-max", e_max])
+    assert exc.value.code == 1
+    assert "--e-max: expected an integer >= 1" in capsys.readouterr().err
+
+
+def test_enumerate_odd_characteristic_exits_one(capsys):
+    code, out, err = run_cli(["enumerate", "--field", "GF(9)", "--no-timing"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "enumeration is specific to characteristic 2" in err
 
 
 def test_console_script_entry_point():

@@ -158,7 +158,6 @@ def test_completeness_gf4(gf4_reports):
     for case, report in gf4_reports.items():
         assert report.unmatched == []
         assert report.matched == report.scalar_classes == 60
-        assert set(report.ext_degree_histogram) == {1}
 
 
 def test_case_i_overlap_classes_gf4(gf4_reports):
@@ -183,24 +182,49 @@ def test_completeness_gf8(gf8_reports):
         assert report.scalar_classes == 504 == 8**3 - 8
         assert report.valid_count == 3528
         assert report.unmatched == []
-        assert set(report.ext_degree_histogram) == {1}
 
 
 def test_case_i_classification_needs_no_extension(F4):
-    # parameters of the c = 0 families are coefficient ratios, so extension
-    # degree one suffices
-    report = verify_completeness(F4, LieCase.I, max_ext=1)
+    # parameters of the c = 0 families are coefficient ratios, so the base
+    # field suffices
+    report = verify_completeness(F4, LieCase.I)
     assert report.complete and report.matched == 60
 
 
 def test_enumeration_rejects_odd_characteristic():
     with pytest.raises(ValueError):
         next(enumerate_triples(GF(9), LieCase.I))
+    with pytest.raises(ValueError, match="characteristic 2"):
+        _scan(GF(9), LieCase.I)
+
+
+def test_scan_pool_capped_at_block_count(F2, monkeypatch):
+    # a fake pool records its size and maps serially, so no worker is forked
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    assert _scan(F2, LieCase.II, jobs=10**6) == _scan(F2, LieCase.II, jobs=1)
+    assert sizes == [F2.order**2]
 
 
 def test_determinism_across_worker_counts(F4):
-    r1 = verify_completeness(F4, LieCase.II, max_ext=6, jobs=1)
-    r2 = verify_completeness(F4, LieCase.II, max_ext=6, jobs=2)
+    r1 = verify_completeness(F4, LieCase.II, jobs=1)
+    r2 = verify_completeness(F4, LieCase.II, jobs=2)
     assert r1.to_json_dict(with_timing=False) == r2.to_json_dict(with_timing=False)
     assert find_valid(F4, LieCase.III, jobs=1) == find_valid(F4, LieCase.III, jobs=2)
 

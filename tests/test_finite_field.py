@@ -8,7 +8,6 @@ from folclass.finite_field import (
     FieldSpec,
     canonical_modulus,
     embed,
-    enumerate_elements,
     format_element,
     format_modulus,
     parse_element,
@@ -104,9 +103,9 @@ def test_pth_root_examples(F4):
 
 
 def test_enumeration_order_and_counts():
-    assert [str(x) for x in enumerate_elements(GF(2))] == ["0", "1"]
-    assert [str(x) for x in enumerate_elements(GF(4))] == ["0", "1", "u", "u+1"]
-    eights = enumerate_elements(GF(8))
+    assert [str(x) for x in GF(2).elements()] == ["0", "1"]
+    assert [str(x) for x in GF(4).elements()] == ["0", "1", "u", "u+1"]
+    eights = GF(8).elements()
     assert len(eights) == 8 == len(set(eights))
 
 

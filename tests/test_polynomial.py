@@ -8,13 +8,9 @@ from folclass.polynomial import (
     NEG_INF,
     BiPoly,
     Poly,
-    embed_poly,
     format_poly,
-    is_perfect_square,
     parse_poly,
     poly_gcd,
-    poly_sqrt,
-    roots_in_extension,
 )
 
 
@@ -117,97 +113,6 @@ def test_divmod_remainder_degree(F4):
         q, r = divmod(f, g)
         assert q * g + r == f
         assert r.degree < g.degree
-
-
-def test_perfect_square_detection(F2, F4):
-    t = Poly.t(F2)
-    one = Poly.one(F2)
-    f = t * t + one
-    assert is_perfect_square(f)
-    assert poly_sqrt(f) == t + one  # (t+1)^2 = t^2+1 in char 2
-    assert not is_perfect_square(t * t + t)
-    with pytest.raises(ValueError):
-        poly_sqrt(t * t + t)
-    # constants are squares over a perfect field
-    u = F4.generator
-    c = Poly.constant(u)
-    assert is_perfect_square(c)
-    assert poly_sqrt(c) == Poly.constant(u.pth_root())
-
-
-def test_sqrt_round_trip(F4):
-    rng = random.Random(19)
-    for _ in range(100):
-        f = rand_poly(F4, 3, rng)
-        sq = f * f
-        assert is_perfect_square(sq)
-        assert poly_sqrt(sq) == f
-
-
-def test_perfect_square_rejects_odd_characteristic(F9):
-    with pytest.raises(ValueError):
-        is_perfect_square(Poly.one(F9))
-
-
-def test_roots_examples(F2):
-    t = Poly.t(F2)
-    one = Poly.one(F2)
-    roots = roots_in_extension(t * t + t, 1)
-    assert {(str(r.root), r.ext_degree, r.multiplicity) for r in roots} == {("0", 1, 1), ("1", 1, 1)}
-    irred = t * t + t + one
-    recs = roots_in_extension(irred, 2)
-    assert [r.ext_degree for r in recs] == [2, 2]
-    assert roots_in_extension(one, 3) == []
-    with pytest.raises(ValueError):
-        roots_in_extension(Poly.zero(F2), 1)
-
-
-def _trial_division_factors(f):
-    """Independent oracle: factor f into monic irreducibles by trial division."""
-    spec = f.spec
-    factors = []
-    g = f.monic()
-    deg = 1
-    while g.degree > 0:
-        found = False
-        for idx in range(spec.order**deg):
-            cand = Poly(spec, tuple((idx // spec.order**i) % spec.order for i in range(deg)) + (1,))
-            q, r = divmod(g, cand)
-            if not r:
-                factors.append(cand)
-                g = q.monic()
-                found = True
-                break
-        if not found:
-            deg += 1
-    return factors
-
-
-def test_roots_agree_with_trial_division_over_gf4(F4):
-    # every degree-d irreducible factor contributes d roots of degree d,
-    # each with the factor's multiplicity
-    for idx in range(1, F4.order**4):
-        f = Poly(F4, tuple((idx // F4.order**i) % F4.order for i in range(4)))
-        factors = _trial_division_factors(f)
-        expected = {}
-        for fac in set(factors):
-            key = (fac.degree, factors.count(fac))
-            expected[key] = expected.get(key, 0) + fac.degree
-        got = {}
-        for rec in roots_in_extension(f, 3):
-            key = (rec.ext_degree, rec.multiplicity)
-            got[key] = got.get(key, 0) + 1
-        assert got == expected, f"{f} roots mismatch"
-
-
-def test_roots_live_in_embedded_field(F2, F4):
-    t = Poly.t(F2)
-    one = Poly.one(F2)
-    irred = t * t + t + one
-    recs = roots_in_extension(irred, 2)
-    lifted = embed_poly(irred, GF(4))
-    for rec in recs:
-        assert not lifted.eval(rec.root)
 
 
 def test_compose_with_affine(F4):
