@@ -22,7 +22,7 @@ from . import __version__
 from .cartier import Quadric, TraceOperator
 from .polynomial import BiPoly
 from .classifier import classify
-from .derivation import DerivationTriple, LieCase, failed_conditions
+from .derivation import DerivationTriple, LieCase
 from .enumerator import (
     case_c_corollaries,
     total_triple_count,
@@ -132,10 +132,6 @@ def cmd_classify(args):
         parse_poly(args.b, spec),
         parse_poly(args.c, spec),
     )
-    failed = failed_conditions(triple)
-    if failed:
-        print("error: not an admissible foliation generator: " + "; ".join(failed), file=sys.stderr)
-        return 1
     matches = classify(triple)
     payload = {
         "manifest": _manifest("classify", args, field=spec.literal(), case=case.name),

@@ -5,12 +5,14 @@ deduplicate scalar orbits, and check the family taxonomy both ways
 scalar class is matched).
 
 The scan works on packed coefficient indices with flat field tables; in
-characteristic 2 index addition is XOR.  For each (a, b) pair the first
-minor takes the form K(a,b) + c*P(a,b) with P a scalar, so the inner loop
-over all q^4 values of c costs four table lookups per candidate before the
-rare full check.  The coefficient space is partitioned into contiguous
-blocks of a-indices; workers scan blocks independently and results are
-merged in block order, so the report is identical for any worker count.
+characteristic 2 index addition is XOR.  It never loops over c: for each
+(a, b) pair, p-closedness with c != 0 is two 2x2 linear systems in the
+coefficients of c whose matrix has determinant P(a,b) (the scalar of the
+first minor), and c = 0 is p-closed exactly when K(a,b) = 0 (see
+_scan_block).  Only the solutions are checked for C2 and C1.  The
+coefficient space is partitioned into contiguous blocks of a-indices;
+workers scan blocks independently and results are merged in block order,
+so the report is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -75,10 +77,7 @@ def _scan_tables(field_key):
         spec = FieldSpec(p, k, modulus)
         q, _add, mul, inv = spec.tables()
         pairs = tuple((i % q, i // q) for i in range(q * q))
-        quads = tuple(
-            (i % q, (i // q) % q, (i // (q * q)) % q, i // (q * q * q)) for i in range(q**4)
-        )
-        tables = (q, mul, inv, pairs, quads)
+        tables = (q, mul, inv, pairs)
         _SCAN_CACHE[field_key] = tables
     return tables
 
@@ -118,121 +117,68 @@ def _packed_gcd_is_unit(polys, q, mul, inv):
 
 
 def _scan_block(args):
-    """Scan one contiguous block of a-indices; return packed valid triples."""
+    """Scan one contiguous block of a-indices; return packed valid triples.
+
+    p-closedness is linear in c.  Write delta^2 = (A, B, C) as in
+    delta_squared and let S_A, S_B be the parts that a^2 and b^2 contribute
+    to alpha and beta.  Then A = c*a' + S_A, B = c*b' + S_B, C = c*c', and in
+    characteristic 2 the three minors factor as
+
+        A*b + B*a = c*P + K,        P = (ab)' = a1*b0 + a0*b1,  K = S_A*b + S_B*a,
+        A*c + C*a = c*((ac)' + S_A),
+        B*c + C*b = c*((bc)' + S_B).
+
+    For c != 0 the triple is p-closed exactly when (ac)' = S_A and
+    (bc)' = S_B; these give A = a*c' and B = b*c', so minor 1 follows.  Both
+    sides are even of degree <= 2, so the condition is the two 2x2 systems
+    M*(c0, c1) = (S_A0, S_B0) and M*(c2, c3) = (S_A2, S_B2) with
+    M = [[a1, a0], [b1, b0]] and det M = P.  For c = 0 the triple is p-closed
+    exactly when K = 0.  Each system is solved by testing all q^2 pairs: one
+    solution when P != 0, none or q when M has rank 1, all q^2 only when
+    a = b = 0.  The candidates, in increasing c-index, then only need C2
+    and C1.
+    """
     field_key, case_name, ia_start, ia_end = args
-    q, mul, inv, pairs, quads = _scan_tables(field_key)
-    alpha_sq, beta_sq = LieCase[case_name].alpha_sq, LieCase[case_name].beta_sq
+    q, mul, inv, pairs = _scan_tables(field_key)
+    case = LieCase[case_name]
     q2 = q * q
     out = []
     for ia in range(ia_start, ia_end):
         a0, a1 = pairs[ia]
-        as0 = mul[a0 * q + a0]
-        as2 = mul[a1 * q + a1]
-        a_deg1 = a1 != 0
         for ib in range(q2):
             b0, b1 = pairs[ib]
-            # first minor is K + c*P with scalar P = a1*b0 + b1*a0
-            P = mul[a1 * q + b0] ^ mul[b1 * q + a0]
-            if case_name == "I":
-                K0 = K1 = K2 = K3 = 0
-            elif case_name == "II":
-                ab0 = mul[a0 * q + b0]
-                ab1 = mul[a0 * q + b1] ^ mul[a1 * q + b0]
-                ab2 = mul[a1 * q + b1]
-                s0, s1 = a0 ^ b0, a1 ^ b1
-                K0 = mul[ab0 * q + s0]
-                K1 = mul[ab0 * q + s1] ^ mul[ab1 * q + s0]
-                K2 = mul[ab1 * q + s1] ^ mul[ab2 * q + s0]
-                K3 = mul[ab2 * q + s1]
-            elif case_name == "III":
-                K0 = mul[as0 * q + b0]
-                K1 = mul[as0 * q + b1]
-                K2 = mul[as2 * q + b0]
-                K3 = mul[as2 * q + b1]
-            else:  # IV: K = a^3
-                K0 = mul[as0 * q + a0]
-                K1 = mul[as0 * q + a1]
-                K2 = mul[as2 * q + a0]
-                K3 = mul[as2 * q + a1]
-            c2_free = a_deg1 or b1 != 0
-            if P:
-                for ic, (c0, c1, c2, c3) in enumerate(quads):
-                    if (
-                        mul[c0 * q + P] != K0
-                        or mul[c1 * q + P] != K1
-                        or mul[c2 * q + P] != K2
-                        or mul[c3 * q + P] != K3
-                    ):
-                        continue
-                    if _full_check(
-                        alpha_sq, beta_sq, a0, a1, b0, b1, c0, c1, c2, c3,
-                        as0, as2, c2_free, q, mul, inv,
-                    ):
-                        out.append((ia, ib, ic))
-            else:
-                if K0 or K1 or K2 or K3:
-                    continue
-                for ic, (c0, c1, c2, c3) in enumerate(quads):
-                    if ia == 0 and ib == 0 and ic == 0:
-                        continue
-                    if _full_check(
-                        alpha_sq, beta_sq, a0, a1, b0, b1, c0, c1, c2, c3,
-                        as0, as2, c2_free, q, mul, inv,
-                    ):
-                        out.append((ia, ib, ic))
+            # squares routed as in delta_squared; an even poly e0 + e2*t^2 is
+            # packed as the index e0 + e2*q, so XOR adds them
+            routed = {"alpha": 0, "beta": 0, "zero": 0}
+            routed[case.alpha_sq] ^= mul[a0 * q + a0] + mul[a1 * q + a1] * q
+            routed[case.beta_sq] ^= mul[b0 * q + b0] + mul[b1 * q + b1] * q
+            sa0, sa2 = pairs[routed["alpha"]]
+            sb0, sb2 = pairs[routed["beta"]]
+            low, high = [], []
+            for i, (x, y) in enumerate(pairs):
+                image = (mul[a1 * q + x] ^ mul[a0 * q + y], mul[b1 * q + x] ^ mul[b0 * q + y])
+                if image == (sa0, sb0):
+                    low.append(i)
+                if image == (sa2, sb2):
+                    high.append(i)
+            # c = 0 is p-closed iff K = S_A*b + S_B*a vanishes
+            k_zero = not (
+                mul[sa0 * q + b0] ^ mul[sb0 * q + a0]
+                or mul[sa0 * q + b1] ^ mul[sb0 * q + a1]
+                or mul[sa2 * q + b0] ^ mul[sb2 * q + a0]
+                or mul[sa2 * q + b1] ^ mul[sb2 * q + a1]
+            )
+            # c-index is low + q^2 * high, so this order is increasing
+            candidates = [0] if k_zero else []
+            candidates += [il + q2 * ih for ih in high for il in low if il or ih]
+            for ic in candidates:
+                c0, c1 = pairs[ic % q2]
+                c2, c3 = pairs[ic // q2]
+                if (a1 or b1 or c3) and _packed_gcd_is_unit(
+                    ((a0, a1), (b0, b1), (c0, c1, c2, c3)), q, mul, inv
+                ):
+                    out.append((ia, ib, ic))
     return out
-
-
-def _full_check(alpha_sq, beta_sq, a0, a1, b0, b1, c0, c1, c2, c3, as0, as2, c2_free, q, mul, inv):
-    """C2, the remaining two minors, and C1 for a triple that passed minor 1."""
-    if not (c2_free or c3):
-        return False
-    # A = c*a' (+ a^2 per case), B = c*b' (+ squares per case), C = c*c'
-    A = [mul[c0 * q + a1], mul[c1 * q + a1], mul[c2 * q + a1], mul[c3 * q + a1]]
-    B = [mul[c0 * q + b1], mul[c1 * q + b1], mul[c2 * q + b1], mul[c3 * q + b1]]
-    bs0 = mul[b0 * q + b0]
-    bs2 = mul[b1 * q + b1]
-    if alpha_sq == "alpha":
-        A[0] ^= as0
-        A[2] ^= as2
-    elif alpha_sq == "beta":
-        B[0] ^= as0
-        B[2] ^= as2
-    if beta_sq == "alpha":
-        A[0] ^= bs0
-        A[2] ^= bs2
-    elif beta_sq == "beta":
-        B[0] ^= bs0
-        B[2] ^= bs2
-    # C = c*c' with c' = c1 + c3*t^2; the t^3 coefficient c1*c3 + c3*c1 vanishes
-    C0 = mul[c0 * q + c1]
-    C1 = mul[c1 * q + c1]
-    C2 = mul[c2 * q + c1] ^ mul[c0 * q + c3]
-    C4 = mul[c2 * q + c3]
-    C5 = mul[c3 * q + c3]
-    # minor 2: A*c + C*a = 0  (degrees up to 6)
-    if (
-        mul[A[0] * q + c0] ^ mul[C0 * q + a0]
-        or mul[A[0] * q + c1] ^ mul[A[1] * q + c0] ^ mul[C0 * q + a1] ^ mul[C1 * q + a0]
-        or mul[A[0] * q + c2] ^ mul[A[1] * q + c1] ^ mul[A[2] * q + c0] ^ mul[C1 * q + a1] ^ mul[C2 * q + a0]
-        or mul[A[0] * q + c3] ^ mul[A[1] * q + c2] ^ mul[A[2] * q + c1] ^ mul[A[3] * q + c0] ^ mul[C2 * q + a1]
-        or mul[A[1] * q + c3] ^ mul[A[2] * q + c2] ^ mul[A[3] * q + c1] ^ mul[C4 * q + a0]
-        or mul[A[2] * q + c3] ^ mul[A[3] * q + c2] ^ mul[C4 * q + a1] ^ mul[C5 * q + a0]
-        or mul[A[3] * q + c3] ^ mul[C5 * q + a1]
-    ):
-        return False
-    # minor 3: B*c + C*b = 0
-    if (
-        mul[B[0] * q + c0] ^ mul[C0 * q + b0]
-        or mul[B[0] * q + c1] ^ mul[B[1] * q + c0] ^ mul[C0 * q + b1] ^ mul[C1 * q + b0]
-        or mul[B[0] * q + c2] ^ mul[B[1] * q + c1] ^ mul[B[2] * q + c0] ^ mul[C1 * q + b1] ^ mul[C2 * q + b0]
-        or mul[B[0] * q + c3] ^ mul[B[1] * q + c2] ^ mul[B[2] * q + c1] ^ mul[B[3] * q + c0] ^ mul[C2 * q + b1]
-        or mul[B[1] * q + c3] ^ mul[B[2] * q + c2] ^ mul[B[3] * q + c1] ^ mul[C4 * q + b0]
-        or mul[B[2] * q + c3] ^ mul[B[3] * q + c2] ^ mul[C4 * q + b1] ^ mul[C5 * q + b0]
-        or mul[B[3] * q + c3] ^ mul[C5 * q + b1]
-    ):
-        return False
-    return _packed_gcd_is_unit(([a0, a1], [b0, b1], [c0, c1, c2, c3]), q, mul, inv)
 
 
 def _scan(spec, case, jobs=1):

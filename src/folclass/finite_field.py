@@ -542,6 +542,8 @@ def parse_field(text):
         q = int(body)
     except ValueError:
         raise ParseError("field order must be an integer", text, 3) from None
+    if q < 2:
+        raise ParseError(f"field order {q} is below 2", text, 3)
     for p in SUPPORTED_CHARACTERISTICS:
         k = 0
         n = q

@@ -83,6 +83,41 @@ def test_oracle_agrees_on_gf4_sample(F4):
             assert delta_squared(d) == oracle_delta_squared(d)
 
 
+def _assert_minor_factorisations(d):
+    """The factorisations of the three minors that the packed scan solves."""
+    a, b, c = d.components()
+    routed = {"alpha": Poly.zero(d.spec), "beta": Poly.zero(d.spec), "zero": Poly.zero(d.spec)}
+    routed[d.case.alpha_sq] = routed[d.case.alpha_sq] + a * a
+    routed[d.case.beta_sq] = routed[d.case.beta_sq] + b * b
+    s_a, s_b = routed["alpha"], routed["beta"]
+    for s in (s_a, s_b):
+        assert s.degree <= 2 and not s.coeff(1), d
+    A, B, C = delta_squared(d).components()
+    assert A == c * a.formal_derivative() + s_a, d
+    assert B == c * b.formal_derivative() + s_b, d
+    P = Poly.constant(a.coeff(1) * b.coeff(0) + a.coeff(0) * b.coeff(1))
+    assert A * b + B * a == c * P + (s_a * b + s_b * a), d
+    assert A * c + C * a == c * ((a * c).formal_derivative() + s_a), d
+    assert B * c + C * b == c * ((b * c).formal_derivative() + s_b), d
+
+
+def test_minor_factorisations_exhaustive_gf2(F2):
+    for case in LieCase:
+        for d in enumerate_triples(F2, case):
+            _assert_minor_factorisations(d)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_minor_factorisations_sampled(q, request):
+    spec = request.getfixturevalue(f"F{q}")
+    rng = random.Random(q)
+    for case in LieCase:
+        for _ in range(1500):
+            a, b, c = (Poly(spec, tuple(rng.randrange(q) for _ in range(n))) for n in (2, 2, 4))
+            if a or b or c:
+                _assert_minor_factorisations(DerivationTriple(case, a, b, c))
+
+
 def test_oracle_object_fallback_on_large_field():
     # GF(2^11) has no flat tables, forcing the object-arithmetic engine
     big = FieldSpec(2, 11)

@@ -139,6 +139,8 @@ def test_field_literals_round_trip():
     with pytest.raises(ParseError):
         parse_field("GF(6)")
     with pytest.raises(ParseError):
+        parse_field("GF(0)")
+    with pytest.raises(ParseError):
         parse_field("field(4)")
 
 
