@@ -280,8 +280,7 @@ def cmd_verify_theorem(args):
             "completeness": completeness.to_json_dict(with_timing=not args.no_timing),
         }
         if case in (LieCase.I, LieCase.II):
-            reps = [t for t, _m in completeness.class_matches]
-            all_zero, all_nonzero = case_c_corollaries(spec, case, reps=reps)
+            all_zero, all_nonzero = case_c_corollaries([t for t, _m in completeness.class_matches])
             entry["corollaries"] = {
                 "all_valid_have_c_zero": all_zero,
                 "all_valid_have_c_nonzero": all_nonzero,

@@ -4,7 +4,8 @@ The pair (alpha, beta) spans the restricted Lie algebra of an infinitesimal
 group of length p^2 in characteristic 2; its p-th power structure falls into
 exactly four cases.  A triple (a, b, c) of polynomials generates a rank-one
 subsheaf; it is an admissible foliation generator when it is primitive (C1),
-extends to the chart at infinity without zeros (C2), and is p-closed (C3).
+extends to the chart at infinity without zeros (C2), and is p-closed (C3):
+the three 2x2 minors of delta^2 = (A, B, C) against (a, b, c) vanish.
 """
 
 from __future__ import annotations
@@ -234,23 +235,32 @@ def satisfies_C2(d: DerivationTriple) -> bool:
     return da <= 1 and db <= 1 and dc <= 3 and (da == 1 or db == 1 or dc == 3)
 
 
-def is_p_closed(d: DerivationTriple):
-    """p-closedness as proportionality over the rational function field.
-
-    delta^2 = (A, B, C) lies in the span of delta exactly when the three 2x2
-    minors against (a, b, c) vanish.  When they do and the triple is
-    primitive, the multiplier h with (A, B, C) = h * (a, b, c) is a
-    polynomial, recovered by exact division against a component of maximal
-    degree; delta^2 = 0 yields h = 0.  Returns (closed, h or None).
-    """
-    sq = delta_squared(d)
+def _minors_vanish(d: DerivationTriple, sq: SquaredDerivation) -> bool:
     A, B, C = sq.components()
     a, b, c = d.components()
-    if (A * b + B * a) or (A * c + C * a) or (B * c + C * b):
+    return not ((A * b + B * a) or (A * c + C * a) or (B * c + C * b))
+
+
+def satisfies_C3(d: DerivationTriple) -> bool:
+    """p-closedness as proportionality over the rational function field:
+    delta^2 = (A, B, C) lies in the span of delta exactly when the three 2x2
+    minors against (a, b, c) vanish."""
+    return _minors_vanish(d, delta_squared(d))
+
+
+def is_p_closed(d: DerivationTriple):
+    """C3 together with the multiplier h of delta^2 = h * delta.
+
+    When the minors vanish and the triple is primitive, h is a polynomial,
+    recovered by exact division against a component of maximal degree;
+    delta^2 = 0 yields h = 0.  Returns (closed, h or None).
+    """
+    sq = delta_squared(d)
+    if not _minors_vanish(d, sq):
         return False, None
     if not satisfies_C1(d):
         return True, None
-    pairs = [(f, F) for f, F in ((a, A), (b, B), (c, C)) if f]
+    pairs = [(f, F) for f, F in zip(d.components(), sq.components()) if f]
     denom, numer = max(pairs, key=lambda p: p[0].degree)
     h, rem = divmod(numer, denom)
     if rem:
@@ -259,7 +269,7 @@ def is_p_closed(d: DerivationTriple):
 
 
 def is_valid_foliation(d: DerivationTriple) -> bool:
-    return satisfies_C1(d) and satisfies_C2(d) and is_p_closed(d)[0]
+    return satisfies_C2(d) and satisfies_C1(d) and satisfies_C3(d)
 
 
 def failed_conditions(d: DerivationTriple):
@@ -269,7 +279,7 @@ def failed_conditions(d: DerivationTriple):
         failed.append("C1 (gcd of a, b, c is not a nonzero constant)")
     if not satisfies_C2(d):
         failed.append("C2 (degree bounds with at least one equality)")
-    if not is_p_closed(d)[0]:
+    if not satisfies_C3(d):
         failed.append("C3 (delta^2 is not proportional to delta)")
     return failed
 

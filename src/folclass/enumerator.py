@@ -17,12 +17,13 @@ so the report is identical for any worker count.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
-from .classifier import FamilyId, classify, families_of_case, instantiate
+from .classifier import classify, families_of_case, instantiate
 from .derivation import DerivationTriple, LieCase, is_valid_foliation
-from .errors import ConsistencyError
+from .errors import ConsistencyError, InvalidParameterError
 from .finite_field import FieldSpec
 from .polynomial import Poly
 
@@ -237,11 +238,22 @@ def _packed_to_triple(packed, spec, case):
     )
 
 
-def find_valid(spec, case, jobs=1):
-    """Lexicographically least representatives of the valid scalar classes."""
+def _scalar_classes(spec, case, jobs):
+    """(valid count, sorted packed least representatives of the scalar classes)."""
     _, _add, mul, _inv = spec.tables()
     valid = _scan(spec, case, jobs=jobs)
     reps = sorted({_canonical_rep(pk, spec, mul) for pk in valid})
+    if len(valid) != len(reps) * (spec.order - 1):
+        raise ConsistencyError(
+            f"scalar orbits do not partition the valid set: {len(valid)} valid, "
+            f"{len(reps)} classes over {spec.literal()}"
+        )
+    return len(valid), reps
+
+
+def find_valid(spec, case, jobs=1):
+    """Lexicographically least representatives of the valid scalar classes."""
+    _count, reps = _scalar_classes(spec, case, jobs)
     return [_packed_to_triple(pk, spec, case) for pk in reps]
 
 
@@ -251,54 +263,15 @@ def find_valid(spec, case, jobs=1):
 
 
 def iter_family_instances(spec, family):
-    """All (params, triple) pairs over constraint-satisfying base-field values."""
-    elements = spec.elements()
-    nonzero = [x for x in elements if x]
-    f = FamilyId
-    domains = {
-        f.I_A: lambda: (
-            {"s": s, "t1": t1, "t2": t2}
-            for s in elements
-            for t1 in elements
-            for t2 in elements
-            if s * t1 != t2
-        ),
-        f.II_I: lambda: ({"t1": t1, "t2": t2} for t1 in elements for t2 in elements if t1 != t2),
-        f.II_IV: lambda: (
-            {"t0": t0, "t1": t1, "t2": t2}
-            for t0 in elements
-            for t1 in elements
-            for t2 in elements
-            if t0 != t1 and t0 != t2 and t1 != t2
-        ),
-        f.III_I: lambda: ({"s": s, "t1": t1} for s in nonzero for t1 in elements),
-        f.III_III: lambda: (
-            {"s": s, "t1": t1, "t2": t2}
-            for s in nonzero
-            for t1 in elements
-            for t2 in elements
-            if t1 != t2
-        ),
-        f.IV_I: lambda: ({"s1": s1, "t2": t2} for s1 in nonzero for t2 in elements),
-        f.IV_III: lambda: (
-            {"s1": s1, "s2": s2, "r2": r2} for s1 in nonzero for s2 in nonzero for r2 in nonzero
-        ),
-        f.IV_IV: lambda: (
-            {"s1": s1, "s2": s2, "t1": t1, "t2": t2}
-            for s1 in nonzero
-            for s2 in nonzero
-            for t1 in elements
-            for t2 in elements
-            if t1 != t2
-        ),
-    }
-    domains[f.I_B] = domains[f.I_A]
-    domains[f.II_II] = domains[f.II_I]
-    domains[f.II_III] = domains[f.II_I]
-    domains[f.III_II] = domains[f.III_I]
-    domains[f.IV_II] = domains[f.IV_I]
-    for params in domains[family]():
-        yield params, instantiate(family, params, spec)
+    """All (params, triple) pairs over the base field: the instances are the
+    parameter tuples, in param_names order, that instantiate accepts."""
+    names = family.param_names
+    for values in itertools.product(spec.elements(), repeat=len(names)):
+        params = dict(zip(names, values))
+        try:
+            yield params, instantiate(family, params, spec)
+        except InvalidParameterError:
+            continue
 
 
 @dataclass
@@ -383,15 +356,7 @@ class EnumerationReport:
 def verify_completeness(spec, case, jobs=1):
     """Classify every valid scalar class; unmatched classes are report data."""
     start = time.monotonic()
-    _, _add, mul, _inv = spec.tables()
-    valid = _scan(spec, case, jobs=jobs)
-    reps_packed = sorted({_canonical_rep(pk, spec, mul) for pk in valid})
-    q = spec.order
-    if len(valid) != len(reps_packed) * (q - 1):
-        raise ConsistencyError(
-            f"scalar orbits do not partition the valid set: {len(valid)} valid, "
-            f"{len(reps_packed)} classes over {spec.literal()}"
-        )
+    valid_count, reps_packed = _scalar_classes(spec, case, jobs)
     unmatched = []
     overlaps = []
     matched = 0
@@ -413,7 +378,7 @@ def verify_completeness(spec, case, jobs=1):
         field=spec.literal(),
         case=case.name,
         total_triples=total_triple_count(spec),
-        valid_count=len(valid),
+        valid_count=valid_count,
         scalar_classes=len(reps_packed),
         matched=matched,
         unmatched=unmatched,
@@ -423,14 +388,12 @@ def verify_completeness(spec, case, jobs=1):
     )
 
 
-def case_c_corollaries(spec, case, jobs=1, reps=None):
+def case_c_corollaries(reps):
     """Observed c-vanishing pattern over the valid set of a case.
 
     Returns (all_c_zero, all_c_nonzero) across scalar-class representatives;
     scaling never changes whether c vanishes, so classes suffice.
     """
-    if reps is None:
-        reps = find_valid(spec, case, jobs=jobs)
     all_zero = all(not r.c for r in reps)
     all_nonzero = all(bool(r.c) for r in reps)
     return all_zero, all_nonzero

@@ -447,7 +447,7 @@ def _parse_element_term(s, pos, text):
             if pos == dstart:
                 raise ParseError("expected exponent digits", text, dstart)
             exp = int(s[dstart:pos])
-    if num is None and exp == 0:
+    elif num is None:
         raise ParseError("expected coefficient or generator", text, start)
     return (1 if num is None else num), exp, pos
 

@@ -15,6 +15,9 @@ from .finite_field import parse_element
 
 NEG_INF = float("-inf")
 
+# parse_poly's largest exponent: a literal allocates one coefficient per degree
+MAX_EXPONENT = 1024
+
 
 class Poly:
     """A univariate polynomial over a FieldSpec, in the variable t."""
@@ -274,12 +277,13 @@ def parse_poly(text, spec, var="t"):
                 if pos == dstart:
                     raise ParseError("expected exponent digits", text, dstart)
                 exp = int(s[dstart:pos])
+                if exp > MAX_EXPONENT:
+                    raise ParseError(f"exponent above {MAX_EXPONENT}", text, dstart)
+        elif coeff is None:
+            raise ParseError("expected a coefficient or variable", text, start)
         if coeff is None:
-            if exp == 0:
-                raise ParseError("expected a coefficient or variable", text, start)
             coeff = spec.one
-        prev = coeffs.get(exp, spec.zero)
-        coeffs[exp] = prev + coeff
+        coeffs[exp] = coeffs.get(exp, spec.zero) + coeff
         if pos == n:
             break
         if s[pos] != "+":

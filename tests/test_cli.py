@@ -48,6 +48,18 @@ def test_classify_bad_literal_names_position(capsys):
     assert "position" in err
 
 
+def test_classify_huge_exponent_exits_one(capsys):
+    # rejected while parsing, before any coefficient is allocated
+    code, out, err = run_cli(
+        ["classify", "--field", "GF(4)", "--case", "II",
+         "--a", "1", "--b", "t", "--c", "t^99999999"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "exponent above" in err and "position 2" in err
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-theorem", "--field", "GF(4)", "--bogus-flag"])

@@ -16,6 +16,7 @@ from folclass.derivation import (
     oracle_delta_squared,
     satisfies_C1,
     satisfies_C2,
+    satisfies_C3,
     scale,
 )
 from folclass.enumerator import enumerate_triples
@@ -144,10 +145,23 @@ def test_c2_examples(F4):
 def test_p_closed_examples(F4, F2):
     closed, h = is_p_closed(triple("II", "1", "t", "t^2+t", F4))
     assert closed and h == Poly.one(F4)
+    assert satisfies_C3(triple("II", "1", "t", "t^2+t", F4))
     closed, _h = is_p_closed(triple("II", "1", "t", "0", F4))
     assert not closed  # minor A*b + B*a = t + t^2 != 0
+    assert not satisfies_C3(triple("II", "1", "t", "0", F4))
     closed, h = is_p_closed(triple("I", "1", "t", "0", F2))
     assert closed and h == Poly.zero(F2)  # delta^2 = 0 is proportional to anything
+    assert satisfies_C3(triple("I", "1", "t", "0", F2))
+    assert satisfies_C3(triple("I", "t", "t^2", "0", F2))  # C3 holds without C1
+
+
+def test_condition_compositions_agree_exhaustive_gf2(F2):
+    # the validity verdict, the named failures and is_p_closed all compose
+    # the same three conditions
+    for case in LieCase:
+        for d in enumerate_triples(F2, case):
+            assert is_valid_foliation(d) == (failed_conditions(d) == [])
+            assert is_p_closed(d)[0] == satisfies_C3(d)
 
 
 def test_p_closed_without_primitivity_gives_no_multiplier(F2):

@@ -245,19 +245,22 @@ def test_canonical_rep_is_orbit_minimum(F4):
         assert rep == min(orbit)
 
 
-def test_soundness_reports(F4):
-    # instance counts per family over GF(4), from the constraint spaces:
+@pytest.mark.parametrize("q", [4, 8])
+def test_soundness_reports(q):
+    # instance counts per family, from the constraint spaces of instantiate:
     # I-a/I-b: q^3 - q^2; II-i/ii/iii: q(q-1); II-iv: q(q-1)(q-2);
     # III-i/ii: q(q-1); III-iii: q(q-1)^2; IV-i/ii: q(q-1);
     # IV-iii: (q-1)^3; IV-iv: q(q-1)^3
+    line = q * (q - 1)
     expected = {
-        LieCase.I: {"I-a": 48, "I-b": 48},
-        LieCase.II: {"II-i": 12, "II-ii": 12, "II-iii": 12, "II-iv": 24},
-        LieCase.III: {"III-i": 12, "III-ii": 12, "III-iii": 36},
-        LieCase.IV: {"IV-i": 12, "IV-ii": 12, "IV-iii": 27, "IV-iv": 108},
+        LieCase.I: {"I-a": q**3 - q**2, "I-b": q**3 - q**2},
+        LieCase.II: {"II-i": line, "II-ii": line, "II-iii": line, "II-iv": line * (q - 2)},
+        LieCase.III: {"III-i": line, "III-ii": line, "III-iii": line * (q - 1)},
+        LieCase.IV: {"IV-i": line, "IV-ii": line, "IV-iii": (q - 1) ** 3, "IV-iv": q * (q - 1) ** 3},
     }
+    spec = GF(q)
     for case in LieCase:
-        report = verify_soundness(F4, case)
+        report = verify_soundness(spec, case)
         assert report.passed
         assert report.instances == expected[case]
         js = report.to_json_dict()

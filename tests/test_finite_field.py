@@ -149,6 +149,7 @@ def test_element_literals_round_trip(q):
     spec = GF(q)
     for x in spec.elements():
         assert parse_element(format_element(x), spec) == x
+    assert parse_element("u^0", spec) == spec.one
 
 
 def test_element_literal_errors(F4):

@@ -5,6 +5,7 @@ import pytest
 from folclass.errors import ParseError
 from folclass.finite_field import GF
 from folclass.polynomial import (
+    MAX_EXPONENT,
     NEG_INF,
     BiPoly,
     Poly,
@@ -132,6 +133,9 @@ def test_parse_and_format(F2, F4):
     assert parse_poly("t+t", F2) == Poly.zero(F2)
     assert parse_poly("(u+1)*t^2+u", F4) == Poly(F4, (F4.generator, F4.zero, F4.generator + F4.one))
     assert format_poly(parse_poly("t^3+(u+1)*t", F4)) == "t^3+(u+1)*t"
+    assert parse_poly("t^0", F4) == Poly.one(F4)  # a named variable needs no coefficient
+    assert parse_poly("t^0+t", F4) == Poly(F4, (1, 1))
+    assert parse_poly("u^0*t", F4) == Poly.t(F4)
 
 
 def test_parse_format_round_trip_exhaustive(F4):
@@ -141,7 +145,8 @@ def test_parse_format_round_trip_exhaustive(F4):
 
 
 def test_parse_errors_carry_positions(F4):
-    for text, pos in [("t^", 2), ("t++1", 2), ("(u+1", 0), ("t*", 1)]:
+    too_high = f"t^{MAX_EXPONENT + 1}"
+    for text, pos in [("t^", 2), ("t++1", 2), ("(u+1", 0), ("t*", 1), (too_high, 2)]:
         with pytest.raises(ParseError) as exc:
             parse_poly(text, F4)
         assert exc.value.position == pos
