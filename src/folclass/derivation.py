@@ -103,17 +103,17 @@ def delta_squared(d: DerivationTriple) -> SquaredDerivation:
     return SquaredDerivation(A, B, C)
 
 
-def _compose_engine(case, a, b, c, zero, padd, pmul, pderiv):
+def _compose_engine(case, a, b, c, q, mul):
     """Expand (a*alpha + b*beta + c*d/dt)^2 by operator composition.
 
-    Works over any arithmetic backend (object polynomials or packed index
-    tuples).  Only the defining relations are used: alpha and beta commute
-    with functions of t, with each other and with d/dt; d/dt picks up the
+    Works on packed coefficient-index tuples over the flat tables (q, mul).
+    Only the defining relations are used: alpha and beta commute with
+    functions of t, with each other and with d/dt; d/dt picks up the
     derivative when moved past a coefficient; (d/dt)^2 = 0; and alpha^2,
     beta^2 reduce per the Lie case.  Returns the accumulator over the basis
     words A, B, T, the irreducible length-2 words and the identity word.
     """
-    slots = {"A": zero, "B": zero, "T": zero, "AB": zero, "AT": zero, "BT": zero, "": zero}
+    slots = {"A": (), "B": (), "T": (), "AB": (), "AT": (), "BT": (), "": ()}
     sq_words = {"AA": case.alpha_sq, "BB": case.beta_sq}
     terms = (("A", a), ("B", b), ("T", c))
 
@@ -128,16 +128,16 @@ def _compose_engine(case, a, b, c, zero, padd, pmul, pderiv):
                 return
             else:
                 word = "".join(sorted(word))  # BA -> AB, TA -> AT, TB -> BT
-        slots[word] = padd(slots[word], coeff)
+        slots[word] = _pk_add(slots[word], coeff)
 
     for x, rx in terms:
         for y, ry in terms:
             # (rx * x) o (ry * y): move x past the coefficient ry
             if x == "T":
-                absorb("T" + y, pmul(rx, ry))
-                absorb(y, pmul(rx, pderiv(ry)))
+                absorb("T" + y, _pk_mul(rx, ry, q, mul))
+                absorb(y, _pk_mul(rx, _pk_deriv(ry), q, mul))
             else:
-                absorb(x + y, pmul(rx, ry))
+                absorb(x + y, _pk_mul(rx, ry, q, mul))
     return slots
 
 
@@ -152,22 +152,19 @@ def _pk_add(f, g):
     return tuple(out)
 
 
-def _pk_mul_factory(mul, q):
-    def pk_mul(f, g):
-        if not f or not g:
-            return ()
-        out = [0] * (len(f) + len(g) - 1)
-        for i, fi in enumerate(f):
-            if fi:
-                base = fi * q
-                for j, gj in enumerate(g):
-                    if gj:
-                        out[i + j] ^= mul[base + gj]
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
-
-    return pk_mul
+def _pk_mul(f, g, q, mul):
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        if fi:
+            base = fi * q
+            for j, gj in enumerate(g):
+                if gj:
+                    out[i + j] ^= mul[base + gj]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _pk_deriv(f):
@@ -183,39 +180,21 @@ def oracle_delta_squared(d: DerivationTriple) -> SquaredDerivation:
     Independent of delta_squared: the square is expanded as a word rewrite
     with the Lie relations instead of transcribing the closed formula.  Any
     residue on irreducible length-2 words or on the identity word signals a
-    bug.  Small fields run on packed coefficient indices over flat tables;
-    larger ones fall back to object arithmetic.
+    bug.  It runs on packed coefficient indices over the field's flat tables
+    only; every supported field has them.
     """
     spec = d.spec
-    try:
-        q, _add, mul, _inv = spec.tables()
-    except ValueError:
-        q = None
-    if q is not None:
-        packed = [tuple(x.index for x in f.coeffs) for f in d.components()]
-        slots = _compose_engine(
-            d.case, *packed, (), _pk_add, _pk_mul_factory(mul, q), _pk_deriv
-        )
-        unpack = lambda t: Poly(spec, tuple(spec.element(i) for i in t))
-    else:
-        zero = Poly.zero(spec)
-        slots = _compose_engine(
-            d.case,
-            d.a,
-            d.b,
-            d.c,
-            zero,
-            Poly.__add__,
-            Poly.__mul__,
-            Poly.formal_derivative,
-        )
-        unpack = lambda f: f
+    q, _add, mul, _inv = spec.tables()
+    packed = [tuple(x.index for x in f.coeffs) for f in d.components()]
+    slots = _compose_engine(d.case, *packed, q, mul)
     for word in ("AB", "AT", "BT", ""):
         if slots[word]:
             raise ConsistencyError(
                 f"operator expansion left a nonzero residue on word {word or '1'}"
             )
-    return SquaredDerivation(unpack(slots["A"]), unpack(slots["B"]), unpack(slots["T"]))
+    elements = spec.elements()
+    A, B, T = (Poly(spec, tuple(elements[i] for i in slots[w])) for w in "ABT")
+    return SquaredDerivation(A, B, T)
 
 
 def satisfies_C1(d: DerivationTriple) -> bool:

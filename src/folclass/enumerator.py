@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .classifier import classify, families_of_case, instantiate
 from .derivation import DerivationTriple, LieCase, is_valid_foliation
 from .errors import ConsistencyError, InvalidParameterError
-from .finite_field import FieldSpec
+from .finite_field import parse_field
 from .polynomial import Poly
 
 # ---------------------------------------------------------------------------
@@ -67,21 +67,6 @@ def total_triple_count(spec):
 # ---------------------------------------------------------------------------
 # packed scan
 # ---------------------------------------------------------------------------
-
-_SCAN_CACHE: dict = {}
-
-
-def _scan_tables(field_key):
-    tables = _SCAN_CACHE.get(field_key)
-    if tables is None:
-        p, k, modulus = field_key
-        spec = FieldSpec(p, k, modulus)
-        q, _add, mul, inv = spec.tables()
-        pairs = tuple((i % q, i // q) for i in range(q * q))
-        tables = (q, mul, inv, pairs)
-        _SCAN_CACHE[field_key] = tables
-    return tables
-
 
 def _packed_gcd_is_unit(polys, q, mul, inv):
     """gcd of the nonzero packed coefficient tuples is a nonzero constant."""
@@ -139,8 +124,9 @@ def _scan_block(args):
     a = b = 0.  The candidates, in increasing c-index, then only need C2
     and C1.
     """
-    field_key, case_name, ia_start, ia_end = args
-    q, mul, inv, pairs = _scan_tables(field_key)
+    literal, case_name, ia_start, ia_end = args
+    q, _add, mul, inv = parse_field(literal).tables()
+    pairs = tuple((i % q, i // q) for i in range(q * q))
     case = LieCase[case_name]
     q2 = q * q
     out = []
@@ -186,9 +172,8 @@ def _scan(spec, case, jobs=1):
     """All valid packed triples of the case, in lexicographic order."""
     if spec.p != 2:
         raise ValueError("enumeration is specific to characteristic 2")
-    field_key = (spec.p, spec.k, spec.modulus)
-    q = spec.order
-    blocks = [(field_key, case.name, ia, ia + 1) for ia in range(q * q)]
+    literal, q = spec.literal(), spec.order
+    blocks = [(literal, case.name, ia, ia + 1) for ia in range(q * q)]
     jobs = min(jobs, len(blocks))
     if jobs > 1:
         import multiprocessing
@@ -298,10 +283,6 @@ class SoundnessReport:
 def verify_soundness(spec, case):
     """Instantiate every family of the case over all base-field parameters
     and check admissibility; failures are returned as data, never raised."""
-    try:
-        spec.tables()  # table-backed element arithmetic for the instance sweep
-    except ValueError:
-        pass
     report = SoundnessReport(field=spec.literal(), case=case.name)
     for family in families_of_case(case):
         count = 0

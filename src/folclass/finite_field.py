@@ -2,9 +2,11 @@
 
 Elements are coefficient vectors over GF(p) reduced modulo a fixed monic
 irreducible polynomial.  Fields are small enough (desk scale) that every
-element can be enumerated and every check run exhaustively.  For fields of
-order up to _TABLE_LIMIT, full multiplication/inverse tables are built once
-and cached on the FieldSpec, which keeps bulk enumeration loops cheap.
+element can be enumerated and every check run exhaustively.  The first time
+an element is asked for, a FieldSpec builds flat add/mul/neg/inv tables and
+one FieldElement per index; every constructor and every operation returns
+those shared elements, so all arithmetic is a table lookup.  Fields of order
+above _TABLE_LIMIT (256) are refused when the FieldSpec is made.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from .errors import EmbeddingError, FieldMismatchError, ParseError
 
 SUPPORTED_CHARACTERISTICS = (2, 3, 5)
 
-# Below this order a FieldSpec precomputes flat mul/inv tables.
-_TABLE_LIMIT = 1024
+# Largest supported field order: every field is tabulated, at q^2 add and mul
+# entries each.
+_TABLE_LIMIT = 256
 
 
 def _poly_mod_mul(f, g, modulus, p):
@@ -126,6 +129,8 @@ class FieldSpec:
             raise ValueError(f"unsupported characteristic {p}; expected one of {SUPPORTED_CHARACTERISTICS}")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
+        if p**k > _TABLE_LIMIT:
+            raise ValueError(f"field order {p**k} is above the supported limit {_TABLE_LIMIT}")
         if modulus is None:
             modulus = canonical_modulus(p, k)
         modulus = tuple(int(c) % p for c in modulus)
@@ -137,13 +142,12 @@ class FieldSpec:
         self.k = k
         self.modulus = modulus
         self.order = p**k
-        self._coeffs_by_index = None
+        self._elements = None  # built with the tables below on first use
         self._mul_table = None
         self._inv_table = None
         self._add_table = None
+        self._neg_table = None
         self._embedding_roots = {}
-        self._zero = None
-        self._one = None
 
     def __eq__(self, other):
         if self is other:
@@ -170,8 +174,6 @@ class FieldSpec:
     # -- element plumbing ---------------------------------------------------
 
     def coeffs_of_index(self, idx):
-        if self._coeffs_by_index is not None:
-            return self._coeffs_by_index[idx]
         coeffs = []
         for _ in range(self.k):
             coeffs.append(idx % self.p)
@@ -185,11 +187,8 @@ class FieldSpec:
         return idx
 
     def _build_tables(self):
-        if self._coeffs_by_index is not None:
-            return
         p, q = self.p, self.order
-        self._coeffs_by_index = [self.coeffs_of_index(i) for i in range(q)]
-        by_idx = self._coeffs_by_index
+        by_idx = [self.coeffs_of_index(i) for i in range(q)]
         add = [0] * (q * q)
         mul = [0] * (q * q)
         for i in range(q):
@@ -200,22 +199,17 @@ class FieldSpec:
                 m = self.index_of_coeffs(_poly_mod_mul(ci, cj, self.modulus, p))
                 add[i * q + j] = add[j * q + i] = s
                 mul[i * q + j] = mul[j * q + i] = m
+        neg = [add[i * q : (i + 1) * q].index(0) for i in range(q)]
+        inv = [0] + [mul[i * q : (i + 1) * q].index(1) for i in range(1, q)]
         self._add_table = tuple(add)
         self._mul_table = tuple(mul)
-        inv = [0] * q
-        for i in range(1, q):
-            # brute-force inverse scan; q <= _TABLE_LIMIT keeps this cheap
-            for j in range(1, q):
-                if self._mul_table[i * q + j] == 1:
-                    inv[i] = j
-                    break
+        self._neg_table = tuple(neg)
         self._inv_table = tuple(inv)
+        self._elements = tuple(FieldElement(self, c) for c in by_idx)
 
     def tables(self):
         """(q, add, mul, inv) flat tables for bulk index arithmetic."""
-        if self.order > _TABLE_LIMIT:
-            raise ValueError(f"field of order {self.order} is above the table limit")
-        self._build_tables()
+        self.elements()
         return self.order, self._add_table, self._mul_table, self._inv_table
 
     # -- constructors -------------------------------------------------------
@@ -224,26 +218,21 @@ class FieldSpec:
         if isinstance(coeffs, FieldElement):
             if coeffs.spec != self:
                 raise FieldMismatchError("element belongs to a different field")
-            return coeffs
+            return self.elements()[coeffs.index]
         if isinstance(coeffs, int):
-            return FieldElement(self, self.coeffs_of_index(coeffs % self.order))
+            return self.elements()[coeffs % self.order]
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) > self.k:
             raise ValueError("too many coefficients for this field")
-        coeffs = coeffs + (0,) * (self.k - len(coeffs))
-        return FieldElement(self, coeffs)
+        return self.elements()[self.index_of_coeffs(coeffs)]
 
     @property
     def zero(self):
-        if self._zero is None:
-            self._zero = self.element(0)
-        return self._zero
+        return self.elements()[0]
 
     @property
     def one(self):
-        if self._one is None:
-            self._one = self.element(1)
-        return self._one
+        return self.elements()[1]
 
     @property
     def generator(self):
@@ -253,12 +242,23 @@ class FieldSpec:
         return self.element((0, 1))
 
     def elements(self):
-        """All p^k elements in index order (constant coefficient varies fastest)."""
-        return [self.element(i) for i in range(self.order)]
+        """All p^k elements in index order (constant coefficient varies fastest).
+
+        The tuple is built once; every element of this spec is one of its
+        entries.
+        """
+        if self._elements is None:
+            self._build_tables()
+        return self._elements
 
 
 class FieldElement:
-    """An element of a FieldSpec, stored as a coefficient vector over GF(p)."""
+    """An element of a FieldSpec, stored as a coefficient vector over GF(p).
+
+    The spec makes one instance per index (see FieldSpec.elements); get
+    elements from the spec rather than constructing them.  Operations look
+    the result index up in the spec's tables and return the shared instance.
+    """
 
     __slots__ = ("spec", "coeffs", "index")
 
@@ -267,19 +267,10 @@ class FieldElement:
         self.coeffs = coeffs
         self.index = spec.index_of_coeffs(coeffs)
 
-    @staticmethod
-    def _from_index(spec, idx):
-        # hot-path constructor; spec tables must already exist
-        e = FieldElement.__new__(FieldElement)
-        e.spec = spec
-        e.coeffs = spec._coeffs_by_index[idx]
-        e.index = idx
-        return e
-
     def _check(self, other):
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatchError(
                 f"operands from distinct fields {self.spec.literal()} and {other.spec.literal()}"
             )
@@ -287,34 +278,27 @@ class FieldElement:
     def __add__(self, other):
         self._check(other)
         spec = self.spec
-        if spec._add_table is not None:
-            return FieldElement._from_index(spec, spec._add_table[self.index * spec.order + other.index])
-        p = spec.p
-        return FieldElement(spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return spec._elements[spec._add_table[self.index * spec.order + other.index]]
 
     def __sub__(self, other):
         self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        spec = self.spec
+        return spec._elements[spec._add_table[self.index * spec.order + spec._neg_table[other.index]]]
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        spec = self.spec
+        return spec._elements[spec._neg_table[self.index]]
 
     def __mul__(self, other):
         self._check(other)
         spec = self.spec
-        if spec._mul_table is not None:
-            return FieldElement._from_index(spec, spec._mul_table[self.index * spec.order + other.index])
-        return FieldElement(spec, _poly_mod_mul(self.coeffs, other.coeffs, spec.modulus, spec.p))
+        return spec._elements[spec._mul_table[self.index * spec.order + other.index]]
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         spec = self.spec
-        if spec._inv_table is not None:
-            return FieldElement._from_index(spec, spec._inv_table[self.index])
-        return self ** (spec.order - 2)
+        return spec._elements[spec._inv_table[self.index]]
 
     def __truediv__(self, other):
         self._check(other)
@@ -341,7 +325,7 @@ class FieldElement:
         return self ** (self.spec.p ** (self.spec.k - 1))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldElement)
             and self.spec == other.spec
             and self.coeffs == other.coeffs
@@ -351,7 +335,7 @@ class FieldElement:
         return hash((self.spec, self.coeffs))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.index != 0
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.spec.literal()}>"

@@ -18,16 +18,12 @@ def F2():
 
 @pytest.fixture(scope="session")
 def F4():
-    spec = GF(4)
-    spec.tables()
-    return spec
+    return GF(4)
 
 
 @pytest.fixture(scope="session")
 def F8():
-    spec = GF(8)
-    spec.tables()
-    return spec
+    return GF(8)
 
 
 @pytest.fixture(scope="session")

@@ -153,7 +153,6 @@ def test_classification_commutes_with_embedding(F2, F8, F16, gf4_reports):
     # case over GF(2) (into GF(8)) and GF(4) (into GF(16)): a match over an
     # extension is the image of one over the base field, which is why
     # classify never searches extensions
-    F16.tables()
     classes = [(d, F8) for case in LieCase for d in find_valid(F2, case)]
     classes += [(d, F16) for report in gf4_reports.values() for d, _m in report.class_matches]
     assert len(classes) == 4 * (6 + 60)

@@ -140,7 +140,8 @@ def test_detail_jsonl(tmp_path):
         assert rec["matches"]
 
 
-def test_enumerate_includes_timing_by_default(capsys):
+def test_enumerate_includes_timing_by_default(monkeypatch, capsys):
+    monkeypatch.delenv("FOLCLASS_JOBS", raising=False)  # the default is 1 only without it
     code, out, _err = run_cli(["enumerate", "--field", "GF(2)", "--case", "IV"], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -271,6 +272,13 @@ def test_enumerate_odd_characteristic_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "enumeration is specific to characteristic 2" in err
+
+
+def test_field_above_table_limit_exits_one(capsys):
+    code, out, err = run_cli(["fields", "--field", "GF(1099511627776)"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "field order 1099511627776 is above the supported limit 256" in err
 
 
 def test_console_script_entry_point():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from folclass.errors import FieldMismatchError
-from folclass.finite_field import GF, FieldSpec
+from folclass.finite_field import GF
 from folclass.polynomial import Poly, parse_poly
 from folclass.derivation import (
     DerivationTriple,
@@ -117,17 +117,6 @@ def test_minor_factorisations_sampled(q, request):
             a, b, c = (Poly(spec, tuple(rng.randrange(q) for _ in range(n))) for n in (2, 2, 4))
             if a or b or c:
                 _assert_minor_factorisations(DerivationTriple(case, a, b, c))
-
-
-def test_oracle_object_fallback_on_large_field():
-    # GF(2^11) has no flat tables, forcing the object-arithmetic engine
-    big = FieldSpec(2, 11)
-    t = Poly.t(big)
-    one = Poly.one(big)
-    d = DerivationTriple(LieCase.II, one, t, t * t + t)
-    sq = oracle_delta_squared(d)
-    assert (sq.A, sq.B, sq.C) == (d.a, d.b, d.c)
-    assert delta_squared(d) == sq
 
 
 def test_c1_examples(F2):

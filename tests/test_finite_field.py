@@ -6,6 +6,7 @@ from folclass.errors import EmbeddingError, FieldMismatchError, ParseError
 from folclass.finite_field import (
     GF,
     FieldSpec,
+    _poly_mod_mul,
     canonical_modulus,
     embed,
     format_element,
@@ -142,6 +143,9 @@ def test_field_literals_round_trip():
         parse_field("GF(0)")
     with pytest.raises(ParseError):
         parse_field("field(4)")
+    for q in (512, 1099511627776):  # refused before any modulus search or table
+        with pytest.raises(ValueError, match=f"field order {q} is above the supported limit 256"):
+            parse_field(f"GF({q})")
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
@@ -165,12 +169,23 @@ def test_element_literal_errors(F4):
     assert err is not None and err.position == 1
 
 
-def test_tables_match_direct_arithmetic(F8):
-    q, add, mul, inv = F8.tables()
-    xs = F8.elements()
+@pytest.mark.parametrize("q", [8, 9])
+def test_tables_match_direct_arithmetic(q):
+    # every table entry against coefficient-vector arithmetic, which the
+    # elements themselves no longer use
+    spec = GF(q)
+    n, add, mul, inv = spec.tables()
+    p, xs = spec.p, spec.elements()
+    assert n == q == len(xs)
     for x, y in itertools.product(xs, xs):
-        assert add[x.index * q + y.index] == (x + y).index
-        assert mul[x.index * q + y.index] == (x * y).index
-    for x in xs:
+        s = tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))
+        m = _poly_mod_mul(x.coeffs, y.coeffs, spec.modulus, p)
+        assert xs[add[x.index * q + y.index]].coeffs == s
+        assert xs[mul[x.index * q + y.index]].coeffs == m
+        assert (x - y).coeffs == tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))
+        assert x * y is xs[mul[x.index * q + y.index]]
+    for i, x in enumerate(xs):
+        assert spec.element(i) is x and x.index == i
+        assert (-x).coeffs == tuple((-a) % p for a in x.coeffs)
         if x:
-            assert inv[x.index] == x.inverse().index
+            assert _poly_mod_mul(x.coeffs, xs[inv[i]].coeffs, spec.modulus, p) == spec.one.coeffs
