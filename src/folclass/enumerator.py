@@ -9,10 +9,11 @@ characteristic 2 index addition is XOR.  It never loops over c: for each
 (a, b) pair, p-closedness with c != 0 is two 2x2 linear systems in the
 coefficients of c whose matrix has determinant P(a,b) (the scalar of the
 first minor), and c = 0 is p-closed exactly when K(a,b) = 0 (see
-_scan_block).  Only the solutions are checked for C2 and C1.  The
-coefficient space is partitioned into contiguous blocks of a-indices;
-workers scan blocks independently and results are merged in block order,
-so the report is identical for any worker count.
+_scan_block).  Cramer's rule solves the systems when P != 0, the singular
+pairs test the q^2 coefficient pairs, and P = 0 pairs are decided, never
+skipped.  C1 is decided without a gcd (_is_primitive).  Each worker block is
+one a-index; blocks are merged in order, so any worker count gives the same
+report.
 """
 
 from __future__ import annotations
@@ -68,42 +69,48 @@ def total_triple_count(spec):
 # packed scan
 # ---------------------------------------------------------------------------
 
-def _packed_gcd_is_unit(polys, q, mul, inv):
-    """gcd of the nonzero packed coefficient tuples is a nonzero constant."""
-    current = None
-    for f in polys:
-        g = list(f)
-        while g and g[-1] == 0:
-            g.pop()
-        if not g:
-            continue
-        if current is None:
-            current = g
-            continue
-        # euclid: current, g -> gcd
-        fpoly, gpoly = current, g
-        while gpoly:
-            # reduce fpoly mod gpoly
-            dlead = inv[gpoly[-1]]
-            dd = len(gpoly) - 1
-            rem = fpoly[:]
-            for i in range(len(rem) - 1, dd - 1, -1):
-                cc = rem[i]
-                if cc:
-                    qq = mul[cc * q + dlead]
-                    for j in range(dd + 1):
-                        rem[i - dd + j] ^= mul[qq * q + gpoly[j]]
-            while rem and rem[-1] == 0:
-                rem.pop()
-            fpoly, gpoly = gpoly, rem
-        current = fpoly
-        if len(current) == 1:
-            return True
-    return current is not None and len(current) == 1
+def _solve2(m, rhs, q, mul, inv):
+    """Solutions of m*(x, y) = rhs, m = (m00, m01, m10, m11) row by row, as
+    increasing indices x + q*y (char 2).  Cramer's rule gives the one solution
+    when det m != 0; a singular m has none, q or all q^2, found by testing.
+    """
+    m00, m01, m10, m11 = m
+    r0, r1 = rhs
+    det = mul[m00 * q + m11] ^ mul[m01 * q + m10]
+    if det:
+        x = mul[(mul[r0 * q + m11] ^ mul[m01 * q + r1]) * q + inv[det]]
+        y = mul[(mul[m00 * q + r1] ^ mul[m10 * q + r0]) * q + inv[det]]
+        return [x + q * y]
+    return [
+        x + q * y for y in range(q) for x in range(q)
+        if mul[m00 * q + x] ^ mul[m01 * q + y] == r0 and mul[m10 * q + x] ^ mul[m11 * q + y] == r1
+    ]
+
+
+def _is_primitive(a, b, c, q, mul, inv):
+    """C1 for packed coefficient tuples a = (a0, a1), b = (b0, b1), c = (c0, ..., c3).
+
+    If P = a1*b0 + a0*b1 != 0, a and b span the polynomials of degree <= 1,
+    so gcd(a, b) = 1.  If P = 0, a and b are multiples of one l = l0 + l1*t:
+    if a = b = 0 the gcd is c, a constant l is a unit, and a linear l divides
+    c exactly when c(l0/l1) = 0.
+    """
+    if mul[a[1] * q + b[0]] ^ mul[a[0] * q + b[1]]:
+        return True
+    l0, l1 = a if a != (0, 0) else b
+    if not (l0 or l1):
+        return bool(c[0]) and not any(c[1:])
+    if not l1:
+        return True
+    root = mul[l0 * q + inv[l1]]
+    value = 0
+    for ci in reversed(c):
+        value = mul[value * q + root] ^ ci
+    return value != 0
 
 
 def _scan_block(args):
-    """Scan one contiguous block of a-indices; return packed valid triples.
+    """Scan the (a, b) pairs of one a-index; return packed valid triples.
 
     p-closedness is linear in c.  Write delta^2 = (A, B, C) as in
     delta_squared and let S_A, S_B be the parts that a^2 and b^2 contribute
@@ -119,52 +126,45 @@ def _scan_block(args):
     sides are even of degree <= 2, so the condition is the two 2x2 systems
     M*(c0, c1) = (S_A0, S_B0) and M*(c2, c3) = (S_A2, S_B2) with
     M = [[a1, a0], [b1, b0]] and det M = P.  For c = 0 the triple is p-closed
-    exactly when K = 0.  Each system is solved by testing all q^2 pairs: one
-    solution when P != 0, none or q when M has rank 1, all q^2 only when
-    a = b = 0.  The candidates, in increasing c-index, then only need C2
-    and C1.
+    exactly when K = 0.  When P != 0, Cramer's rule gives one c (and minor 1
+    reads c = K/P).  The q^3 + q^2 - q pairs with P = 0 test all q^2 pairs:
+    no solution, q, or q^2 when a = b = 0.  They are decided, never skipped,
+    as "no admissible triple has P = 0" is part of what the scan verifies.
+    The candidates, in increasing c-index, then need C2 and C1.
     """
-    literal, case_name, ia_start, ia_end = args
+    literal, case_name, ia = args
     q, _add, mul, inv = parse_field(literal).tables()
     pairs = tuple((i % q, i // q) for i in range(q * q))
     case = LieCase[case_name]
     q2 = q * q
+    a0, a1 = a = pairs[ia]
     out = []
-    for ia in range(ia_start, ia_end):
-        a0, a1 = pairs[ia]
-        for ib in range(q2):
-            b0, b1 = pairs[ib]
-            # squares routed as in delta_squared; an even poly e0 + e2*t^2 is
-            # packed as the index e0 + e2*q, so XOR adds them
-            routed = {"alpha": 0, "beta": 0, "zero": 0}
-            routed[case.alpha_sq] ^= mul[a0 * q + a0] + mul[a1 * q + a1] * q
-            routed[case.beta_sq] ^= mul[b0 * q + b0] + mul[b1 * q + b1] * q
-            sa0, sa2 = pairs[routed["alpha"]]
-            sb0, sb2 = pairs[routed["beta"]]
-            low, high = [], []
-            for i, (x, y) in enumerate(pairs):
-                image = (mul[a1 * q + x] ^ mul[a0 * q + y], mul[b1 * q + x] ^ mul[b0 * q + y])
-                if image == (sa0, sb0):
-                    low.append(i)
-                if image == (sa2, sb2):
-                    high.append(i)
-            # c = 0 is p-closed iff K = S_A*b + S_B*a vanishes
-            k_zero = not (
-                mul[sa0 * q + b0] ^ mul[sb0 * q + a0]
-                or mul[sa0 * q + b1] ^ mul[sb0 * q + a1]
-                or mul[sa2 * q + b0] ^ mul[sb2 * q + a0]
-                or mul[sa2 * q + b1] ^ mul[sb2 * q + a1]
-            )
-            # c-index is low + q^2 * high, so this order is increasing
-            candidates = [0] if k_zero else []
-            candidates += [il + q2 * ih for ih in high for il in low if il or ih]
-            for ic in candidates:
-                c0, c1 = pairs[ic % q2]
-                c2, c3 = pairs[ic // q2]
-                if (a1 or b1 or c3) and _packed_gcd_is_unit(
-                    ((a0, a1), (b0, b1), (c0, c1, c2, c3)), q, mul, inv
-                ):
-                    out.append((ia, ib, ic))
+    for ib, b in enumerate(pairs):
+        b0, b1 = b
+        # squares routed as in delta_squared; an even poly e0 + e2*t^2 is
+        # packed as the index e0 + e2*q, so XOR adds them
+        routed = {"alpha": 0, "beta": 0, "zero": 0}
+        routed[case.alpha_sq] ^= mul[a0 * q + a0] + mul[a1 * q + a1] * q
+        routed[case.beta_sq] ^= mul[b0 * q + b0] + mul[b1 * q + b1] * q
+        sa0, sa2 = pairs[routed["alpha"]]
+        sb0, sb2 = pairs[routed["beta"]]
+        m = (a1, a0, b1, b0)
+        low = _solve2(m, (sa0, sb0), q, mul, inv)
+        high = _solve2(m, (sa2, sb2), q, mul, inv)
+        # c = 0 is p-closed iff K = S_A*b + S_B*a vanishes
+        k_zero = not (
+            mul[sa0 * q + b0] ^ mul[sb0 * q + a0]
+            or mul[sa0 * q + b1] ^ mul[sb0 * q + a1]
+            or mul[sa2 * q + b0] ^ mul[sb2 * q + a0]
+            or mul[sa2 * q + b1] ^ mul[sb2 * q + a1]
+        )
+        # c-index is low + q^2 * high, so this order is increasing
+        candidates = [0] if k_zero else []
+        candidates += [il + q2 * ih for ih in high for il in low if il or ih]
+        for ic in candidates:
+            c = pairs[ic % q2] + pairs[ic // q2]
+            if (a1 or b1 or c[3]) and _is_primitive(a, b, c, q, mul, inv):
+                out.append((ia, ib, ic))
     return out
 
 
@@ -173,7 +173,7 @@ def _scan(spec, case, jobs=1):
     if spec.p != 2:
         raise ValueError("enumeration is specific to characteristic 2")
     literal, q = spec.literal(), spec.order
-    blocks = [(literal, case.name, ia, ia + 1) for ia in range(q * q)]
+    blocks = [(literal, case.name, ia) for ia in range(q * q)]
     jobs = min(jobs, len(blocks))
     if jobs > 1:
         import multiprocessing
@@ -190,27 +190,23 @@ def _scan(spec, case, jobs=1):
 
 def _scale_packed(packed, lam, spec, mul):
     q = spec.order
-    ia, ib, ic = packed
 
     def scale_idx(idx, width):
-        out = 0
-        shift = 1
-        for _ in range(width):
-            out += mul[(idx % q) * q + lam] * shift
-            idx //= q
-            shift *= q
-        return out
+        return sum(mul[(idx // q**e % q) * q + lam] * q**e for e in range(width))
 
-    return (scale_idx(ia, 2), scale_idx(ib, 2), scale_idx(ic, 4))
+    return tuple(scale_idx(idx, width) for idx, width in zip(packed, (2, 2, 4)))
 
 
-def _canonical_rep(packed, spec, mul):
-    best = packed
-    for lam in range(2, spec.order):
-        cand = _scale_packed(packed, lam, spec, mul)
-        if cand < best:
-            best = cand
-    return best
+def _canonical_rep(packed, spec, mul, inv):
+    """Least element of the scalar orbit: scale the most significant nonzero
+    coefficient (a1, a0, b1, b0, c3, ..., c0) to 1, the least nonzero index.
+    Scaling keeps the zeros before it, and lam*x = 1 only for lam = x^-1."""
+    q = spec.order
+    ia, ib, ic = packed
+    lead = (ia * q * q + ib) * q**4 + ic
+    while lead >= q:
+        lead //= q
+    return _scale_packed(packed, inv[lead], spec, mul)
 
 
 def _packed_to_triple(packed, spec, case):
@@ -225,9 +221,9 @@ def _packed_to_triple(packed, spec, case):
 
 def _scalar_classes(spec, case, jobs):
     """(valid count, sorted packed least representatives of the scalar classes)."""
-    _, _add, mul, _inv = spec.tables()
+    _, _add, mul, inv = spec.tables()
     valid = _scan(spec, case, jobs=jobs)
-    reps = sorted({_canonical_rep(pk, spec, mul) for pk in valid})
+    reps = sorted({_canonical_rep(pk, spec, mul, inv) for pk in valid})
     if len(valid) != len(reps) * (spec.order - 1):
         raise ConsistencyError(
             f"scalar orbits do not partition the valid set: {len(valid)} valid, "

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -7,6 +8,7 @@ from folclass.classifier import FamilyId
 from folclass.derivation import (
     DerivationTriple,
     LieCase,
+    delta_squared,
     is_valid_foliation,
     oracle_delta_squared,
     satisfies_C1,
@@ -20,11 +22,15 @@ from folclass.enumerator import (
     verify_completeness,
     verify_soundness,
     _canonical_rep,
+    _is_primitive,
+    _packed_to_triple,
     _poly_from_index,
+    _scale_packed,
     _scan,
+    _solve2,
 )
 from folclass.finite_field import GF
-from folclass.polynomial import parse_poly
+from folclass.polynomial import Poly, parse_poly
 
 
 def triple(case, a, b, c, spec):
@@ -229,20 +235,91 @@ def test_determinism_across_worker_counts(F4):
     assert find_valid(F4, LieCase.III, jobs=1) == find_valid(F4, LieCase.III, jobs=2)
 
 
-def test_canonical_rep_is_orbit_minimum(F4):
-    q, _add, mul, _inv = F4.tables()
+def test_canonical_rep_is_orbit_minimum(F4, F8):
     rng = random.Random(31)
-    for _ in range(200):
-        pk = (rng.randrange(q * q), rng.randrange(q * q), rng.randrange(q**4))
-        if pk == (0, 0, 0):
-            continue
-        rep = _canonical_rep(pk, F4, mul)
-        orbit = {rep}
-        for lam in range(1, q):
-            from folclass.enumerator import _scale_packed
+    for spec in (F4, F8):
+        q, _add, mul, inv = spec.tables()
+        for _ in range(200):
+            pk = (rng.randrange(q * q), rng.randrange(q * q), rng.randrange(q**4))
+            if pk == (0, 0, 0):
+                continue
+            rep = _canonical_rep(pk, spec, mul, inv)
+            orbit = {rep}
+            for lam in range(1, q):
+                orbit.add(_scale_packed(pk, lam, spec, mul))
+            assert rep == min(orbit)
 
-            orbit.add(_scale_packed(pk, lam, F4, mul))
-        assert rep == min(orbit)
+
+def test_solve2_matches_pair_filter_gf4(F4):
+    # every 2x2 system over GF(4), against testing all q^2 pairs
+    q, _add, mul, inv = F4.tables()
+    nonsingular = 0
+    for m00, m01, m10, m11, r0, r1 in itertools.product(range(q), repeat=6):
+        expected = [
+            x + q * y
+            for y in range(q)
+            for x in range(q)
+            if mul[m00 * q + x] ^ mul[m01 * q + y] == r0 and mul[m10 * q + x] ^ mul[m11 * q + y] == r1
+        ]
+        nonsingular += mul[m00 * q + m11] != mul[m01 * q + m10]
+        assert _solve2((m00, m01, m10, m11), (r0, r1), q, mul, inv) == expected
+    assert nonsingular == (q * q - 1) * (q * q - q) * q * q
+
+
+def _digits(idx, q, width):
+    return tuple(idx // q**e % q for e in range(width))
+
+
+def test_is_primitive_matches_c1_where_p_vanishes_gf4(F4):
+    # the scan's C1 shortcut on every GF(4) triple whose (a, b) has P = 0;
+    # no such triple is admissible, so the scan-vs-object tests cannot see
+    # whether these pairs are decided or skipped
+    q, _add, mul, inv = F4.tables()
+    checked = 0
+    for ia, ib in itertools.product(range(q * q), repeat=2):
+        a, b = _digits(ia, q, 2), _digits(ib, q, 2)
+        if mul[a[1] * q + b[0]] != mul[a[0] * q + b[1]]:
+            continue
+        for ic in range(q**4):
+            if ia == ib == ic == 0:
+                continue
+            d = DerivationTriple(
+                LieCase.I,
+                _poly_from_index(F4, ia, 1),
+                _poly_from_index(F4, ib, 1),
+                _poly_from_index(F4, ic, 3),
+            )
+            assert _is_primitive(a, b, _digits(ic, q, 4), q, mul, inv) == satisfies_C1(d), d
+            checked += 1
+    assert checked == (q**3 + q**2 - q) * q**4 - 1 == 19455
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_scan_pairs_biject_with_gl2(q, request):
+    # (a, b) -> M = [[a1, a0], [b1, b0]]: the valid (a, b) pairs are exactly
+    # those with P = det M != 0, each with one c, so |GL2(q)| triples
+    spec = request.getfixturevalue(f"F{q}")
+    _q, _add, mul, _inv = spec.tables()
+    invertible = {
+        (ia, ib)
+        for ia, ib in itertools.product(range(q * q), repeat=2)
+        if mul[(ia // q) * q + ib % q] != mul[(ia % q) * q + ib // q]
+    }
+    for case in LieCase:
+        valid = _scan(spec, case)
+        pairs = [(ia, ib) for ia, ib, _ic in valid]
+        assert len(pairs) == len(set(pairs)) == (q * q - 1) * (q * q - q)
+        assert set(pairs) == invertible
+        if q != 4:
+            continue
+        for pk in valid:
+            d = _packed_to_triple(pk, spec, case)
+            a, b, c = d.components()
+            A, B, _C = delta_squared(d).components()
+            s_a = A + c * a.formal_derivative()
+            s_b = B + c * b.formal_derivative()
+            P = Poly.constant(a.coeff(1) * b.coeff(0) + a.coeff(0) * b.coeff(1))
+            assert c * P == s_a * b + s_b * a, d
 
 
 @pytest.mark.parametrize("q", [4, 8])
