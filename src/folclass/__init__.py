@@ -11,12 +11,11 @@ from .derivation import (
     LieCase,
     chart_at_infinity,
     delta_squared,
-    is_p_closed,
     is_valid_foliation,
     oracle_delta_squared,
     scale,
 )
-from .classifier import FamilyId, FamilyMatch, classify, instantiate, scalar_equivalent
+from .classifier import FamilyId, FamilyMatch, classify, instantiate
 from .cartier import Quadric, SymbolicCoeff, TopForm, TraceOperator, cartier_iter, cartier_once
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "LieCase",
     "chart_at_infinity",
     "delta_squared",
-    "is_p_closed",
     "is_valid_foliation",
     "oracle_delta_squared",
     "scale",
@@ -41,7 +39,6 @@ __all__ = [
     "FamilyMatch",
     "classify",
     "instantiate",
-    "scalar_equivalent",
     "Quadric",
     "SymbolicCoeff",
     "TopForm",

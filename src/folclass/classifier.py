@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .derivation import DerivationTriple, LieCase, failed_conditions, scale
-from .errors import FieldMismatchError, InvalidParameterError, NotAFoliationError
+from .errors import InvalidParameterError, NotAFoliationError
 # embed and extension_field are not called here; the per-layer benchmark
 # tracer (perfbench/tracer.py) wraps them as attributes of this module.
 from .finite_field import embed, extension_field, parse_element  # noqa: F401
@@ -207,30 +207,6 @@ def instantiate(family: FamilyId, params, spec) -> DerivationTriple:
     else:  # pragma: no cover
         raise AssertionError(f)
     return DerivationTriple(f.case, a, b, c)
-
-
-def scalar_equivalent(d1: DerivationTriple, d2: DerivationTriple):
-    """The unique nonzero lam with d2 = lam * d1, or None.
-
-    Triples of different Lie cases are never scalar-equivalent; components
-    must live in one field.
-    """
-    if d1.spec != d2.spec:
-        raise FieldMismatchError("scalar equivalence requires a common field")
-    if d1.case is not d2.case:
-        return None
-    lam = None
-    for f1, f2 in zip(d1.components(), d2.components()):
-        if bool(f1) != bool(f2):
-            return None
-        if f1:
-            lam = f2.leading / f1.leading
-            break
-    if lam is None or not lam:
-        return None
-    if scale(lam, d1) == d2:
-        return lam
-    return None
 
 
 # -- classification ------------------------------------------------------------

@@ -103,17 +103,17 @@ def delta_squared(d: DerivationTriple) -> SquaredDerivation:
     return SquaredDerivation(A, B, C)
 
 
-def _compose_engine(case, a, b, c, q, mul):
+def _compose_engine(case, a, b, c):
     """Expand (a*alpha + b*beta + c*d/dt)^2 by operator composition.
 
-    Works on packed coefficient-index tuples over the flat tables (q, mul).
     Only the defining relations are used: alpha and beta commute with
     functions of t, with each other and with d/dt; d/dt picks up the
     derivative when moved past a coefficient; (d/dt)^2 = 0; and alpha^2,
     beta^2 reduce per the Lie case.  Returns the accumulator over the basis
     words A, B, T, the irreducible length-2 words and the identity word.
     """
-    slots = {"A": (), "B": (), "T": (), "AB": (), "AT": (), "BT": (), "": ()}
+    zero = Poly.zero(a.spec)
+    slots = {w: zero for w in ("A", "B", "T", "AB", "AT", "BT", "")}
     sq_words = {"AA": case.alpha_sq, "BB": case.beta_sq}
     terms = (("A", a), ("B", b), ("T", c))
 
@@ -128,50 +128,17 @@ def _compose_engine(case, a, b, c, q, mul):
                 return
             else:
                 word = "".join(sorted(word))  # BA -> AB, TA -> AT, TB -> BT
-        slots[word] = _pk_add(slots[word], coeff)
+        slots[word] = slots[word] + coeff
 
     for x, rx in terms:
         for y, ry in terms:
             # (rx * x) o (ry * y): move x past the coefficient ry
             if x == "T":
-                absorb("T" + y, _pk_mul(rx, ry, q, mul))
-                absorb(y, _pk_mul(rx, _pk_deriv(ry), q, mul))
+                absorb("T" + y, rx * ry)
+                absorb(y, rx * ry.formal_derivative())
             else:
-                absorb(x + y, _pk_mul(rx, ry, q, mul))
+                absorb(x + y, rx * ry)
     return slots
-
-
-def _pk_add(f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, gi in enumerate(g):
-        out[i] ^= gi
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _pk_mul(f, g, q, mul):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            base = fi * q
-            for j, gj in enumerate(g):
-                if gj:
-                    out[i + j] ^= mul[base + gj]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _pk_deriv(f):
-    out = [(f[e] if e & 1 else 0) for e in range(1, len(f))]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
 
 
 def oracle_delta_squared(d: DerivationTriple) -> SquaredDerivation:
@@ -180,21 +147,20 @@ def oracle_delta_squared(d: DerivationTriple) -> SquaredDerivation:
     Independent of delta_squared: the square is expanded as a word rewrite
     with the Lie relations instead of transcribing the closed formula.  Any
     residue on irreducible length-2 words or on the identity word signals a
-    bug.  It runs on packed coefficient indices over the field's flat tables
-    only; every supported field has them.
+    bug.  Both sides share Poly's table arithmetic, so the check rests on
+    the two expansions being different algorithms, and on the tests that
+    check that arithmetic: test_tables_match_direct_arithmetic (the field
+    tables against coefficient-vector arithmetic) and
+    test_arithmetic_matches_schoolbook_reference (Poly against coefficient
+    loops on FieldElements).
     """
-    spec = d.spec
-    q, _add, mul, _inv = spec.tables()
-    packed = [tuple(x.index for x in f.coeffs) for f in d.components()]
-    slots = _compose_engine(d.case, *packed, q, mul)
+    slots = _compose_engine(d.case, *d.components())
     for word in ("AB", "AT", "BT", ""):
         if slots[word]:
             raise ConsistencyError(
                 f"operator expansion left a nonzero residue on word {word or '1'}"
             )
-    elements = spec.elements()
-    A, B, T = (Poly(spec, tuple(elements[i] for i in slots[w])) for w in "ABT")
-    return SquaredDerivation(A, B, T)
+    return SquaredDerivation(slots["A"], slots["B"], slots["T"])
 
 
 def satisfies_C1(d: DerivationTriple) -> bool:
@@ -225,26 +191,6 @@ def satisfies_C3(d: DerivationTriple) -> bool:
     delta^2 = (A, B, C) lies in the span of delta exactly when the three 2x2
     minors against (a, b, c) vanish."""
     return _minors_vanish(d, delta_squared(d))
-
-
-def is_p_closed(d: DerivationTriple):
-    """C3 together with the multiplier h of delta^2 = h * delta.
-
-    When the minors vanish and the triple is primitive, h is a polynomial,
-    recovered by exact division against a component of maximal degree;
-    delta^2 = 0 yields h = 0.  Returns (closed, h or None).
-    """
-    sq = delta_squared(d)
-    if not _minors_vanish(d, sq):
-        return False, None
-    if not satisfies_C1(d):
-        return True, None
-    pairs = [(f, F) for f, F in zip(d.components(), sq.components()) if f]
-    denom, numer = max(pairs, key=lambda p: p[0].degree)
-    h, rem = divmod(numer, denom)
-    if rem:
-        raise ConsistencyError("multiplier division left a remainder on a primitive p-closed triple")
-    return True, h
 
 
 def is_valid_foliation(d: DerivationTriple) -> bool:

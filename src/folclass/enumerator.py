@@ -34,11 +34,8 @@ from .polynomial import Poly
 
 
 def _poly_from_index(spec, idx, max_deg):
-    coeffs = []
-    for _ in range(max_deg + 1):
-        coeffs.append(spec.element(idx % spec.order))
-        idx //= spec.order
-    return Poly(spec, tuple(coeffs))
+    q = spec.order
+    return Poly._make(spec, [idx // q**e % q for e in range(max_deg + 1)])
 
 
 def enumerate_triples(spec, case):

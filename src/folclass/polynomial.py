@@ -5,7 +5,11 @@ the symbolic coefficient ring used by the Cartier operator).
 Polynomials are immutable values in canonical form (no trailing zero
 coefficients); the zero polynomial has an empty coefficient tuple and degree
 NEG_INF, a sentinel that compares below every integer so degree-bound checks
-treat zero uniformly.
+treat zero uniformly.  A univariate Poly stores its coefficients as element
+indices of its FieldSpec and does all of its arithmetic by lookups in the
+spec's flat add/mul/neg/inv tables; this is the only univariate arithmetic
+path, shared by the closed delta^2 formula, the rewrite oracle and the
+conditions C1-C3.
 """
 
 from __future__ import annotations
@@ -20,162 +24,188 @@ MAX_EXPONENT = 1024
 
 
 class Poly:
-    """A univariate polynomial over a FieldSpec, in the variable t."""
+    """A univariate polynomial over a FieldSpec, in the variable t.
 
-    __slots__ = ("spec", "coeffs")
+    The coefficients are a trimmed tuple of element indices, constant term
+    first.  Every operation is a lookup in the spec's flat tables, so no
+    FieldElement arithmetic runs here; coeff(), leading and coeffs hand back
+    the spec's interned FieldElements.  Operands from another field raise
+    FieldMismatchError, the zero polynomial included.
+    """
+
+    __slots__ = ("spec", "_idx")
 
     def __init__(self, spec, coeffs=()):
-        cs = []
+        idx = []
         for c in coeffs:
-            cs.append(spec.element(c) if isinstance(c, int) else c)
-        while cs and not cs[-1]:
-            cs.pop()
-        for c in cs:
-            if c.spec != spec:
+            if isinstance(c, int):
+                idx.append(c % spec.order)
+            elif c.spec == spec:
+                idx.append(c.index)
+            else:
                 raise FieldMismatchError("polynomial coefficients must share one field")
+        while idx and not idx[-1]:
+            idx.pop()
         self.spec = spec
-        self.coeffs = tuple(cs)
+        self._idx = tuple(idx)
 
     @classmethod
-    def _make(cls, spec, coeffs):
-        # hot-path constructor: coefficients already validated, only trims
-        n = len(coeffs)
-        while n and not coeffs[n - 1]:
+    def _make(cls, spec, idx):
+        # hot-path constructor: indices already in range(q), only trims
+        n = len(idx)
+        while n and not idx[n - 1]:
             n -= 1
         f = cls.__new__(cls)
         f.spec = spec
-        f.coeffs = tuple(coeffs[:n])
+        f._idx = tuple(idx[:n])
         return f
 
     @classmethod
     def zero(cls, spec):
-        return cls(spec)
+        return cls._make(spec, ())
 
     @classmethod
     def one(cls, spec):
-        return cls(spec, (spec.one,))
+        return cls._make(spec, (1,))
 
     @classmethod
     def t(cls, spec):
-        return cls(spec, (spec.zero, spec.one))
+        return cls._make(spec, (0, 1))
 
     @classmethod
     def constant(cls, value):
         return cls(value.spec, (value,))
 
     @property
+    def coeffs(self):
+        """The coefficients as the spec's FieldElements, constant term first."""
+        elements = self.spec.elements()
+        return tuple(elements[i] for i in self._idx)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._idx) - 1 if self._idx else NEG_INF
 
     def coeff(self, e):
         """Coefficient of t^e (zero beyond the degree)."""
-        return self.coeffs[e] if e < len(self.coeffs) else self.spec.zero
+        return self.spec.elements()[self._idx[e] if e < len(self._idx) else 0]
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self._idx:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.spec.elements()[self._idx[-1]]
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._idx)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.spec == other.spec and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.spec == other.spec and self._idx == other._idx
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self._idx))
+
+    def _tables(self, other):
+        """(q, add, mul, inv) of the spec, once other (a Poly or a FieldElement)
+        is known to share it."""
+        if other.spec is not self.spec and other.spec != self.spec:
+            raise FieldMismatchError(
+                f"operands from distinct fields {self.spec.literal()} and {other.spec.literal()}"
+            )
+        return self.spec.tables()
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly._make(self.spec, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        q, add, _mul, _inv = self._tables(other)
+        f, g = self._idx, other._idx
+        if len(f) < len(g):
+            f, g = g, f
+        out = list(f)
+        for i, gi in enumerate(g):
+            out[i] = add[out[i] * q + gi]
+        return Poly._make(self.spec, out)
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly._make(self.spec, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self + -other
 
     def __neg__(self):
-        return Poly._make(self.spec, [-c for c in self.coeffs])
+        self.spec.tables()
+        neg = self.spec._neg_table
+        return Poly._make(self.spec, [neg[i] for i in self._idx])
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero(self.spec)
-        out = [self.spec.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
+        q, add, mul, _inv = self._tables(other)
+        f, g = self._idx, other._idx
+        if not f or not g:
+            return Poly._make(self.spec, ())
+        out = [0] * (len(f) + len(g) - 1)
+        for i, fi in enumerate(f):
+            if fi:
+                row = fi * q
+                for j, gj in enumerate(g):
+                    if gj:
+                        out[i + j] = add[out[i + j] * q + mul[row + gj]]
         return Poly._make(self.spec, out)
+
+    def _scaled(self, lam, q, mul):
+        row = lam * q
+        return Poly._make(self.spec, [mul[row + i] for i in self._idx])
 
     def scale(self, c):
         """Multiply by the field constant c."""
-        return Poly._make(self.spec, [c * a for a in self.coeffs])
+        q, _add, mul, _inv = self._tables(c)
+        return self._scaled(c.index, q, mul)
 
     def __divmod__(self, other):
+        q, add, mul, inv = self._tables(other)
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead_inv = other.leading.inverse()
-        quot = [self.spec.zero] * max(len(rem) - d, 0)
+        neg = self.spec._neg_table
+        g = other._idx
+        d = len(g) - 1
+        lead_inv = inv[g[-1]]
+        rem = list(self._idx)
+        quot = [0] * max(len(rem) - d, 0)
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
             if c:
-                q = c * lead_inv
-                quot[i - d] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] = rem[i - d + j] - q * b
+                qi = mul[c * q + lead_inv]
+                quot[i - d] = qi
+                row = neg[qi] * q
+                for j, gj in enumerate(g):
+                    rem[i - d + j] = add[rem[i - d + j] * q + mul[row + gj]]
         return Poly._make(self.spec, quot), Poly._make(self.spec, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __pow__(self, n):
-        result = Poly.one(self.spec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def eval(self, x):
-        acc = self.spec.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        q, add, mul, _inv = self._tables(x)
+        acc = 0
+        for c in reversed(self._idx):
+            acc = add[mul[acc * q + x.index] * q + c]
+        return self.spec.elements()[acc]
 
     def formal_derivative(self):
-        """d/dt with the exponent reduced mod p (so even powers die in char 2)."""
+        """d/dt with the exponent reduced mod p (so even powers die in char 2).
+
+        The integer e mod p is the element of index e mod p."""
+        q, _add, mul, _inv = self.spec.tables()
         p = self.spec.p
-        zero = self.spec.zero
-        out = []
-        for e in range(1, len(self.coeffs)):
-            m = e % p
-            if m == 0:
-                out.append(zero)
-            elif m == 1:
-                out.append(self.coeffs[e])
-            else:
-                out.append(self.coeffs[e] * self.spec.element(m))
-        return Poly._make(self.spec, out)
+        f = self._idx
+        return Poly._make(self.spec, [mul[f[e] * q + e % p] for e in range(1, len(f))])
 
     def monic(self):
         if not self:
             return self
-        return self.scale(self.leading.inverse())
+        q, _add, mul, inv = self.spec.tables()
+        return self._scaled(inv[self._idx[-1]], q, mul)
 
     def compose_with_affine(self, c):
         """f(t + c) by Horner in (t + c)."""
-        shift = Poly(self.spec, (c, self.spec.one))
+        shift = Poly(self.spec, (c, 1))
         acc = Poly.zero(self.spec)
-        for coeff in reversed(self.coeffs):
-            acc = acc * shift + Poly.constant(coeff)
+        for i in reversed(self._idx):
+            acc = acc * shift + Poly._make(self.spec, (i,))
         return acc
 
     def map_coeffs(self, fn, target_spec):
@@ -205,8 +235,9 @@ def format_poly(f, var="t"):
     if not f:
         return "0"
     terms = []
-    for e in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[e]
+    coeffs = f.coeffs
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
         if not c:
             continue
         cs = str(c)

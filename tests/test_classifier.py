@@ -5,11 +5,10 @@ from folclass.classifier import (
     classify,
     families_of_case,
     instantiate,
-    scalar_equivalent,
 )
 from folclass.derivation import DerivationTriple, LieCase, is_valid_foliation, scale
 from folclass.enumerator import find_valid, iter_family_instances
-from folclass.errors import FieldMismatchError, InvalidParameterError, NotAFoliationError
+from folclass.errors import InvalidParameterError, NotAFoliationError
 from folclass.finite_field import GF, embed
 from folclass.polynomial import parse_poly
 
@@ -109,18 +108,6 @@ def test_classify_overlap_iv_ii_with_iv_iv(F4):
     d = instantiate(FamilyId.IV_II, {"s1": 1, "t2": 1}, F4)
     matches = classify(d)
     assert {m.family for m in matches} == {FamilyId.IV_II, FamilyId.IV_IV}
-
-
-def test_scalar_equivalent(F4):
-    u = F4.generator
-    d1 = triple("I", "1", "t", "0", F4)
-    d2 = triple("I", "u", "u*t", "0", F4)
-    assert scalar_equivalent(d1, d2) == u
-    assert scalar_equivalent(d1, d1) == F4.one
-    assert scalar_equivalent(d1, triple("I", "1", "t+1", "0", F4)) is None
-    assert scalar_equivalent(d1, triple("II", "1", "t", "0", F4)) is None
-    with pytest.raises(FieldMismatchError):
-        scalar_equivalent(d1, triple("I", "1", "t", "0", GF(2)))
 
 
 def test_match_serialization_shape(F4):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -97,6 +98,22 @@ def test_byte_identical_reports_across_jobs(tmp_path):
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_verify_theorem_reports_pinned_by_digest(monkeypatch, tmp_path, capsys):
+    # "the same results" means byte-identical --no-timing reports; a change
+    # that alters the report on purpose updates these digests
+    monkeypatch.chdir(tmp_path)
+    code, out, _err = run_cli(
+        ["verify-theorem", "--field", "GF(8)", "--no-timing", "--detail", "D.jsonl"], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "92acfbd5a9b46fd5391a121460daa8fdd00b5ddae2e2b84315a5bec374ea2247"
+    )
+    assert hashlib.sha256((tmp_path / "D.jsonl").read_bytes()).hexdigest() == (
+        "b5fdc203c5436f236f564dd0e5f421af5a1745f8c437605041634bb4aba693f3"
+    )
 
 
 def test_repeated_runs_identical(tmp_path):

@@ -11,7 +11,6 @@ from folclass.derivation import (
     chart_at_infinity,
     delta_squared,
     failed_conditions,
-    is_p_closed,
     is_valid_foliation,
     oracle_delta_squared,
     satisfies_C1,
@@ -132,40 +131,41 @@ def test_c2_examples(F4):
 
 
 def test_p_closed_examples(F4, F2):
-    closed, h = is_p_closed(triple("II", "1", "t", "t^2+t", F4))
-    assert closed and h == Poly.one(F4)
     assert satisfies_C3(triple("II", "1", "t", "t^2+t", F4))
-    closed, _h = is_p_closed(triple("II", "1", "t", "0", F4))
-    assert not closed  # minor A*b + B*a = t + t^2 != 0
-    assert not satisfies_C3(triple("II", "1", "t", "0", F4))
-    closed, h = is_p_closed(triple("I", "1", "t", "0", F2))
-    assert closed and h == Poly.zero(F2)  # delta^2 = 0 is proportional to anything
-    assert satisfies_C3(triple("I", "1", "t", "0", F2))
+    assert not satisfies_C3(triple("II", "1", "t", "0", F4))  # minor A*b + B*a = t + t^2 != 0
+    assert satisfies_C3(triple("I", "1", "t", "0", F2))  # delta^2 = 0 is proportional to anything
     assert satisfies_C3(triple("I", "t", "t^2", "0", F2))  # C3 holds without C1
 
 
 def test_condition_compositions_agree_exhaustive_gf2(F2):
-    # the validity verdict, the named failures and is_p_closed all compose
-    # the same three conditions
+    # the validity verdict and the named failures compose the same three
+    # conditions
     for case in LieCase:
         for d in enumerate_triples(F2, case):
-            assert is_valid_foliation(d) == (failed_conditions(d) == [])
-            assert is_p_closed(d)[0] == satisfies_C3(d)
+            failed = failed_conditions(d)
+            assert is_valid_foliation(d) == (failed == [])
+            assert any(f.startswith("C3") for f in failed) == (not satisfies_C3(d))
 
 
-def test_p_closed_without_primitivity_gives_no_multiplier(F2):
-    # (t, t^2, 0) squares to zero but fails C1, so no polynomial multiplier
-    d = triple("I", "t", "t^2", "0", F2)
-    closed, h = is_p_closed(d)
-    assert closed and h is None
+def _multiplier(d, sq):
+    """h with delta^2 = h * delta, by exact division against a component of
+    maximal degree; the remainder must vanish."""
+    pairs = [(f, F) for f, F in zip(d.components(), sq.components()) if f]
+    denom, numer = max(pairs, key=lambda p: p[0].degree)
+    h, rem = divmod(numer, denom)
+    assert not rem, d
+    return h
 
 
 def test_nonconstant_multiplier(F4):
     # a=(t+t2), b=(t+t1), c=(t+t1)(t+t2) squares to (t1+t2)*delta
     u = F4.generator
     d = triple("II", "t+u", "t", "t^2+u*t", F4)
-    closed, h = is_p_closed(d)
-    assert closed and h == Poly.constant(u)
+    assert satisfies_C3(d)
+    sq = delta_squared(d)
+    h = _multiplier(d, sq)
+    assert h == Poly.constant(u)
+    assert sq.components() == (h * d.a, h * d.b, h * d.c)
 
 
 def test_valid_foliation_examples(F2):
@@ -228,9 +228,9 @@ def test_multiplier_reproduces_square(F4, gf4_reports):
     # on primitive p-closed triples, delta^2 = h * delta componentwise
     for case, report in gf4_reports.items():
         for d, _matches in report.class_matches:
-            closed, h = is_p_closed(d)
-            assert closed and h is not None
+            assert satisfies_C1(d) and satisfies_C3(d)
             sq = delta_squared(d)
+            h = _multiplier(d, sq)
             assert sq.A == h * d.a and sq.B == h * d.b and sq.C == h * d.c
 
 

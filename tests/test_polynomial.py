@@ -1,8 +1,9 @@
+import operator
 import random
 
 import pytest
 
-from folclass.errors import ParseError
+from folclass.errors import FieldMismatchError, ParseError
 from folclass.finite_field import GF
 from folclass.polynomial import (
     MAX_EXPONENT,
@@ -102,6 +103,8 @@ def test_divmod_examples(F2, F4):
     f = parse_poly("t^2+t", F4)
     assert f.eval(u) == F4.one  # u^2+u = 1
     assert f * Poly.one(F4) == f
+    with pytest.raises(TypeError):
+        Poly.t(F4) ** -1  # Poly has no power operator
 
 
 def test_divmod_remainder_degree(F4):
@@ -114,6 +117,74 @@ def test_divmod_remainder_degree(F4):
         q, r = divmod(f, g)
         assert q * g + r == f
         assert r.degree < g.degree
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _schoolbook_divmod(f, g, spec):
+    rem = list(f)
+    d = len(g) - 1
+    quot = [spec.zero] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] / g[-1]
+        quot[i - d] = c
+        for j, b in enumerate(g):
+            rem[i - d + j] = rem[i - d + j] - c * b
+    return _trim(quot), _trim(rem)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_arithmetic_matches_schoolbook_reference(q):
+    # Poly's table arithmetic against coefficient loops on FieldElements; the
+    # delta^2 formula and the rewrite oracle both multiply through Poly
+    spec = GF(q)
+    zero = spec.zero
+    rng = random.Random(q)
+    for _ in range(300):
+        f = rand_poly(spec, rng.randrange(6), rng)
+        g = rand_poly(spec, rng.randrange(6), rng)
+        fc, gc = f.coeffs, g.coeffs
+        n = max(len(fc), len(gc))
+        fp = fc + (zero,) * (n - len(fc))
+        gp = gc + (zero,) * (n - len(gc))
+        assert (f + g).coeffs == _trim(x + y for x, y in zip(fp, gp))
+        assert (f - g).coeffs == _trim(x - y for x, y in zip(fp, gp))
+        assert (-f).coeffs == _trim(-x for x in fc)
+        prod = [zero] * max(len(fc) + len(gc) - 1, 0)
+        for i, x in enumerate(fc):
+            for j, y in enumerate(gc):
+                prod[i + j] = prod[i + j] + x * y
+        assert (f * g).coeffs == _trim(prod)
+        lam = spec.element(rng.randrange(q))
+        assert f.scale(lam).coeffs == _trim(lam * x for x in fc)
+        deriv = []
+        for e in range(1, len(fc)):
+            acc = zero
+            for _ in range(e):  # e * c as a sum of e copies
+                acc = acc + fc[e]
+            deriv.append(acc)
+        assert f.formal_derivative().coeffs == _trim(deriv)
+        if g:
+            quot, rem = divmod(f, g)
+            assert (quot.coeffs, rem.coeffs) == _schoolbook_divmod(fc, gc, spec)
+
+
+def test_cross_field_operations_raise(F4, F8):
+    for f in (Poly.zero(F4), Poly.t(F4)):
+        for g in (Poly.zero(F8), Poly.t(F8)):
+            for op in (operator.add, operator.sub, operator.mul, divmod):
+                for x, y in ((f, g), (g, f)):
+                    with pytest.raises(FieldMismatchError):
+                        op(x, y)
+            with pytest.raises(FieldMismatchError):
+                f.scale(F8.one)
+            with pytest.raises(FieldMismatchError):
+                g.scale(F4.one)
 
 
 def test_compose_with_affine(F4):
