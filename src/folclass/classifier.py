@@ -47,13 +47,6 @@ class FamilyId(enum.Enum):
     def param_names(self):
         return _PARAM_NAMES[self]
 
-    @classmethod
-    def from_tag(cls, tag):
-        for fam in cls:
-            if fam.value == tag:
-                return fam
-        raise ValueError(f"unknown family tag {tag!r}")
-
     def __str__(self):
         return self.value
 
@@ -91,14 +84,6 @@ class FamilyMatch:
             "params": {k: str(self.params[k]) for k in self.family.param_names},
             "lambda": str(self.lam),
         }
-
-    def sort_key(self):
-        fams = list(FamilyId)
-        return (
-            fams.index(self.family),
-            tuple(self.params[k].index for k in self.family.param_names),
-            self.lam.index,
-        )
 
 
 def _require(cond, family, clause):
@@ -323,7 +308,8 @@ def classify(d: DerivationTriple):
     rational function of the coefficients, and embedding into an extension
     is a field homomorphism, so a match over GF(q^m) is the image of one
     over GF(q).  Every returned match re-instantiates to the input exactly.
-    Results are sorted by family tag, then parameter tuple, then scalar.
+    Results come in family tag order, at most one per family, as
+    _candidates gives at most one candidate per family.
     """
     failed = failed_conditions(d)
     if failed:
@@ -343,4 +329,4 @@ def classify(d: DerivationTriple):
                 continue
             if scale(lam, inst) == d:
                 matches.append(FamilyMatch(family, params, lam))
-    return sorted(matches, key=FamilyMatch.sort_key)
+    return matches

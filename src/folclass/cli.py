@@ -176,7 +176,8 @@ def cmd_enumerate(args):
         report = verify_completeness(spec, case, jobs=args.jobs)
         unmatched += len(report.unmatched)
         results.append(report.to_json_dict(with_timing=not args.no_timing))
-        detail_lines.extend(_detail_lines(report, not args.no_timing))
+        if args.detail:
+            detail_lines.extend(_detail_lines(report, not args.no_timing))
     payload = {
         "manifest": _manifest(
             "enumerate",
@@ -289,7 +290,8 @@ def cmd_verify_theorem(args):
         cc = completeness.to_json_dict(with_timing=not args.no_timing)
         cc["soundness_failures"] = len(soundness.failures)
         csv_results.append(cc)
-        detail_lines.extend(_detail_lines(completeness, not args.no_timing))
+        if args.detail:
+            detail_lines.extend(_detail_lines(completeness, not args.no_timing))
     payload = {
         "manifest": _manifest(
             "verify-theorem",

@@ -2,11 +2,17 @@
 
 Elements are coefficient vectors over GF(p) reduced modulo a fixed monic
 irreducible polynomial.  Fields are small enough (desk scale) that every
-element can be enumerated and every check run exhaustively.  The first time
-an element is asked for, a FieldSpec builds flat add/mul/neg/inv tables and
-one FieldElement per index; every constructor and every operation returns
-those shared elements, so all arithmetic is a table lookup.  Fields of order
-above _TABLE_LIMIT (256) are refused when the FieldSpec is made.
+element can be enumerated and every check run exhaustively.
+
+There is one FieldSpec object per field: FieldSpec(p, k, modulus),
+parse_field, GF and extension_field all return the object interned under the
+key (p, k, modulus), the modulus being the canonical one when none is given.
+A field is validated and fully built when it is first made: its flat
+add/mul/neg/inv tables and its q FieldElements, one per index.  Every
+constructor and every operation returns those shared elements, so all
+arithmetic is a table lookup, and fields and elements compare by identity.
+Fields of order above _TABLE_LIMIT (256) are refused before anything is
+built.
 """
 
 from __future__ import annotations
@@ -116,15 +122,25 @@ def canonical_modulus(p, k):
     return _CANONICAL_MODULI[key]
 
 
+# Every FieldSpec ever made, by its key (p, k, modulus).
+_FIELDS: dict = {}
+
+
 class FieldSpec:
     """A concrete finite field GF(p^k) with a fixed monic irreducible modulus.
 
-    Instances are immutable and hashable; two specs compare equal exactly
-    when (p, k, modulus) coincide.  All FieldElement arithmetic routes
-    through the spec, so elements of distinct specs never silently mix.
+    There is one object per key (p, k, modulus): FieldSpec(p, k) returns the
+    field with the canonical modulus, and asking again for the same key
+    returns the same object.  It is built when it is made and never changes
+    afterwards: q is `order`, the flat tables `add`, `mul` (entry i*q + j
+    for elements of index i and j), `neg` and `inv` (inv[0] = 0) are tuples
+    of indices, and `zero`, `one`, `generator` and elements() are its
+    interned FieldElements.  Specs and elements compare by identity, so
+    elements of distinct fields never compare equal, and all arithmetic
+    refuses to mix them.
     """
 
-    def __init__(self, p, k, modulus=None):
+    def __new__(cls, p, k, modulus=None):
         if p not in SUPPORTED_CHARACTERISTICS:
             raise ValueError(f"unsupported characteristic {p}; expected one of {SUPPORTED_CHARACTERISTICS}")
         if k < 1:
@@ -134,33 +150,22 @@ class FieldSpec:
         if modulus is None:
             modulus = canonical_modulus(p, k)
         modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[k] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.p = p
-        self.k = k
-        self.modulus = modulus
-        self.order = p**k
-        self._elements = None  # built with the tables below on first use
-        self._mul_table = None
-        self._inv_table = None
-        self._add_table = None
-        self._neg_table = None
-        self._embedding_roots = {}
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        key = (p, k, modulus)
+        spec = _FIELDS.get(key)
+        if spec is None:
+            if len(modulus) != k + 1 or modulus[k] != 1:
+                raise ValueError("modulus must be monic of degree k")
+            if not _is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+            spec = super().__new__(cls)
+            spec.p = p
+            spec.k = k
+            spec.modulus = modulus
+            spec.order = p**k
+            spec._embedding_roots = {}
+            spec._build_tables()
+            _FIELDS[key] = spec
+        return spec
 
     def __repr__(self):
         return f"FieldSpec({self.literal()})"
@@ -187,6 +192,7 @@ class FieldSpec:
         return idx
 
     def _build_tables(self):
+        # the only place that constructs a FieldElement
         p, q = self.p, self.order
         by_idx = [self.coeffs_of_index(i) for i in range(q)]
         add = [0] * (q * q)
@@ -199,65 +205,46 @@ class FieldSpec:
                 m = self.index_of_coeffs(_poly_mod_mul(ci, cj, self.modulus, p))
                 add[i * q + j] = add[j * q + i] = s
                 mul[i * q + j] = mul[j * q + i] = m
-        neg = [add[i * q : (i + 1) * q].index(0) for i in range(q)]
-        inv = [0] + [mul[i * q : (i + 1) * q].index(1) for i in range(1, q)]
-        self._add_table = tuple(add)
-        self._mul_table = tuple(mul)
-        self._neg_table = tuple(neg)
-        self._inv_table = tuple(inv)
+        self.add = tuple(add)
+        self.mul = tuple(mul)
+        self.neg = tuple(add[i * q : (i + 1) * q].index(0) for i in range(q))
+        self.inv = (0,) + tuple(mul[i * q : (i + 1) * q].index(1) for i in range(1, q))
         self._elements = tuple(FieldElement(self, c) for c in by_idx)
+        self.zero, self.one = self._elements[:2]
+        # the residue class of the modulus variable (printed as u), index p
+        self.generator = self._elements[p] if self.k > 1 else self.zero
 
     def tables(self):
         """(q, add, mul, inv) flat tables for bulk index arithmetic."""
-        self.elements()
-        return self.order, self._add_table, self._mul_table, self._inv_table
+        return self.order, self.add, self.mul, self.inv
 
     # -- constructors -------------------------------------------------------
 
     def element(self, coeffs):
         if isinstance(coeffs, FieldElement):
-            if coeffs.spec != self:
+            if coeffs.spec is not self:
                 raise FieldMismatchError("element belongs to a different field")
-            return self.elements()[coeffs.index]
+            return coeffs
         if isinstance(coeffs, int):
-            return self.elements()[coeffs % self.order]
+            return self._elements[coeffs % self.order]
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) > self.k:
             raise ValueError("too many coefficients for this field")
-        return self.elements()[self.index_of_coeffs(coeffs)]
-
-    @property
-    def zero(self):
-        return self.elements()[0]
-
-    @property
-    def one(self):
-        return self.elements()[1]
-
-    @property
-    def generator(self):
-        """The residue class of the modulus variable (printed as u)."""
-        if self.k == 1:
-            return self.zero
-        return self.element((0, 1))
+        return self._elements[self.index_of_coeffs(coeffs)]
 
     def elements(self):
-        """All p^k elements in index order (constant coefficient varies fastest).
-
-        The tuple is built once; every element of this spec is one of its
-        entries.
-        """
-        if self._elements is None:
-            self._build_tables()
+        """All p^k elements in index order (constant coefficient varies fastest);
+        every element of this spec is one of its entries."""
         return self._elements
 
 
 class FieldElement:
     """An element of a FieldSpec, stored as a coefficient vector over GF(p).
 
-    The spec makes one instance per index (see FieldSpec.elements); get
-    elements from the spec rather than constructing them.  Operations look
-    the result index up in the spec's tables and return the shared instance.
+    The spec makes one instance per index when it is built (see
+    FieldSpec.elements); get elements from the spec rather than constructing
+    them.  Operations look the result index up in the spec's tables and
+    return the shared instance, so elements compare by identity.
     """
 
     __slots__ = ("spec", "coeffs", "index")
@@ -270,7 +257,7 @@ class FieldElement:
     def _check(self, other):
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.spec is not self.spec and other.spec != self.spec:
+        if other.spec is not self.spec:
             raise FieldMismatchError(
                 f"operands from distinct fields {self.spec.literal()} and {other.spec.literal()}"
             )
@@ -278,27 +265,27 @@ class FieldElement:
     def __add__(self, other):
         self._check(other)
         spec = self.spec
-        return spec._elements[spec._add_table[self.index * spec.order + other.index]]
+        return spec._elements[spec.add[self.index * spec.order + other.index]]
 
     def __sub__(self, other):
         self._check(other)
         spec = self.spec
-        return spec._elements[spec._add_table[self.index * spec.order + spec._neg_table[other.index]]]
+        return spec._elements[spec.add[self.index * spec.order + spec.neg[other.index]]]
 
     def __neg__(self):
         spec = self.spec
-        return spec._elements[spec._neg_table[self.index]]
+        return spec._elements[spec.neg[self.index]]
 
     def __mul__(self, other):
         self._check(other)
         spec = self.spec
-        return spec._elements[spec._mul_table[self.index * spec.order + other.index]]
+        return spec._elements[spec.mul[self.index * spec.order + other.index]]
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         spec = self.spec
-        return spec._elements[spec._inv_table[self.index]]
+        return spec._elements[spec.inv[self.index]]
 
     def __truediv__(self, other):
         self._check(other)
@@ -324,16 +311,6 @@ class FieldElement:
         """The unique y with y^p = x, namely x^(p^(k-1))."""
         return self ** (self.spec.p ** (self.spec.k - 1))
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.coeffs))
-
     def __bool__(self):
         return self.index != 0
 
@@ -354,7 +331,7 @@ def embed(x, target):
     target, i.e. when the target degree is not a multiple of the source's.
     """
     spec = x.spec
-    if target == spec:
+    if target is spec:
         return x
     if target.p != spec.p:
         raise EmbeddingError("embedding requires equal characteristic")
@@ -507,11 +484,11 @@ def _parse_modulus(text, p):
     return tuple(coeffs.get(e, 0) for e in range(k + 1))
 
 
-_FIELD_CACHE: dict = {}
-
-
 def parse_field(text):
-    """Parse a field literal: GF(4), GF(9), GF(8;mod=x3+x+1)."""
+    """Parse a field literal (GF(4), GF(9), GF(8;mod=x3+x+1)) into its FieldSpec.
+
+    A literal that names the canonical modulus gives the same object as one
+    that names none."""
     s = text.strip()
     if not (s.startswith("GF(") and s.endswith(")")):
         raise ParseError("field literal must look like GF(q) or GF(q;mod=...)", text, 0)
@@ -535,11 +512,7 @@ def parse_field(text):
             n //= p
             k += 1
         if n == 1 and k >= 1:
-            modulus = _parse_modulus(mod_text, p) if mod_text else None
-            key = (p, k, modulus)
-            if key not in _FIELD_CACHE:
-                _FIELD_CACHE[key] = FieldSpec(p, k, modulus)
-            return _FIELD_CACHE[key]
+            return FieldSpec(p, k, _parse_modulus(mod_text, p) if mod_text else None)
     raise ParseError(f"order {q} is not a power of a supported prime", text, 3)
 
 

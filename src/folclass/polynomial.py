@@ -40,7 +40,7 @@ class Poly:
         for c in coeffs:
             if isinstance(c, int):
                 idx.append(c % spec.order)
-            elif c.spec == spec:
+            elif c.spec is spec:
                 idx.append(c.index)
             else:
                 raise FieldMismatchError("polynomial coefficients must share one field")
@@ -100,43 +100,44 @@ class Poly:
         return bool(self._idx)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.spec == other.spec and self._idx == other._idx
+        return isinstance(other, Poly) and self.spec is other.spec and self._idx == other._idx
 
     def __hash__(self):
         return hash((self.spec, self._idx))
 
-    def _tables(self, other):
-        """(q, add, mul, inv) of the spec, once other (a Poly or a FieldElement)
-        is known to share it."""
-        if other.spec is not self.spec and other.spec != self.spec:
+    def _spec_with(self, other):
+        """The spec, once other (a Poly or a FieldElement) is known to share it."""
+        spec = self.spec
+        if other.spec is not spec:
             raise FieldMismatchError(
-                f"operands from distinct fields {self.spec.literal()} and {other.spec.literal()}"
+                f"operands from distinct fields {spec.literal()} and {other.spec.literal()}"
             )
-        return self.spec.tables()
+        return spec
 
     def __add__(self, other):
-        q, add, _mul, _inv = self._tables(other)
+        spec = self._spec_with(other)
+        q, add = spec.order, spec.add
         f, g = self._idx, other._idx
         if len(f) < len(g):
             f, g = g, f
         out = list(f)
         for i, gi in enumerate(g):
             out[i] = add[out[i] * q + gi]
-        return Poly._make(self.spec, out)
+        return Poly._make(spec, out)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        self.spec.tables()
-        neg = self.spec._neg_table
+        neg = self.spec.neg
         return Poly._make(self.spec, [neg[i] for i in self._idx])
 
     def __mul__(self, other):
-        q, add, mul, _inv = self._tables(other)
+        spec = self._spec_with(other)
+        q, add, mul = spec.order, spec.add, spec.mul
         f, g = self._idx, other._idx
         if not f or not g:
-            return Poly._make(self.spec, ())
+            return Poly._make(spec, ())
         out = [0] * (len(f) + len(g) - 1)
         for i, fi in enumerate(f):
             if fi:
@@ -144,25 +145,26 @@ class Poly:
                 for j, gj in enumerate(g):
                     if gj:
                         out[i + j] = add[out[i + j] * q + mul[row + gj]]
-        return Poly._make(self.spec, out)
+        return Poly._make(spec, out)
 
-    def _scaled(self, lam, q, mul):
-        row = lam * q
-        return Poly._make(self.spec, [mul[row + i] for i in self._idx])
+    def _scaled(self, lam):
+        spec = self.spec
+        mul, row = spec.mul, lam * spec.order
+        return Poly._make(spec, [mul[row + i] for i in self._idx])
 
     def scale(self, c):
         """Multiply by the field constant c."""
-        q, _add, mul, _inv = self._tables(c)
-        return self._scaled(c.index, q, mul)
+        self._spec_with(c)
+        return self._scaled(c.index)
 
     def __divmod__(self, other):
-        q, add, mul, inv = self._tables(other)
+        spec = self._spec_with(other)
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        neg = self.spec._neg_table
+        q, add, mul, neg = spec.order, spec.add, spec.mul, spec.neg
         g = other._idx
         d = len(g) - 1
-        lead_inv = inv[g[-1]]
+        lead_inv = spec.inv[g[-1]]
         rem = list(self._idx)
         quot = [0] * max(len(rem) - d, 0)
         for i in range(len(rem) - 1, d - 1, -1):
@@ -173,32 +175,32 @@ class Poly:
                 row = neg[qi] * q
                 for j, gj in enumerate(g):
                     rem[i - d + j] = add[rem[i - d + j] * q + mul[row + gj]]
-        return Poly._make(self.spec, quot), Poly._make(self.spec, rem)
+        return Poly._make(spec, quot), Poly._make(spec, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def eval(self, x):
-        q, add, mul, _inv = self._tables(x)
+        spec = self._spec_with(x)
+        q, add, mul = spec.order, spec.add, spec.mul
         acc = 0
         for c in reversed(self._idx):
             acc = add[mul[acc * q + x.index] * q + c]
-        return self.spec.elements()[acc]
+        return spec.elements()[acc]
 
     def formal_derivative(self):
         """d/dt with the exponent reduced mod p (so even powers die in char 2).
 
         The integer e mod p is the element of index e mod p."""
-        q, _add, mul, _inv = self.spec.tables()
-        p = self.spec.p
+        spec = self.spec
+        q, mul, p = spec.order, spec.mul, spec.p
         f = self._idx
-        return Poly._make(self.spec, [mul[f[e] * q + e % p] for e in range(1, len(f))])
+        return Poly._make(spec, [mul[f[e] * q + e % p] for e in range(1, len(f))])
 
     def monic(self):
         if not self:
             return self
-        q, _add, mul, inv = self.spec.tables()
-        return self._scaled(inv[self._idx[-1]], q, mul)
+        return self._scaled(self.spec.inv[self._idx[-1]])
 
     def compose_with_affine(self, c):
         """f(t + c) by Horner in (t + c)."""
@@ -230,7 +232,7 @@ def poly_gcd(f, g):
 # -- literals ----------------------------------------------------------------
 
 
-def format_poly(f, var="t"):
+def format_poly(f):
     """Literal form with descending powers, e.g. t^2+u*t+1 or (u+1)*t."""
     if not f:
         return "0"
@@ -244,7 +246,7 @@ def format_poly(f, var="t"):
         if e == 0:
             terms.append(cs)
             continue
-        v = var if e == 1 else f"{var}^{e}"
+        v = "t" if e == 1 else f"t^{e}"
         if cs == "1":
             terms.append(v)
         elif "+" in cs:
@@ -254,10 +256,10 @@ def format_poly(f, var="t"):
     return "+".join(terms)
 
 
-def parse_poly(text, spec, var="t"):
+def parse_poly(text, spec):
     """Parse the polynomial literal grammar: term ('+' term)*, where a term is
     an optional coefficient (element literal, parenthesized when it contains
-    '+') times an optional power of the variable.  Whitespace is ignored."""
+    '+') times an optional power of t.  Whitespace is ignored."""
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial literal", text, 0)
@@ -294,10 +296,10 @@ def parse_poly(text, spec, var="t"):
                 pos = j
         if coeff is not None and pos < n and s[pos] == "*":
             pos += 1
-            if pos >= n or s[pos] != var:
-                raise ParseError(f"expected variable {var!r} after '*'", text, pos)
+            if pos >= n or s[pos] != "t":
+                raise ParseError("expected variable 't' after '*'", text, pos)
         exp = 0
-        if pos < n and s[pos] == var:
+        if pos < n and s[pos] == "t":
             pos += 1
             exp = 1
             if pos < n and s[pos] == "^":
@@ -411,9 +413,6 @@ class BiPoly:
         for _ in range(n - 1):
             result = result * self
         return result
-
-    def scale(self, c):
-        return BiPoly({key: c * v for key, v in self.terms.items()})
 
     def constant_term(self):
         return self.terms.get((0, 0))

@@ -26,7 +26,7 @@ def test_family_tags_and_cases():
         "III-i", "III-ii", "III-iii",
         "IV-i", "IV-ii", "IV-iii", "IV-iv",
     ]
-    assert FamilyId.from_tag("III-ii") is FamilyId.III_II
+    assert FamilyId("III-ii") is FamilyId.III_II
     assert FamilyId.II_IV.case is LieCase.II
     assert len(families_of_case(LieCase.I)) == 2
     assert len(families_of_case(LieCase.II)) == 4

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from folclass import cli
 from folclass.cli import build_parser, main
 
 
@@ -100,20 +101,45 @@ def test_byte_identical_reports_across_jobs(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_verify_theorem_reports_pinned_by_digest(monkeypatch, tmp_path, capsys):
+# stdout and D.jsonl digests by field literal; GF(8;mod=x3+x+1) names the
+# canonical modulus, so it is GF(8) itself and reports the same bytes
+GF8_DIGESTS = (
+    "92acfbd5a9b46fd5391a121460daa8fdd00b5ddae2e2b84315a5bec374ea2247",
+    "b5fdc203c5436f236f564dd0e5f421af5a1745f8c437605041634bb4aba693f3",
+)
+PINNED_DIGESTS = {
+    "GF(8)": GF8_DIGESTS,
+    "GF(8;mod=x3+x+1)": GF8_DIGESTS,
+    "GF(8;mod=x3+x2+1)": (
+        "0498deddf87a57c9fc1588c5bd5a7810a002ce36659cefb91ddd200463f7d3eb",
+        "8d9d575f11a3df22aa88902db9d3267580b1341f9e7c980f7d923fa3a0b57770",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", PINNED_DIGESTS)
+def test_verify_theorem_reports_pinned_by_digest(field, monkeypatch, tmp_path, capsys):
     # "the same results" means byte-identical --no-timing reports; a change
     # that alters the report on purpose updates these digests
     monkeypatch.chdir(tmp_path)
     code, out, _err = run_cli(
-        ["verify-theorem", "--field", "GF(8)", "--no-timing", "--detail", "D.jsonl"], capsys
+        ["verify-theorem", "--field", field, "--no-timing", "--detail", "D.jsonl"], capsys
     )
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "92acfbd5a9b46fd5391a121460daa8fdd00b5ddae2e2b84315a5bec374ea2247"
-    )
-    assert hashlib.sha256((tmp_path / "D.jsonl").read_bytes()).hexdigest() == (
-        "b5fdc203c5436f236f564dd0e5f421af5a1745f8c437605041634bb4aba693f3"
-    )
+    stdout_digest, detail_digest = PINNED_DIGESTS[field]
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256((tmp_path / "D.jsonl").read_bytes()).hexdigest() == detail_digest
+
+
+def test_detail_lines_only_with_detail(monkeypatch, capsys):
+    # the per-class JSON lines are built only when --detail asks for them
+    def refuse(*_args):
+        raise AssertionError("detail lines built without --detail")
+
+    monkeypatch.setattr(cli, "_detail_lines", refuse)
+    code, out, _err = run_cli(["enumerate", "--field", "GF(4)", "--no-timing"], capsys)
+    assert code == 0
+    assert json.loads(out)["findings"] == 0
 
 
 def test_repeated_runs_identical(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 
@@ -9,11 +10,13 @@ from folclass.finite_field import (
     _poly_mod_mul,
     canonical_modulus,
     embed,
+    extension_field,
     format_element,
     format_modulus,
     parse_element,
     parse_field,
 )
+from folclass.polynomial import Poly
 
 
 def test_canonical_moduli():
@@ -135,7 +138,7 @@ def test_embed_without_root_fails(F4, F8):
 
 def test_field_literals_round_trip():
     assert parse_field("GF(4)").literal() == "GF(4)"
-    assert parse_field("GF(8;mod=x3+x+1)") == parse_field("GF(8)")
+    assert parse_field("GF(8;mod=x3+x+1)") is parse_field("GF(8)")
     assert parse_field("GF(9)").p == 3
     with pytest.raises(ParseError):
         parse_field("GF(6)")
@@ -189,3 +192,36 @@ def test_tables_match_direct_arithmetic(q):
         assert (-x).coeffs == tuple((-a) % p for a in x.coeffs)
         if x:
             assert _poly_mod_mul(x.coeffs, xs[inv[i]].coeffs, spec.modulus, p) == spec.one.coeffs
+
+
+def test_one_object_per_field():
+    assert FieldSpec(2, 3) is GF(8)
+    assert FieldSpec(2, 3, (1, 1, 0, 1)) is GF(8)
+    assert extension_field(GF(4), 2) is GF(16)
+    for spec in (GF(2), GF(9), GF(8, mod="x3+x2+1")):
+        assert parse_field(spec.literal()) is spec
+    # the tables and the elements are built with the field, once
+    spec = GF(4)
+    assert spec.tables() == (4, spec.add, spec.mul, spec.inv)
+    assert (spec.zero, spec.one, spec.generator) == spec.elements()[:3]
+
+
+def test_other_modulus_is_another_field(F8):
+    other = GF(8, mod="x3+x2+1")
+    assert other is not F8 and other.literal() == "GF(8;mod=x3+x2+1)"
+    for x, y in itertools.product(F8.elements(), other.elements()):
+        assert x != y
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatchError):
+            op(F8.one, other.one)
+    for op in (operator.add, operator.sub, operator.mul, divmod):
+        with pytest.raises(FieldMismatchError):
+            op(Poly.t(F8), Poly.t(other))
+    with pytest.raises(FieldMismatchError):
+        other.element(F8.one)
+    with pytest.raises(FieldMismatchError):
+        Poly(F8, (other.one,))
+    with pytest.raises(FieldMismatchError):
+        Poly.t(F8).scale(other.one)
+    with pytest.raises(FieldMismatchError):
+        Poly.t(F8).eval(other.one)
