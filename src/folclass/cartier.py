@@ -38,10 +38,6 @@ class SymbolicCoeff:
         self.monomials = frozenset(monomials)
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({(Fraction(0), Fraction(0))})
 

@@ -227,76 +227,79 @@ def _shape_matches(family, d):
 
 
 def _candidates(family, d):
-    """Parameter/scalar candidates read off the triple's coefficients.
+    """The one (params, lam) candidate read off the triple's coefficients,
+    or None when the shape has none.
 
     Every family formula pins its parameters as coefficient ratios or as
     roots of linear factors obtained by exact division, so each shape admits
     at most one candidate (the IV-iii / IV-iv product s1*s2 is reported with
     s1 normalized to 1, absorbing the redundant rescaling of s1, s2, r2).
+    lam is never zero: it is a coefficient that _shape_matches pins as
+    nonzero, or a quotient of nonzero elements.
     """
     a, b, c, spec = d.a, d.b, d.c, d.spec
     f = FamilyId
     if family in (f.I_A, f.I_B):
         main, other = (b, a) if family is f.I_A else (a, b)
         lam = main.leading
-        return [({"s": other.coeff(1) / lam, "t1": _root_of_linear(main), "t2": other.coeff(0) / lam}, lam)]
+        return {"s": other.coeff(1) / lam, "t1": _root_of_linear(main), "t2": other.coeff(0) / lam}, lam
     if family is f.II_I:
         t1 = _root_of_linear(b)
         quot, rem = divmod(c, Poly(spec, (t1, spec.one)))
         if rem or quot.degree != 1:
-            return []
-        return [({"t1": t1, "t2": _root_of_linear(quot)}, a.coeff(0))]
+            return None
+        return {"t1": t1, "t2": _root_of_linear(quot)}, a.coeff(0)
     if family is f.II_II:
         t2 = _root_of_linear(a)
         quot, rem = divmod(c, Poly(spec, (t2, spec.one)))
         if rem or quot.degree != 1:
-            return []
-        return [({"t1": _root_of_linear(quot), "t2": t2}, b.coeff(0))]
+            return None
+        return {"t1": _root_of_linear(quot), "t2": t2}, b.coeff(0)
     if family is f.II_III:
-        return [({"t1": _root_of_linear(b), "t2": _root_of_linear(a)}, a.leading)]
+        return {"t1": _root_of_linear(b), "t2": _root_of_linear(a)}, a.leading
     if family is f.II_IV:
         t2 = _root_of_linear(a)
         t1 = _root_of_linear(b)
         quot, rem = divmod(c, Poly(spec, (t1, spec.one)) * Poly(spec, (t2, spec.one)))
         if rem or quot.degree != 1:
-            return []
+            return None
         t0 = _root_of_linear(quot)
         if t0 == t1:
-            return []
-        return [({"t0": t0, "t1": t1, "t2": t2}, a.leading / (t0 + t1))]
+            return None
+        return {"t0": t0, "t1": t1, "t2": t2}, a.leading / (t0 + t1)
     if family is f.III_I:
         lam = b.coeff(0)
-        return [({"s": a.leading / lam, "t1": _root_of_linear(a)}, lam)]
+        return {"s": a.leading / lam, "t1": _root_of_linear(a)}, lam
     if family is f.III_II:
         lam = a.coeff(0)
-        return [({"s": lam / b.leading, "t1": _root_of_linear(c)}, lam)]
+        return {"s": lam / b.leading, "t1": _root_of_linear(c)}, lam
     if family is f.III_III:
         t2 = _root_of_linear(a)
         t1 = _root_of_linear(b)
         if t1 == t2:
-            return []
+            return None
         lam = a.leading / (t1 + t2)
-        return [({"s": lam / b.leading, "t1": t1, "t2": t2}, lam)]
+        return {"s": lam / b.leading, "t1": t1, "t2": t2}, lam
     if family is f.IV_I:
         lam = a.coeff(0)
-        return [({"s1": lam / b.leading, "t2": b.coeff(0) / lam}, lam)]
+        return {"s1": lam / b.leading, "t2": b.coeff(0) / lam}, lam
     if family is f.IV_II:
         lam = a.leading
-        return [({"s1": lam / b.coeff(0), "t2": b.coeff(1) / lam}, lam)]
+        return {"s1": lam / b.coeff(0), "t2": b.coeff(1) / lam}, lam
     if family is f.IV_III:
         lam = a.leading
         rho = _root_of_linear(a)
         if not rho:
-            return []
-        return [({"s1": spec.one, "s2": lam / b.coeff(0), "r2": rho}, lam)]
+            return None
+        return {"s1": spec.one, "s2": lam / b.coeff(0), "r2": rho}, lam
     if family is f.IV_IV:
         lam = a.leading
         t1 = _root_of_linear(a)
         t2 = _root_of_linear(b)
         if t1 == t2:
-            return []
+            return None
         sig = lam / (b.leading * (t1 + t2))
-        return [({"s1": spec.one, "s2": sig, "t1": t1, "t2": t2}, lam)]
+        return {"s1": spec.one, "s2": sig, "t1": t1, "t2": t2}, lam
     raise AssertionError(family)  # pragma: no cover
 
 
@@ -308,8 +311,7 @@ def classify(d: DerivationTriple):
     rational function of the coefficients, and embedding into an extension
     is a field homomorphism, so a match over GF(q^m) is the image of one
     over GF(q).  Every returned match re-instantiates to the input exactly.
-    Results come in family tag order, at most one per family, as
-    _candidates gives at most one candidate per family.
+    Results come in family tag order, at most one per family.
     """
     failed = failed_conditions(d)
     if failed:
@@ -318,15 +320,14 @@ def classify(d: DerivationTriple):
         )
     matches = []
     for family in families_of_case(d.case):
-        if not _shape_matches(family, d):
+        candidate = _shape_matches(family, d) and _candidates(family, d)
+        if not candidate:
             continue
-        for params, lam in _candidates(family, d):
-            if not lam:
-                continue
-            try:
-                inst = instantiate(family, params, d.spec)
-            except InvalidParameterError:
-                continue
-            if scale(lam, inst) == d:
-                matches.append(FamilyMatch(family, params, lam))
+        params, lam = candidate
+        try:
+            inst = instantiate(family, params, d.spec)
+        except InvalidParameterError:  # a counterexample: leave the class unmatched
+            continue
+        if scale(lam, inst) == d:
+            matches.append(FamilyMatch(family, params, lam))
     return matches

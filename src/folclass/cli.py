@@ -4,10 +4,11 @@ Commands: enumerate, classify, verify-families, verify-theorem, cartier,
 fields.  Exit codes: 0 success, 1 usage or internal error, 2 when a
 verification command finds counterexamples (unmatched scalar classes,
 inadmissible family instances, a vanishing trace).  Summary reports are
-JSON by default (CSV with --format csv); JSON-lines detail is opt-in via
---detail.  All report files embed a run manifest; timing fields (and the
-worker count) are suppressed by --no-timing so identical inputs produce
-byte-identical outputs.
+JSON by default (CSV with --format csv); enumerate and verify-theorem
+write JSON-lines per-class detail when --detail names a file.  All report
+files embed a run manifest; timing fields (and the worker count) are
+suppressed by --no-timing so identical inputs produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _parse_cases(text):
 def _manifest(command, args, **extra):
     m = {"tool": "folclass", "version": __version__, "command": command}
     m.update(extra)
-    outputs = {"summary": getattr(args, "out", None) or "stdout"}
+    outputs = {"summary": args.out or "stdout"}
     if getattr(args, "detail", None):
         outputs["detail"] = args.detail
     m["outputs"] = outputs
@@ -73,9 +74,18 @@ def _write_atomic(path, content):
         raise FolclassError(f"cannot write report to {path}: {exc}") from exc
 
 
-def _emit(args, payload, csv_rows=None):
-    """Serialize the payload (or CSV rows) and write/print the summary."""
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+def _emit(args, payload, started=None, jobs=None, csv_rows=None):
+    """Write the summary (csv_rows under --format csv, else the payload).
+
+    The one owner of the timing block, added last: the runtime since
+    `started` and the scan's worker count, unless --no-timing.
+    """
+    if started is not None and not args.no_timing:
+        timing = {"runtime_seconds": round(time.monotonic() - started, 6)}
+        if jobs is not None:
+            timing["jobs"] = jobs
+        payload["timing"] = timing
+    if args.format == "csv" and csv_rows is not None:
         header, rows = csv_rows
         lines = [",".join(header)]
         for row in rows:
@@ -83,20 +93,10 @@ def _emit(args, payload, csv_rows=None):
         content = "\n".join(lines) + "\n"
     else:
         content = json.dumps(payload, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        _write_atomic(out, content)
+    if args.out:
+        _write_atomic(args.out, content)
     else:
         sys.stdout.write(content)
-
-
-def _timing_block(args, started, jobs=None):
-    if args.no_timing:
-        return None
-    block = {"runtime_seconds": round(time.monotonic() - started, 6)}
-    if jobs is not None:
-        block["jobs"] = jobs
-    return block
 
 
 # -- commands -----------------------------------------------------------------
@@ -138,10 +138,7 @@ def cmd_classify(args):
         "triple": triple.to_json_dict(),
         "matches": [m.to_json_dict() for m in matches],
     }
-    timing = _timing_block(args, started)
-    if timing:
-        payload["timing"] = timing
-    _emit(args, payload)
+    _emit(args, payload, started)
     return 0
 
 
@@ -188,16 +185,15 @@ def cmd_enumerate(args):
         "results": results,
         "findings": unmatched,
     }
-    timing = _timing_block(args, started, jobs=args.jobs)
-    if timing:
-        payload["timing"] = timing
     if args.detail:
         _write_atomic(args.detail, "\n".join(detail_lines) + "\n")
-    _emit(args, payload, csv_rows=_completeness_csv(results, args))
+    _emit(args, payload, started, args.jobs, _completeness_csv(results))
     return 2 if unmatched else 0
 
 
-def _completeness_csv(results, args):
+def _completeness_csv(results, soundness_failures=None):
+    """CSV rows of the completeness reports; verify-theorem passes each
+    case's soundness failure count, which becomes the last column."""
     header = [
         "field",
         "case",
@@ -228,6 +224,10 @@ def _completeness_csv(results, args):
                 r.get("runtime_seconds", ""),
             ]
         )
+    if soundness_failures is not None:
+        header.append("soundness_failures")
+        for row, count in zip(rows, soundness_failures):
+            row.append(count)
     return header, rows
 
 
@@ -255,11 +255,8 @@ def cmd_verify_families(args):
         "results": results,
         "findings": failures,
     }
-    timing = _timing_block(args, started)
-    if timing:
-        payload["timing"] = timing
     header = ["field", "case", "family", "instances", "failures", "passed", "version"]
-    _emit(args, payload, csv_rows=(header, csv_rows))
+    _emit(args, payload, started, csv_rows=(header, csv_rows))
     return 2 if failures else 0
 
 
@@ -268,7 +265,6 @@ def cmd_verify_theorem(args):
     spec = parse_field(args.field)
     cases = _parse_cases(args.case)
     results = []
-    csv_results = []
     detail_lines = []
     findings = 0
     for case in cases:
@@ -287,9 +283,6 @@ def cmd_verify_theorem(args):
                 "all_valid_have_c_nonzero": all_nonzero,
             }
         results.append(entry)
-        cc = completeness.to_json_dict(with_timing=not args.no_timing)
-        cc["soundness_failures"] = len(soundness.failures)
-        csv_results.append(cc)
         if args.detail:
             detail_lines.extend(_detail_lines(completeness, not args.no_timing))
     payload = {
@@ -303,12 +296,13 @@ def cmd_verify_theorem(args):
         "results": results,
         "findings": findings,
     }
-    timing = _timing_block(args, started, jobs=args.jobs)
-    if timing:
-        payload["timing"] = timing
     if args.detail:
         _write_atomic(args.detail, "\n".join(detail_lines) + "\n")
-    _emit(args, payload, csv_rows=_completeness_csv(csv_results, args))
+    csv_rows = _completeness_csv(
+        [r["completeness"] for r in results],
+        [len(r["soundness"]["failures"]) for r in results],
+    )
+    _emit(args, payload, started, args.jobs, csv_rows)
     return 2 if findings else 0
 
 
@@ -360,27 +354,25 @@ def cmd_cartier(args):
         "results": results,
         "findings": vanished,
     }
-    timing = _timing_block(args, started)
-    if timing:
-        payload["timing"] = timing
-    _emit(args, payload)
+    _emit(args, payload, started)
     return 2 if vanished else 0
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(p, with_jobs=False, with_case=True):
+def _add_common(p, scan=False):
+    """Options of the per-case commands; the scanning ones (enumerate,
+    verify-theorem) also take the worker count and the per-class detail file."""
     p.add_argument("--field", required=True, help="field literal, e.g. GF(4) or GF(8;mod=x3+x+1)")
-    if with_case:
-        p.add_argument("--case", default="all", help="Lie case: I, II, III, IV, a comma list, or all")
-    if with_jobs:
+    p.add_argument("--case", default="all", help="Lie case: I, II, III, IV, a comma list, or all")
+    if scan:
         # a string default goes through type=, so a bad $FOLCLASS_JOBS is a usage error
         p.add_argument("--jobs", type=_positive_int, default=os.environ.get("FOLCLASS_JOBS", "1"),
                        help="worker processes for the scan, at most q^2 are used "
                        "(default $FOLCLASS_JOBS or 1)")
+        p.add_argument("--detail", help="write JSON-lines per-class detail to this path")
     p.add_argument("--out", help="write the summary report to this path (atomic)")
-    p.add_argument("--detail", help="write JSON-lines per-class detail to this path")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="summary format")
     p.add_argument("--no-timing", action="store_true", help="omit timing fields (for reproducible output)")
 
@@ -423,7 +415,7 @@ def build_parser():
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate", help="enumerate, filter and classify all triples of a case")
-    _add_common(p, with_jobs=True)
+    _add_common(p, scan=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify-families", help="check every family instance is admissible")
@@ -431,7 +423,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify_families)
 
     p = sub.add_parser("verify-theorem", help="soundness + completeness over one field")
-    _add_common(p, with_jobs=True)
+    _add_common(p, scan=True)
     p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("cartier", help="verify nonvanishing of the iterated trace")
@@ -451,10 +443,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FolclassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (FolclassError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -165,9 +165,8 @@ def oracle_delta_squared(d: DerivationTriple) -> SquaredDerivation:
 
 def satisfies_C1(d: DerivationTriple) -> bool:
     """Primitivity: the gcd of the nonzero components is a nonzero constant."""
+    # DerivationTriple refuses (0, 0, 0), so some component is nonzero
     nonzero = [f for f in d.components() if f]
-    if not nonzero:
-        return False
     g = nonzero[0]
     for f in nonzero[1:]:
         g = poly_gcd(g, f)

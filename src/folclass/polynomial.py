@@ -341,22 +341,9 @@ class BiPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=()):
-        d = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (i, j), c in items:
-            if not c:
-                continue
-            key = (int(i), int(j))
-            if key in d:
-                c = d[key] + c
-                if c:
-                    d[key] = c
-                else:
-                    del d[key]
-            else:
-                d[key] = c
-        self.terms = d
+    def __init__(self, terms):
+        # terms maps (i, j) to the coefficient of x^i y^j
+        self.terms = {key: c for key, c in terms.items() if c}
 
     @classmethod
     def monomial(cls, i, j, coeff):

@@ -332,3 +332,114 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "folclass" in proc.stdout
+
+
+# --no-timing stdout digests of the commands the reports above do not pin;
+# `fields` has no timing block and so no --no-timing
+COMMAND_DIGESTS = {
+    ("enumerate", "--field", "GF(4)", "--format", "csv"):
+        "31cd7340c616b96cb45fc6d1bc11ab5e5a6dd7979be8e1f80af3c344fff540cc",
+    ("verify-families", "--field", "GF(4)"):
+        "6a30bd0db896a70bbd6bc3d07c8a6cfce21b4c18db72f6c82131448fc961a037",
+    ("verify-families", "--field", "GF(4)", "--format", "csv"):
+        "b028ad7b9463411c86224a13dd8089d2e12ae1d9d2efa87dd679afe89901255b",
+    ("cartier", "--G", "s,t"):
+        "08f7a57be4a572b8781ead59bab702fe8905e5aa06f5115e30dc975e77b6daf3",
+    ("cartier", "--G", "u,u+1@GF(4)"):
+        "0cb036cc1aeda7216488a9384bffc28ab65714b83336f7d938bacbe55e87caa0",
+    ("cartier", "--G", "1,1@GF(3)"):
+        "3b1eb3422d6383b6b8b688aa01d2f0a91f5300c228a7dcdd7f4df48051494b39",
+    ("fields", "--field", "GF(9)", "--tables"):
+        "5aa524554602f6501b14d927e454d64b6997ca59de45671a9348e0f9dd41af14",
+    ("classify", "--field", "GF(4)", "--case", "II", "--a", "1", "--b", "t", "--c", "t^2+t"):
+        "42d62f7336bb2c1f3af575c845364a93e5713dea4ad5fa731e4ffc83feac02b7",
+    ("verify-theorem", "--field", "GF(4)", "--format", "csv"):
+        "f30f3c137c27cfaea04da45b43a64a013890a516e48e9251af942c46498cd34f",
+}
+
+
+@pytest.mark.parametrize("argv", COMMAND_DIGESTS, ids=" ".join)
+def test_command_stdout_pinned_by_digest(argv, capsys):
+    timing = () if argv[0] == "fields" else ("--no-timing",)
+    code, out, _err = run_cli([*argv, *timing], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_DIGESTS[argv]
+
+
+TIMED_COMMANDS = {
+    ("classify", "--field", "GF(2)", "--case", "I", "--a", "1", "--b", "t", "--c", "0"): False,
+    ("enumerate", "--field", "GF(2)", "--case", "IV"): True,
+    ("verify-families", "--field", "GF(2)", "--case", "IV"): False,
+    ("verify-theorem", "--field", "GF(2)", "--case", "IV"): True,
+    ("cartier", "--e-max", "1"): False,
+}
+
+
+@pytest.mark.parametrize("argv", TIMED_COMMANDS, ids=lambda argv: argv[0])
+def test_timing_block_by_default_and_last(argv, capsys):
+    # the runtime always, the worker count only for the scanning commands
+    code, out, _err = run_cli(list(argv), capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[-1] == "timing"
+    assert payload["timing"]["runtime_seconds"] >= 0
+    assert ("jobs" in payload["timing"]) is TIMED_COMMANDS[argv]
+    code, out, _err = run_cli([*argv, "--no-timing"], capsys)
+    assert code == 0
+    assert "timing" not in json.loads(out)
+
+
+def test_verify_theorem_csv_counts_soundness_failures(monkeypatch, capsys):
+    real = cli.verify_soundness
+
+    def one_failure(spec, case):
+        report = real(spec, case)
+        report.failures.append({"family": "IV-iv", "params": {}, "triple": {}})
+        return report
+
+    monkeypatch.setattr(cli, "verify_soundness", one_failure)
+    code, out, _err = run_cli(
+        ["verify-theorem", "--field", "GF(2)", "--case", "IV", "--format", "csv", "--no-timing"],
+        capsys,
+    )
+    assert code == 2
+    header, row = out.strip().splitlines()
+    assert header.endswith(",soundness_failures")
+    assert row.startswith("GF(2),IV,") and row.endswith(",1")
+
+
+def test_verify_families_refuses_detail(monkeypatch, tmp_path, capsys):
+    # only the scanning commands write per-class detail lines
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-families", "--field", "GF(2)", "--detail", "x.jsonl"])
+    assert exc.value.code == 1
+    assert "--detail" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+def test_enumerate_reports_seeded_unmatched_class(monkeypatch, tmp_path, capsys):
+    # without IV-iv one GF(2) case-IV class has no family: a finding, exit 2
+    from folclass import classifier
+
+    families = classifier.families_of_case
+    monkeypatch.setattr(
+        classifier,
+        "families_of_case",
+        lambda case: tuple(f for f in families(case) if f is not classifier.FamilyId.IV_IV),
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out, _err = run_cli(
+        ["enumerate", "--field", "GF(2)", "--case", "IV", "--no-timing", "--detail", "D.jsonl"],
+        capsys,
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["findings"] == 1
+    (result,) = payload["results"]
+    assert result["matched"] == 5
+    unmatched = {"case": "IV", "a": "t+1", "b": "t", "c": "t^3+t^2+t+1", "field": "GF(2)"}
+    assert result["unmatched"] == [unmatched]
+    lines = [json.loads(line) for line in (tmp_path / "D.jsonl").read_text().splitlines()]
+    assert len(lines) == 7
+    assert [rec["matches"] for rec in lines[1:] if rec["triple"] == unmatched] == [[]]
