@@ -7,6 +7,14 @@ one-shot extraction mod p^e, which doubles as an internal cross-check.  The
 trace along the fixed quadric G with a simple pole is realized by
 p^e-linearity:  f/G = G^(p^e-1) f / G^(p^e), so  f |-> C^e(G^(p^e-1) f)/G.
 
+The factor G^(p^e-1) is built one step per e from
+G^(p^e-1) = G^(p-1) * (G^(p^(e-1)-1))^p, with the p-th power taken term by
+term: c x^i y^j |-> c^p x^(pi) y^(pj).  That is exact because both
+coefficient rings have characteristic p, where (a + b)^p = a^p + b^p (the
+binomial coefficients C(p, k), 0 < k < p, vanish), so e steps replace the
+p^e - 2 products of repeated multiplication and feed the same polynomial
+to the Cartier operator.
+
 Coefficients are either finite-field elements or elements of a symbolic
 ring: GF(2)-combinations of monomials s^α t^β with dyadic rational
 exponents, where s and t are formal non-squares with exact half-integer
@@ -66,6 +74,10 @@ class SymbolicCoeff:
     def sqrt(self):
         return SymbolicCoeff({(sa / 2, ta / 2) for sa, ta in self.monomials})
 
+    def frobenius(self):
+        """The square, inverse to sqrt: cross terms cancel in characteristic 2."""
+        return SymbolicCoeff({(sa + sa, ta + ta) for sa, ta in self.monomials})
+
     def __bool__(self):
         return bool(self.monomials)
 
@@ -97,18 +109,33 @@ class SymbolicCoeff:
         return f"SymbolicCoeff({self})"
 
 
-def _coeff_pth_root(c, p):
+def _check_characteristic(c, p):
+    """Refuse a coefficient whose ring does not have characteristic p."""
     if isinstance(c, SymbolicCoeff):
         if p != 2:
             raise ValueError("the symbolic coefficient ring only supports p = 2")
-        return c.sqrt()
-    if isinstance(c, FieldElement):
+    elif isinstance(c, FieldElement):
         if c.spec.p != p:
             raise ValueError(
-                f"p-th root for p = {p} unavailable in {c.spec.literal()} (characteristic {c.spec.p})"
+                f"p = {p} does not match {c.spec.literal()} (characteristic {c.spec.p})"
             )
-        return c.pth_root()
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+    else:
+        raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _coeff_pth_root(c, p):
+    _check_characteristic(c, p)
+    return c.sqrt() if isinstance(c, SymbolicCoeff) else c.pth_root()
+
+
+def _coeff_frobenius(c, p):
+    _check_characteristic(c, p)
+    return c.frobenius()
+
+
+def _frobenius(h: BiPoly, p: int) -> BiPoly:
+    """h^p, taken term by term (exact in characteristic p)."""
+    return BiPoly({(p * i, p * j): _coeff_frobenius(c, p) for (i, j), c in h.terms.items()})
 
 
 def cartier_once(h: BiPoly, p: int) -> BiPoly:
@@ -179,6 +206,16 @@ class Quadric:
     def coefficient_one(self):
         return self.G.constant_term()  # G(0,0) = 1 by construction here
 
+    def trace_factor(self, e: int) -> BiPoly:
+        """G^(p^e - 1), as G^(p-1) * (G^(p^(k-1) - 1))^p for k = 2..e."""
+        if e < 1:
+            raise ValueError("iteration count e must be >= 1")
+        base = self.G ** (self.p - 1)
+        out = base
+        for _ in range(e - 1):
+            out = base * _frobenius(out, self.p)
+        return out
+
 
 @dataclass(frozen=True)
 class TopForm:
@@ -212,8 +249,7 @@ class TraceOperator:
         Computed as C^e(G^(p^e - 1) * f)/G; for f = 0 the image is 0."""
         if f.is_zero():
             return TopForm(f, 1, self.quadric)
-        pe = self.p**e
-        image = cartier_iter(self.quadric.G ** (pe - 1) * f, self.p, e)
+        image = cartier_iter(self.quadric.trace_factor(e) * f, self.p, e)
         return TopForm(image, 1, self.quadric)
 
     def canonical_input(self, e: int) -> BiPoly:

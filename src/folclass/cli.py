@@ -32,7 +32,7 @@ from .enumerator import (
 )
 from .errors import FolclassError, ParseError
 from .finite_field import format_modulus, parse_element, parse_field
-from .polynomial import parse_poly
+from .polynomial import MAX_EXPONENT, parse_poly
 
 _ALL_CASES = tuple(LieCase)
 
@@ -327,6 +327,13 @@ def cmd_cartier(args):
     started = time.monotonic()
     quadric = _parse_quadric(args.G)
     e_max = args.e_max if args.e_max is not None else (4 if quadric.p == 2 else 3)
+    # the trace at e multiplies by G^(p^e - 1); keep it within parse_poly's exponent bound
+    exponent = quadric.p**e_max - 1
+    if exponent > MAX_EXPONENT:
+        raise ValueError(
+            f"--e-max {e_max}: p^e - 1 = {exponent} is above the exponent "
+            f"bound {MAX_EXPONENT} for p = {quadric.p}"
+        )
     op = TraceOperator(quadric)
     results = []
     vanished = 0
@@ -361,6 +368,15 @@ def cmd_cartier(args):
 # -- parser -------------------------------------------------------------------
 
 
+def _add_output(p, formats=("json",), timing=True):
+    """The summary output options; `fields` reports no timing to omit."""
+    p.add_argument("--out", help="write the summary report to this path (atomic)")
+    p.add_argument("--format", choices=formats, default="json", help="summary format")
+    if timing:
+        p.add_argument("--no-timing", action="store_true",
+                       help="omit timing fields (for reproducible output)")
+
+
 def _add_common(p, scan=False):
     """Options of the per-case commands; the scanning ones (enumerate,
     verify-theorem) also take the worker count and the per-class detail file."""
@@ -372,9 +388,7 @@ def _add_common(p, scan=False):
                        help="worker processes for the scan, at most q^2 are used "
                        "(default $FOLCLASS_JOBS or 1)")
         p.add_argument("--detail", help="write JSON-lines per-class detail to this path")
-    p.add_argument("--out", help="write the summary report to this path (atomic)")
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="summary format")
-    p.add_argument("--no-timing", action="store_true", help="omit timing fields (for reproducible output)")
+    _add_output(p, formats=("json", "csv"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,8 +413,7 @@ def build_parser():
     p = sub.add_parser("fields", help="describe a field (modulus, elements, optional tables)")
     p.add_argument("--field", required=True)
     p.add_argument("--tables", action="store_true", help="include add/mul/inv tables")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json",), default="json")
+    _add_output(p, timing=False)
     p.set_defaults(func=cmd_fields)
 
     p = sub.add_parser("classify", help="classify one triple into the family taxonomy")
@@ -409,9 +422,7 @@ def build_parser():
     p.add_argument("--a", required=True, help="polynomial literal for a(t)")
     p.add_argument("--b", required=True, help="polynomial literal for b(t)")
     p.add_argument("--c", required=True, help="polynomial literal for c(t)")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json",), default="json")
-    p.add_argument("--no-timing", action="store_true")
+    _add_output(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate", help="enumerate, filter and classify all triples of a case")
@@ -429,10 +440,9 @@ def build_parser():
     p = sub.add_parser("cartier", help="verify nonvanishing of the iterated trace")
     p.add_argument("--G", default="s,t", help="quadric coefficients: `s,t` or `u,u+1@GF(4)`")
     p.add_argument("--e-max", type=_positive_int, default=None, dest="e_max",
-                   help="check e = 1..e_max (default 4 for p=2, 3 otherwise)")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json",), default="json")
-    p.add_argument("--no-timing", action="store_true")
+                   help="check e = 1..e_max (default 4 for p=2, 3 otherwise); "
+                   f"p^e_max - 1 may not exceed {MAX_EXPONENT}")
+    _add_output(p)
     p.set_defaults(func=cmd_cartier)
 
     return parser

@@ -44,6 +44,8 @@ def test_symbolic_sqrt_round_trip_random():
         }
         c = SymbolicCoeff(mono)
         assert c.sqrt() * c.sqrt() == c
+        assert c.frobenius() == c * c
+        assert c.frobenius().sqrt() == c
 
 
 def test_cartier_once_examples_p2():
@@ -145,6 +147,28 @@ def test_trace_with_pole_p3_matches_closed_form():
     assert form.pole_power == 1
     zero_form = op.trace_with_pole(BiPoly({}), 2)
     assert zero_form.is_zero()
+    with pytest.raises(ValueError):
+        op.trace_with_pole(BiPoly.monomial(2, 2, F3.one), 0)
+
+
+def _quadrics():
+    F3, F4, F5, F8, F9 = GF(3), GF(4), GF(5), GF(8), GF(9)
+    return [
+        pytest.param(Quadric.symbolic(), 5, id="symbolic"),
+        pytest.param(Quadric.concrete(F4.generator, F4.generator + F4.one), 5, id="GF(4)"),
+        pytest.param(Quadric.concrete(F8.generator, F8.generator + F8.one), 5, id="GF(8)"),
+        pytest.param(Quadric.concrete(F3.one, F3.one), 3, id="GF(3)"),
+        pytest.param(Quadric.concrete(F9.generator, F9.one), 3, id="GF(9)"),
+        pytest.param(Quadric.concrete(F5.one, F5.one + F5.one), 2, id="GF(5)"),
+    ]
+
+
+@pytest.mark.parametrize("quadric, e_max", _quadrics())
+def test_trace_factor_matches_repeated_product(quadric, e_max):
+    # the Frobenius-built G^(p^e-1) against p^e - 2 plain products
+    p = quadric.p
+    for e in range(1, e_max + 1):
+        assert quadric.trace_factor(e) == quadric.G ** (p**e - 1), e
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 4])
@@ -163,6 +187,15 @@ def test_nonvanishing_p3(e):
     nonzero, form = op.verify_nonvanishing(e)
     assert nonzero
     assert form.numerator == BiPoly.monomial(0, 0, F3.one)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_nonvanishing_p5(e):
+    F5 = GF(5)
+    op = TraceOperator(Quadric.concrete(F5.one, F5.one))
+    nonzero, form = op.verify_nonvanishing(e)
+    assert nonzero
+    assert form.numerator == BiPoly.monomial(0, 0, F5.one)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 4])

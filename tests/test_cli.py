@@ -310,6 +310,24 @@ def test_cartier_e_max_below_one_exits_one(e_max, capsys):
     assert "--e-max: expected an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cartier", "--e-max", "11"],
+    ["cartier", "--G", "1,1@GF(3)", "--e-max", "7"],
+])
+def test_cartier_e_max_above_exponent_bound_exits_one(argv, monkeypatch, capsys):
+    # refused before the first trace: G^(p^e - 1) would pass parse_poly's exponent bound
+    from folclass.cartier import TraceOperator
+
+    def no_trace(self, e):
+        raise AssertionError("a trace ran before the --e-max bound was checked")
+
+    monkeypatch.setattr(TraceOperator, "verify_nonvanishing", no_trace)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "above the exponent bound 1024" in err
+
+
 def test_enumerate_odd_characteristic_exits_one(capsys):
     code, out, err = run_cli(["enumerate", "--field", "GF(9)", "--no-timing"], capsys)
     assert code == 1
@@ -349,6 +367,14 @@ COMMAND_DIGESTS = {
         "0cb036cc1aeda7216488a9384bffc28ab65714b83336f7d938bacbe55e87caa0",
     ("cartier", "--G", "1,1@GF(3)"):
         "3b1eb3422d6383b6b8b688aa01d2f0a91f5300c228a7dcdd7f4df48051494b39",
+    ("cartier", "--G", "s,t", "--e-max", "8"):
+        "75ed33aa9b73509aef54375c0793cef30ff8f5bd9d0652bf5b9a6d97f31ff8ee",
+    ("cartier", "--G", "u,u+1@GF(8;mod=x3+x+1)", "--e-max", "8"):
+        "8ef600f5fd1e37f8d22794bc320ca149c62f3d2f08e2b1baee79509652e57e50",
+    ("cartier", "--G", "1,1@GF(3)", "--e-max", "5"):
+        "05ce1846a8d42cbb1dcd1231fa907dbbb2f2ce02a21ed32772b68733e85f9e1c",
+    ("cartier", "--G", "1,1@GF(5)", "--e-max", "4"):
+        "116e7fcf5d646f2496154b1e15242a7b31ac3c3c2141ad71d6d16310d9c24205",
     ("fields", "--field", "GF(9)", "--tables"):
         "5aa524554602f6501b14d927e454d64b6997ca59de45671a9348e0f9dd41af14",
     ("classify", "--field", "GF(4)", "--case", "II", "--a", "1", "--b", "t", "--c", "t^2+t"):
