@@ -16,10 +16,13 @@ p^e - 2 products of repeated multiplication and feed the same polynomial
 to the Cartier operator.
 
 Coefficients are either finite-field elements or elements of a symbolic
-ring: GF(2)-combinations of monomials s^α t^β with dyadic rational
-exponents, where s and t are formal non-squares with exact half-integer
-powers (a finite field cannot contain non-squares in characteristic 2, so
-the symbolic ring is the faithful home for the quadric's coefficients).
+ring: GF(2)-combinations of monomials s^α t^β, where s and t are formal
+non-squares with exact square roots (a finite field cannot contain
+non-squares in characteristic 2, so the symbolic ring is the faithful home
+for the quadric's coefficients).  The exponents α, β are multiples of
+2^-10, stored as integers over the fixed scale SCALE = 2^10; a root that
+would leave that grid raises ValueError.  Both rings expose pth_root and
+frobenius.
 """
 
 from __future__ import annotations
@@ -32,12 +35,22 @@ from .finite_field import FieldElement
 from .polynomial import BiPoly
 
 
-class SymbolicCoeff:
-    """A GF(2)-combination of monomials s^α t^β, α and β dyadic rationals >= 0.
+# Symbolic exponents are integers over this scale: (a, b) stands for
+# s^(a/SCALE) t^(b/SCALE).  The trace at e takes e square roots of integer
+# exponents, and the CLI caps p^e - 1 at polynomial.MAX_EXPONENT = 1024, so
+# e <= 10 for p = 2 and 2^10 is enough.
+SCALE_BITS = 10
+SCALE = 2**SCALE_BITS
 
-    Stored as a frozenset of exponent pairs; addition is symmetric
-    difference, and square roots halve exponents monomial by monomial
-    (Frobenius makes the root of a sum the sum of the roots).
+
+class SymbolicCoeff:
+    """A GF(2)-combination of monomials s^α t^β, α and β >= 0 multiples of 2^-10.
+
+    Stored as a frozenset of integer exponent pairs (a, b) meaning
+    s^(a/SCALE) t^(b/SCALE); a monomial occurs at most once, its coefficient
+    being 1.  Addition is symmetric difference, and the square root halves
+    exponents monomial by monomial (Frobenius makes the root of a sum the
+    sum of the roots).
     """
 
     __slots__ = ("monomials",)
@@ -47,15 +60,15 @@ class SymbolicCoeff:
 
     @classmethod
     def one(cls):
-        return cls({(Fraction(0), Fraction(0))})
+        return cls({(0, 0)})
 
     @classmethod
     def s(cls):
-        return cls({(Fraction(1), Fraction(0))})
+        return cls({(SCALE, 0)})
 
     @classmethod
     def t(cls):
-        return cls({(Fraction(0), Fraction(1))})
+        return cls({(0, SCALE)})
 
     def __add__(self, other):
         return SymbolicCoeff(self.monomials ^ other.monomials)
@@ -71,12 +84,19 @@ class SymbolicCoeff:
                     acc.add(key)
         return SymbolicCoeff(acc)
 
-    def sqrt(self):
-        return SymbolicCoeff({(sa / 2, ta / 2) for sa, ta in self.monomials})
+    def pth_root(self):
+        """The square root (p = 2); refuses an exponent that is not a
+        multiple of 2^-9, whose root would fall below the 2^-10 scale."""
+        out = {(sa >> 1, ta >> 1) for sa, ta in self.monomials if not (sa | ta) & 1}
+        if len(out) != len(self.monomials):  # halving is injective on the kept pairs
+            raise ValueError(
+                f"square root of {self} leaves the exponent scale 2^-{SCALE_BITS}"
+            )
+        return SymbolicCoeff(out)
 
     def frobenius(self):
-        """The square, inverse to sqrt: cross terms cancel in characteristic 2."""
-        return SymbolicCoeff({(sa + sa, ta + ta) for sa, ta in self.monomials})
+        """The square, inverse to pth_root: cross terms cancel in characteristic 2."""
+        return SymbolicCoeff({(sa << 1, ta << 1) for sa, ta in self.monomials})
 
     def __bool__(self):
         return bool(self.monomials)
@@ -91,11 +111,13 @@ class SymbolicCoeff:
         if not self.monomials:
             return "0"
         parts = []
+        # integer order is the order of the exponents a/SCALE
         for sa, ta in sorted(self.monomials):
             factors = []
-            for sym, e in (("s", sa), ("t", ta)):
-                if e == 0:
+            for sym, a in (("s", sa), ("t", ta)):
+                if a == 0:
                     continue
+                e = Fraction(a, SCALE)
                 if e == 1:
                     factors.append(sym)
                 elif e.denominator == 1:
@@ -125,7 +147,7 @@ def _check_characteristic(c, p):
 
 def _coeff_pth_root(c, p):
     _check_characteristic(c, p)
-    return c.sqrt() if isinstance(c, SymbolicCoeff) else c.pth_root()
+    return c.pth_root()
 
 
 def _coeff_frobenius(c, p):
@@ -153,8 +175,9 @@ def cartier_extract(h: BiPoly, p: int, e: int) -> BiPoly:
     out = {}
     for (i, j), c in h.terms.items():
         if i % pe == pe - 1 and j % pe == pe - 1:
+            _check_characteristic(c, p)
             for _ in range(e):
-                c = _coeff_pth_root(c, p)
+                c = c.pth_root()
             out[((i - pe + 1) // pe, (j - pe + 1) // pe)] = c
     return BiPoly(out)
 

@@ -8,8 +8,8 @@ There is one FieldSpec object per field: FieldSpec(p, k, modulus),
 parse_field, GF and extension_field all return the object interned under the
 key (p, k, modulus), the modulus being the canonical one when none is given.
 A field is validated and fully built when it is first made: its flat
-add/mul/neg/inv tables and its q FieldElements, one per index.  Every
-constructor and every operation returns those shared elements, so all
+add/mul/neg/inv/frob/root tables and its q FieldElements, one per index.
+Every constructor and every operation returns those shared elements, so all
 arithmetic is a table lookup, and fields and elements compare by identity.
 Fields of order above _TABLE_LIMIT (256) are refused before anything is
 built.
@@ -133,8 +133,9 @@ class FieldSpec:
     field with the canonical modulus, and asking again for the same key
     returns the same object.  It is built when it is made and never changes
     afterwards: q is `order`, the flat tables `add`, `mul` (entry i*q + j
-    for elements of index i and j), `neg` and `inv` (inv[0] = 0) are tuples
-    of indices, and `zero`, `one`, `generator` and elements() are its
+    for elements of index i and j), `neg`, `inv` (inv[0] = 0), `frob` (the
+    index of x^p) and `root` (the index of the p-th root) are tuples of
+    indices, and `zero`, `one`, `generator` and elements() are its
     interned FieldElements.  Specs and elements compare by identity, so
     elements of distinct fields never compare equal, and all arithmetic
     refuses to mix them.
@@ -209,6 +210,15 @@ class FieldSpec:
         self.mul = tuple(mul)
         self.neg = tuple(add[i * q : (i + 1) * q].index(0) for i in range(q))
         self.inv = (0,) + tuple(mul[i * q : (i + 1) * q].index(1) for i in range(1, q))
+        # Frobenius x -> x^p is a permutation of the field; root is its inverse
+        frob = list(range(q))
+        for _ in range(p - 1):
+            frob = [mul[f * q + i] for i, f in enumerate(frob)]
+        root = [0] * q
+        for i, f in enumerate(frob):
+            root[f] = i
+        self.frob = tuple(frob)
+        self.root = tuple(root)
         self._elements = tuple(FieldElement(self, c) for c in by_idx)
         self.zero, self.one = self._elements[:2]
         # the residue class of the modulus variable (printed as u), index p
@@ -305,11 +315,13 @@ class FieldElement:
 
     def frobenius(self):
         """x -> x^p, an automorphism of the field."""
-        return self ** self.spec.p
+        spec = self.spec
+        return spec._elements[spec.frob[self.index]]
 
     def pth_root(self):
         """The unique y with y^p = x, namely x^(p^(k-1))."""
-        return self ** (self.spec.p ** (self.spec.k - 1))
+        spec = self.spec
+        return spec._elements[spec.root[self.index]]
 
     def __bool__(self):
         return self.index != 0

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from folclass.cartier import (
+    SCALE,
+    SCALE_BITS,
     Quadric,
     SymbolicCoeff,
     TopForm,
@@ -12,6 +14,7 @@ from folclass.cartier import (
     cartier_iter,
     cartier_once,
 )
+from folclass.cli import main
 from folclass.errors import ConsistencyError
 from folclass.finite_field import GF
 from folclass.polynomial import BiPoly
@@ -27,25 +30,116 @@ def test_symbolic_coeff_ring():
     t = SymbolicCoeff.t()
     assert not (one + one)  # characteristic 2
     assert s * t == t * s
-    assert str(s.sqrt()) == "s^(1/2)"
-    assert s.sqrt() * s.sqrt() == s
-    assert (s + t).sqrt() == s.sqrt() + t.sqrt()
+    assert str(s.pth_root()) == "s^(1/2)"
+    assert s.pth_root() * s.pth_root() == s
+    assert (s + t).pth_root() == s.pth_root() + t.pth_root()
     assert str(s * s * t) == "s^2*t"
-    q = SymbolicCoeff({(Fraction(1, 4), Fraction(0))})
+    q = SymbolicCoeff({(SCALE // 4, 0)})  # s^(1/4)
     assert q * q * q * q == s
 
 
 def test_symbolic_sqrt_round_trip_random():
     rng = random.Random(41)
     for _ in range(200):
+        # s^(m/2^k) with k < 3 and t^n, as integers over SCALE
         mono = {
-            (Fraction(rng.randrange(8), 2 ** rng.randrange(3)), Fraction(rng.randrange(8)))
+            (rng.randrange(8) * SCALE // 2 ** rng.randrange(3), rng.randrange(8) * SCALE)
             for _ in range(rng.randrange(1, 5))
         }
         c = SymbolicCoeff(mono)
-        assert c.sqrt() * c.sqrt() == c
+        assert c.pth_root() * c.pth_root() == c
         assert c.frobenius() == c * c
-        assert c.frobenius().sqrt() == c
+        assert c.frobenius().pth_root() == c
+
+
+class FractionCoeff:
+    """Reference model of SymbolicCoeff on Fraction exponents."""
+
+    def __init__(self, monomials):
+        self.monomials = frozenset(monomials)
+
+    @classmethod
+    def of(cls, c):
+        return cls((Fraction(a, SCALE), Fraction(b, SCALE)) for a, b in c.monomials)
+
+    def __add__(self, other):
+        return FractionCoeff(self.monomials ^ other.monomials)
+
+    def __mul__(self, other):
+        acc = set()
+        for sa, ta in self.monomials:
+            for sb, tb in other.monomials:
+                acc ^= {(sa + sb, ta + tb)}
+        return FractionCoeff(acc)
+
+    def pth_root(self):
+        return FractionCoeff((sa / 2, ta / 2) for sa, ta in self.monomials)
+
+    def frobenius(self):
+        return FractionCoeff((2 * sa, 2 * ta) for sa, ta in self.monomials)
+
+    def __str__(self):
+        if not self.monomials:
+            return "0"
+        parts = []
+        for sa, ta in sorted(self.monomials):
+            factors = []
+            for sym, e in (("s", sa), ("t", ta)):
+                if e == 0:
+                    continue
+                if e == 1:
+                    factors.append(sym)
+                elif e.denominator == 1:
+                    factors.append(f"{sym}^{e.numerator}")
+                else:
+                    factors.append(f"{sym}^({e.numerator}/{e.denominator})")
+            parts.append("*".join(factors) if factors else "1")
+        return "+".join(parts)
+
+
+def _rand_symbolic(rng):
+    # exponents m * 2^k / SCALE: every denominator from 1 to 2^10 occurs
+    def exponent():
+        return rng.randrange(32) << rng.randrange(SCALE_BITS + 1)
+
+    return SymbolicCoeff({(exponent(), exponent()) for _ in range(rng.randrange(6))})
+
+
+def test_symbolic_coeff_matches_fraction_model_random():
+    rng = random.Random(53)
+    for _ in range(400):
+        c, d = _rand_symbolic(rng), _rand_symbolic(rng)
+        mc, md = FractionCoeff.of(c), FractionCoeff.of(d)
+        assert str(c) == str(mc)
+        assert FractionCoeff.of(c + d).monomials == (mc + md).monomials
+        assert FractionCoeff.of(c * d).monomials == (mc * md).monomials
+        assert FractionCoeff.of(c.frobenius()).monomials == mc.frobenius().monomials
+        root = mc.pth_root()
+        if all(e.denominator <= SCALE for mono in root.monomials for e in mono):
+            assert FractionCoeff.of(c.pth_root()).monomials == root.monomials
+            assert str(c.pth_root()) == str(root)
+        else:
+            with pytest.raises(ValueError, match=r"2\^-10"):
+                c.pth_root()
+
+
+def test_symbolic_root_scale_bound(monkeypatch, capsys):
+    c = SymbolicCoeff.s()
+    for _ in range(SCALE_BITS):
+        c = c.pth_root()
+    assert str(c) == "s^(1/1024)"
+    with pytest.raises(ValueError, match=r"exponent scale 2\^-10"):
+        c.pth_root()
+
+    # the CLI refuses e = 11 (11 roots) before any trace runs
+    def no_trace(self, e):
+        raise AssertionError("a trace ran before the --e-max bound was checked")
+
+    monkeypatch.setattr(TraceOperator, "verify_nonvanishing", no_trace)
+    assert main(["cartier", "--G", "s,t", "--e-max", "11"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above the exponent bound 1024" in captured.err
 
 
 def test_cartier_once_examples_p2():
@@ -87,7 +181,7 @@ def test_iter_symbolic_example_e2():
     h = (BiPoly.monomial(1, 1, one) * G) ** 3
     out = cartier_iter(h, 2, 2)
     expected = BiPoly(
-        {(0, 0): one, (1, 0): SymbolicCoeff.s().sqrt(), (0, 1): SymbolicCoeff.t().sqrt()}
+        {(0, 0): one, (1, 0): SymbolicCoeff.s().pth_root(), (0, 1): SymbolicCoeff.t().pth_root()}
     )
     assert out == expected
     assert out * out == G
@@ -206,6 +300,43 @@ def test_nonvanishing_concrete_gf4(e):
     nonzero, form = op.verify_nonvanishing(e)
     assert nonzero
     assert form.numerator * form.numerator == op.quadric.G
+
+
+def _specialise(image, s, t):
+    """The symbolic image at field elements s, t (p = 2): s^(a/SCALE) -> (rho^10(s))^a."""
+    def scale_root(x):
+        for _ in range(SCALE_BITS):
+            x = x.pth_root()
+        return x
+
+    rs, rt = scale_root(s), scale_root(t)
+    terms = {}
+    for key, c in image.terms.items():
+        value = s.spec.zero
+        for a, b in c.monomials:
+            value = value + rs**a * rt**b
+        terms[key] = value
+    return BiPoly(terms)
+
+
+def _char2_pairs():
+    F4, F8 = GF(4), GF(8)
+    u = F8.generator
+    nonzero4 = [x for x in F4.elements() if x]
+    return [(s, t) for s in nonzero4 for t in nonzero4] + [
+        (u, u + F8.one), (F8.one, u * u), (u * u + u, u * u + F8.one),
+    ]
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_symbolic_image_specialises_to_concrete(e):
+    # the symbolic trace is a ring map away from every concrete one in characteristic 2
+    symbolic = TraceOperator(Quadric.symbolic())
+    image = symbolic.trace_with_pole(symbolic.canonical_input(e), e).numerator
+    for s, t in _char2_pairs():
+        op = TraceOperator(Quadric.concrete(s, t))
+        concrete = op.trace_with_pole(op.canonical_input(e), e).numerator
+        assert _specialise(image, s, t) == concrete, (str(s), str(t))
 
 
 def test_degree_bound_violation_raises():

@@ -91,12 +91,17 @@ def test_frobenius_is_additive(q):
         assert (x + y).frobenius() == x.frobenius() + y.frobenius()
 
 
-@pytest.mark.parametrize("q", [2, 4, 8, 9, 25])
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 256])
 def test_pth_root_inverts_frobenius(q):
     spec = GF(q)
     p = spec.p
     for x in spec.elements():
         assert x.pth_root() ** p == x
+        # the tables against square-and-multiply
+        assert spec.frob[x.index] == (x**p).index
+        assert spec.root[x.index] == (x ** (p ** (spec.k - 1))).index
+        assert spec.root[spec.frob[x.index]] == x.index == spec.frob[spec.root[x.index]]
+    assert sorted(spec.frob) == sorted(spec.root) == list(range(q))
 
 
 def test_pth_root_examples(F4):
