@@ -221,7 +221,7 @@ class Quadric:
     @classmethod
     def concrete(cls, s, t):
         """G = s*x^2 + t*y^2 + 1 over the field of s and t."""
-        if s.spec != t.spec:
+        if s.spec is not t.spec:
             raise ValueError("s and t must live in one field")
         one = s.spec.one
         return cls(BiPoly({(2, 0): s, (0, 2): t, (0, 0): one}), s.spec.p)

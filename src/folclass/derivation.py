@@ -46,7 +46,7 @@ class DerivationTriple:
 
     def __post_init__(self):
         spec = self.a.spec
-        if self.b.spec != spec or self.c.spec != spec:
+        if self.b.spec is not spec or self.c.spec is not spec:
             raise FieldMismatchError("triple components must share one field")
         if spec.p != 2:
             raise ValueError("derivation triples are specific to characteristic 2")
@@ -95,49 +95,55 @@ def delta_squared(d: DerivationTriple) -> SquaredDerivation:
     A = c * a.formal_derivative()
     B = c * b.formal_derivative()
     C = c * c.formal_derivative()
-    for sq, slot in ((a * a, d.case.alpha_sq), (b * b, d.case.beta_sq)):
+    # a square is formed only when the case sends it to a nonzero slot
+    for f, slot in ((a, d.case.alpha_sq), (b, d.case.beta_sq)):
         if slot == "alpha":
-            A = A + sq
+            A = A + f * f
         elif slot == "beta":
-            B = B + sq
+            B = B + f * f
     return SquaredDerivation(A, B, C)
+
+
+def _rewrite_rules(case):
+    """The word -> slot table of the case's relations on length-2 words.
+
+    alpha and beta commute with each other and with d/dt, so BA, TA and TB
+    rewrite to AB, AT and BT; (d/dt)^2 = 0; and alpha^2, beta^2 go to the
+    case's slot.  A word that rewrites to zero maps to None.
+    """
+    square = {"A": case.alpha_sq, "B": case.beta_sq, "T": "zero"}
+    letter = {"alpha": "A", "beta": "B", "zero": None}
+    rules = {}
+    for x in "ABT":
+        for y in "ABT":
+            rules[x + y] = letter[square[x]] if x == y else "".join(sorted(x + y))
+    return rules
+
+
+# derived once per Lie case; the oracle only reads it
+_REWRITES = {case: _rewrite_rules(case) for case in LieCase}
 
 
 def _compose_engine(case, a, b, c):
     """Expand (a*alpha + b*beta + c*d/dt)^2 by operator composition.
 
-    Only the defining relations are used: alpha and beta commute with
-    functions of t, with each other and with d/dt; d/dt picks up the
-    derivative when moved past a coefficient; (d/dt)^2 = 0; and alpha^2,
-    beta^2 reduce per the Lie case.  Returns the accumulator over the basis
-    words A, B, T, the irreducible length-2 words and the identity word.
+    Each product (rx*x) o (ry*y) of two terms is the word xy with
+    coefficient rx*ry; when x is d/dt, moving it past ry also leaves
+    rx*ry' on the word y.  The length-2 words are then rewritten by the
+    case's table in _REWRITES, built once per Lie case from the defining
+    relations (commutation, (d/dt)^2 = 0, alpha^2 and beta^2 per case); a
+    product whose word rewrites to zero is not formed.  Returns the
+    accumulator over the basis words A, B, T, the irreducible length-2
+    words and the identity word.
     """
     zero = Poly.zero(a.spec)
     slots = {w: zero for w in ("A", "B", "T", "AB", "AT", "BT", "")}
-    sq_words = {"AA": case.alpha_sq, "BB": case.beta_sq}
-    terms = (("A", a), ("B", b), ("T", c))
-
-    def absorb(word, coeff):
-        if len(word) == 2:
-            if word in sq_words:
-                target = sq_words[word]
-                if target == "zero":
-                    return
-                word = "A" if target == "alpha" else "B"
-            elif word == "TT":
-                return
-            else:
-                word = "".join(sorted(word))  # BA -> AB, TA -> AT, TB -> BT
-        slots[word] = slots[word] + coeff
-
-    for x, rx in terms:
-        for y, ry in terms:
-            # (rx * x) o (ry * y): move x past the coefficient ry
-            if x == "T":
-                absorb("T" + y, rx * ry)
-                absorb(y, rx * ry.formal_derivative())
-            else:
-                absorb(x + y, rx * ry)
+    coeff = {"A": a, "B": b, "T": c}
+    for word, target in _REWRITES[case].items():
+        if target is not None:
+            slots[target] = slots[target] + coeff[word[0]] * coeff[word[1]]
+    for y, ry in coeff.items():
+        slots[y] = slots[y] + c * ry.formal_derivative()
     return slots
 
 
@@ -145,12 +151,13 @@ def oracle_delta_squared(d: DerivationTriple) -> SquaredDerivation:
     """Recompute delta^2 by symbolic operator composition.
 
     Independent of delta_squared: the square is expanded as a word rewrite
-    with the Lie relations instead of transcribing the closed formula.  Any
-    residue on irreducible length-2 words or on the identity word signals a
-    bug.  Both sides share Poly's table arithmetic, so the check rests on
-    the two expansions being different algorithms, and on the tests that
-    check that arithmetic: test_tables_match_direct_arithmetic (the field
-    tables against coefficient-vector arithmetic) and
+    with the Lie relations, read from the case's rewrite table, instead of
+    transcribing the closed formula.  Any residue on irreducible length-2
+    words or on the identity word signals a bug.  Both sides share Poly's
+    table arithmetic, so the check rests on the two expansions being
+    different algorithms, and on the tests that check that arithmetic:
+    test_tables_match_direct_arithmetic (the field tables against
+    coefficient-vector arithmetic) and
     test_arithmetic_matches_schoolbook_reference (Poly against coefficient
     loops on FieldElements).
     """
@@ -165,12 +172,14 @@ def oracle_delta_squared(d: DerivationTriple) -> SquaredDerivation:
 
 def satisfies_C1(d: DerivationTriple) -> bool:
     """Primitivity: the gcd of the nonzero components is a nonzero constant."""
-    # DerivationTriple refuses (0, 0, 0), so some component is nonzero
-    nonzero = [f for f in d.components() if f]
-    g = nonzero[0]
-    for f in nonzero[1:]:
-        g = poly_gcd(g, f)
-    return g.degree == 0
+    # once the running gcd is a unit, every further gcd is 1
+    g = None
+    for f in d.components():
+        if f:
+            g = f if g is None else poly_gcd(g, f)
+            if g.degree == 0:
+                return True
+    return False
 
 
 def satisfies_C2(d: DerivationTriple) -> bool:
@@ -244,7 +253,7 @@ def chart_at_infinity(d: DerivationTriple) -> ChartAtInfinity:
 
 def scale(lam, d: DerivationTriple) -> DerivationTriple:
     """Multiply all three components by the nonzero constant lam."""
-    if lam.spec != d.spec:
+    if lam.spec is not d.spec:
         raise FieldMismatchError("scalar must live in the triple's field")
     if not lam:
         raise ZeroDivisionError("scaling a foliation generator by zero")

@@ -55,10 +55,7 @@ class Poly:
         n = len(idx)
         while n and not idx[n - 1]:
             n -= 1
-        f = cls.__new__(cls)
-        f.spec = spec
-        f._idx = tuple(idx[:n])
-        return f
+        return _wrap(spec, tuple(idx[:n]))
 
     @classmethod
     def zero(cls, spec):
@@ -115,9 +112,15 @@ class Poly:
         return spec
 
     def __add__(self, other):
-        spec = self._spec_with(other)
-        q, add = spec.order, spec.add
+        spec = self.spec
+        if other.spec is not spec:
+            self._spec_with(other)
         f, g = self._idx, other._idx
+        if not g:
+            return self
+        if not f:
+            return other
+        q, add = spec.order, spec.add
         if len(f) < len(g):
             f, g = g, f
         out = list(f)
@@ -133,19 +136,26 @@ class Poly:
         return Poly._make(self.spec, [neg[i] for i in self._idx])
 
     def __mul__(self, other):
-        spec = self._spec_with(other)
-        q, add, mul = spec.order, spec.add, spec.mul
+        spec = self.spec
+        if other.spec is not spec:
+            self._spec_with(other)
         f, g = self._idx, other._idx
         if not f or not g:
-            return Poly._make(spec, ())
+            return _wrap(spec, ())
+        q, add, mul = spec.order, spec.add, spec.mul
         out = [0] * (len(f) + len(g) - 1)
-        for i, fi in enumerate(f):
+        i = 0
+        for fi in f:
             if fi:
                 row = fi * q
-                for j, gj in enumerate(g):
-                    if gj:
-                        out[i + j] = add[out[i + j] * q + mul[row + gj]]
-        return Poly._make(spec, out)
+                k = i
+                for gj in g:  # a zero gj adds mul[row] = 0
+                    out[k] = add[out[k] * q + mul[row + gj]]
+                    k += 1
+            i += 1
+        # no trim: a field has no zero divisors, so the product of the two
+        # nonzero leading coefficients leaves the top coefficient nonzero
+        return _wrap(spec, tuple(out))
 
     def _scaled(self, lam):
         spec = self.spec
@@ -157,28 +167,44 @@ class Poly:
         self._spec_with(c)
         return self._scaled(c.index)
 
-    def __divmod__(self, other):
+    def _reduce(self, other, quot):
+        """The remainder of self by other, as a trimmed Poly.
+
+        When quot is a list it receives the quotient's coefficients, constant
+        term first; % passes None and no quotient is formed."""
         spec = self._spec_with(other)
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        q, add, mul, neg = spec.order, spec.add, spec.mul, spec.neg
         g = other._idx
         d = len(g) - 1
+        if len(self._idx) <= d:
+            return self
+        q, add, mul, neg = spec.order, spec.add, spec.mul, spec.neg
         lead_inv = spec.inv[g[-1]]
+        # subtract c * (other / lead) at each step; the leading term cancels
+        # by construction, so only the d lower coefficients are updated
+        lower = [mul[lead_inv * q + gj] for gj in g[:-1]]
         rem = list(self._idx)
-        quot = [0] * max(len(rem) - d, 0)
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
+            if quot is not None:
+                quot.append(mul[c * q + lead_inv])
             if c:
-                qi = mul[c * q + lead_inv]
-                quot[i - d] = qi
-                row = neg[qi] * q
-                for j, gj in enumerate(g):
-                    rem[i - d + j] = add[rem[i - d + j] * q + mul[row + gj]]
-        return Poly._make(spec, quot), Poly._make(spec, rem)
+                row = neg[c] * q
+                base = i - d
+                for j, gj in enumerate(lower):
+                    rem[base + j] = add[rem[base + j] * q + mul[row + gj]]
+        if quot is not None:
+            quot.reverse()
+        return Poly._make(spec, rem[:d])
+
+    def __divmod__(self, other):
+        quot = []
+        rem = self._reduce(other, quot)
+        return Poly._make(self.spec, quot), rem
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self._reduce(other, None)
 
     def eval(self, x):
         spec = self._spec_with(x)
@@ -218,6 +244,14 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _wrap(spec, idx):
+    """A Poly around idx, a tuple of indices that is already trimmed."""
+    f = Poly.__new__(Poly)
+    f.spec = spec
+    f._idx = idx
+    return f
 
 
 def poly_gcd(f, g):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from folclass.errors import FieldMismatchError
+from folclass import derivation
+from folclass.errors import ConsistencyError, FieldMismatchError
 from folclass.finite_field import GF
-from folclass.polynomial import Poly, parse_poly
+from folclass.polynomial import Poly, parse_poly, poly_gcd
 from folclass.derivation import (
     DerivationTriple,
     LieCase,
@@ -83,6 +84,17 @@ def test_oracle_agrees_on_gf4_sample(F4):
             assert delta_squared(d) == oracle_delta_squared(d)
 
 
+def test_oracle_guard_reports_a_seeded_residue(F4, monkeypatch):
+    # a wrong rule that sends (d/dt)^2 to the identity word instead of zero
+    # must surface as a residue on word 1, not as a delta^2 that differs
+    monkeypatch.setitem(derivation._REWRITES[LieCase.II], "TT", "")
+    with pytest.raises(ConsistencyError, match="on word 1$"):
+        oracle_delta_squared(triple("II", "1", "t", "t^2+t", F4))
+    assert oracle_delta_squared(triple("II", "1", "t", "0", F4)) == delta_squared(
+        triple("II", "1", "t", "0", F4)
+    )
+
+
 def _assert_minor_factorisations(d):
     """The factorisations of the three minors that the packed scan solves."""
     a, b, c = d.components()
@@ -122,6 +134,28 @@ def test_c1_examples(F2):
     assert satisfies_C1(triple("I", "1", "t", "0", F2))
     assert not satisfies_C1(triple("I", "t", "t^2", "t^3", F2))
     assert satisfies_C1(triple("I", "t", "t+1", "0", F2))
+
+
+def _c1_by_full_gcd(d):
+    """C1 without the early stop: the monic gcd of every nonzero component."""
+    nonzero = [f for f in d.components() if f]
+    g = nonzero[0].monic()
+    for f in nonzero[1:]:
+        g = poly_gcd(g, f)
+    return g.degree == 0
+
+
+def test_c1_early_stop_keeps_every_verdict(F2, F4):
+    for case in LieCase:
+        for d in enumerate_triples(F2, case):
+            assert satisfies_C1(d) == _c1_by_full_gcd(d), d
+    # C1 reads no Lie case; over GF(4) take every triple with a of degree 0 or 1
+    checked = 0
+    for d in enumerate_triples(F4, LieCase.II):
+        if d.a:
+            assert satisfies_C1(d) == _c1_by_full_gcd(d), d
+            checked += 1
+    assert checked == 15 * 16 * 256
 
 
 def test_c2_examples(F4):

@@ -172,12 +172,13 @@ def test_arithmetic_matches_schoolbook_reference(q):
         if g:
             quot, rem = divmod(f, g)
             assert (quot.coeffs, rem.coeffs) == _schoolbook_divmod(fc, gc, spec)
+            assert (f % g).coeffs == rem.coeffs
 
 
 def test_cross_field_operations_raise(F4, F8):
     for f in (Poly.zero(F4), Poly.t(F4)):
         for g in (Poly.zero(F8), Poly.t(F8)):
-            for op in (operator.add, operator.sub, operator.mul, divmod):
+            for op in (operator.add, operator.sub, operator.mul, operator.mod, divmod):
                 for x, y in ((f, g), (g, f)):
                     with pytest.raises(FieldMismatchError):
                         op(x, y)
