@@ -88,9 +88,29 @@ class SquaredDerivation:
         return not (self.A or self.B or self.C)
 
 
+# The last (triple, delta^2) pair, rebound as one tuple.  It is looked up by
+# identity, never by value, and it holds the triple, so the id it is compared
+# against cannot be reused by another object while it is cached.
+_last_square = (None, None)
+
+
 def delta_squared(d: DerivationTriple) -> SquaredDerivation:
     """Expand delta^2 = a^2*alpha^2 + b^2*beta^2 + c*a'*alpha + c*b'*beta + c*c'*d/dt
-    and substitute the case's values of alpha^2 and beta^2."""
+    and substitute the case's values of alpha^2 and beta^2.
+
+    The result for the most recent triple is kept, so satisfies_C3 reuses
+    the delta^2 that a caller has just computed for the same object."""
+    global _last_square
+    last = _last_square
+    if last[0] is d:
+        return last[1]
+    sq = _formula(d)
+    _last_square = (d, sq)
+    return sq
+
+
+def _formula(d):
+    """delta_squared's closed formula, evaluated without the cache."""
     a, b, c = d.a, d.b, d.c
     A = c * a.formal_derivative()
     B = c * b.formal_derivative()
@@ -153,9 +173,11 @@ def oracle_delta_squared(d: DerivationTriple) -> SquaredDerivation:
     Independent of delta_squared: the square is expanded as a word rewrite
     with the Lie relations, read from the case's rewrite table, instead of
     transcribing the closed formula.  Any residue on irreducible length-2
-    words or on the identity word signals a bug.  Both sides share Poly's
-    table arithmetic, so the check rests on the two expansions being
-    different algorithms, and on the tests that check that arithmetic:
+    words or on the identity word signals a bug.  It never reads
+    delta_squared's cache.  Both sides share Poly's table arithmetic, the
+    derivative that each Poly keeps included, so the check rests on the two
+    expansions being different algorithms, and on the tests that check that
+    arithmetic:
     test_tables_match_direct_arithmetic (the field tables against
     coefficient-vector arithmetic) and
     test_arithmetic_matches_schoolbook_reference (Poly against coefficient

@@ -18,6 +18,7 @@ class ParseError(FolclassError):
 
     def __init__(self, message, text, position):
         super().__init__(f"{message} at position {position}: {text!r}")
+        self.message = message
         self.text = text
         self.position = position
 

@@ -393,8 +393,10 @@ def format_element(x):
     return "+".join(terms) if terms else "0"
 
 
-def _parse_element_term(s, pos, text):
-    """One term of an element literal: int, u, u^e, int*u^e, int u^e."""
+def _parse_element_term(s, pos, text, spec):
+    """One term of an element literal: int, u, u^e, int*u^e, int u^e.
+
+    A prime field has no generator u, so there u is refused at its position."""
     n = len(s)
     start = pos
     num = None
@@ -410,6 +412,8 @@ def _parse_element_term(s, pos, text):
             raise ParseError("expected generator u after '*'", text, pos)
     exp = 0
     if pos < n and s[pos] == "u":
+        if spec.k == 1:
+            raise ParseError(f"generator u is not defined in the prime field {spec.literal()}", text, pos)
         pos += 1
         exp = 1
         if pos < n and s[pos] == "^":
@@ -434,7 +438,7 @@ def parse_element(text, spec):
     pos = 0
     n = len(s)
     while True:
-        num, exp, pos = _parse_element_term(s, pos, text)
+        num, exp, pos = _parse_element_term(s, pos, text, spec)
         value = value + spec.element((num % spec.p,)) * spec.generator**exp
         if pos == n:
             break

@@ -31,9 +31,16 @@ class Poly:
     FieldElement arithmetic runs here; coeff(), leading and coeffs hand back
     the spec's interned FieldElements.  Operands from another field raise
     FieldMismatchError, the zero polynomial included.
+
+    A Poly never changes after it is built, so its derivative never does
+    either: formal_derivative() computes it on the first call, keeps it in
+    the `_deriv` slot and returns that same object afterwards.  The formula,
+    the oracle and C3 share the Polys of one triple, so each distinct
+    polynomial is differentiated once.  Equality and hashing read only spec
+    and the coefficients, never the cache.
     """
 
-    __slots__ = ("spec", "_idx")
+    __slots__ = ("spec", "_idx", "_deriv")
 
     def __init__(self, spec, coeffs=()):
         idx = []
@@ -48,6 +55,7 @@ class Poly:
             idx.pop()
         self.spec = spec
         self._idx = tuple(idx)
+        self._deriv = None
 
     @classmethod
     def _make(cls, spec, idx):
@@ -217,11 +225,16 @@ class Poly:
     def formal_derivative(self):
         """d/dt with the exponent reduced mod p (so even powers die in char 2).
 
-        The integer e mod p is the element of index e mod p."""
-        spec = self.spec
-        q, mul, p = spec.order, spec.mul, spec.p
-        f = self._idx
-        return Poly._make(spec, [mul[f[e] * q + e % p] for e in range(1, len(f))])
+        The integer e mod p is the element of index e mod p.  Computed once
+        per Poly and kept (see the class docstring)."""
+        deriv = self._deriv
+        if deriv is None:
+            spec = self.spec
+            q, mul, p = spec.order, spec.mul, spec.p
+            f = self._idx
+            deriv = Poly._make(spec, [mul[f[e] * q + e % p] for e in range(1, len(f))])
+            self._deriv = deriv
+        return deriv
 
     def monic(self):
         if not self:
@@ -236,9 +249,6 @@ class Poly:
             acc = acc * shift + Poly._make(self.spec, (i,))
         return acc
 
-    def map_coeffs(self, fn, target_spec):
-        return Poly(target_spec, tuple(fn(c) for c in self.coeffs))
-
     def __repr__(self):
         return f"Poly({format_poly(self)!r} over {self.spec.literal()})"
 
@@ -251,6 +261,7 @@ def _wrap(spec, idx):
     f = Poly.__new__(Poly)
     f.spec = spec
     f._idx = idx
+    f._deriv = None
     return f
 
 
@@ -290,6 +301,14 @@ def format_poly(f):
     return "+".join(terms)
 
 
+def _parse_coeff(s, start, end, text, spec):
+    """The element literal s[start:end]; an error's position is moved into text."""
+    try:
+        return parse_element(s[start:end], spec)
+    except ParseError as exc:
+        raise ParseError(exc.message, text, start + exc.position) from None
+
+
 def parse_poly(text, spec):
     """Parse the polynomial literal grammar: term ('+' term)*, where a term is
     an optional coefficient (element literal, parenthesized when it contains
@@ -314,7 +333,7 @@ def parse_poly(text, spec):
                 j += 1
             if depth:
                 raise ParseError("unbalanced parenthesis", text, pos)
-            coeff = parse_element(s[pos + 1 : j - 1], spec)
+            coeff = _parse_coeff(s, pos + 1, j - 1, text, spec)
             pos = j
         else:
             j = pos
@@ -326,7 +345,7 @@ def parse_poly(text, spec):
                     continue
                 j += 1
             if j > pos:
-                coeff = parse_element(s[pos:j], spec)
+                coeff = _parse_coeff(s, pos, j, text, spec)
                 pos = j
         if coeff is not None and pos < n and s[pos] == "*":
             pos += 1

@@ -37,6 +37,22 @@ def _report(number, description, ok, extra=""):
 
 
 def test_criterion_1_delta_squared_oracle_equivalence(F2, F4):
+    """Formula and oracle agree on every triple over GF(2) and GF(4).
+
+    Over GF(4) this is a proof for every field of characteristic 2.  In each
+    Lie case both paths are straight-line maps from the eight coefficients
+    of (a, b, c) to the coefficients of delta^2: sums of products of two
+    components or of a component and a derivative.  So each output
+    coefficient is a polynomial over GF(2) of degree at most 2 in each
+    input coefficient, and so is the difference of the two paths.  A
+    polynomial that vanishes on S^8 and whose degree in each variable is
+    below |S| is zero (Alon, "Combinatorial Nullstellensatz", 1999,
+    Lemma 2.1); GF(4) has 4 > 2 points.  The premise is that no branch
+    depends on a coefficient's value: the branches read the Lie case or the
+    word of a product, or skip a term that is zero and so add nothing, and
+    the two caches on the path (each Poly's derivative, and delta_squared's
+    last triple) are looked up by object identity, never by value.
+    """
     start = time.monotonic()
     checked = 0
     disagreements = 0

@@ -10,7 +10,7 @@ from folclass.derivation import DerivationTriple, LieCase, is_valid_foliation, s
 from folclass.enumerator import find_valid, iter_family_instances
 from folclass.errors import InvalidParameterError, NotAFoliationError
 from folclass.finite_field import GF, embed
-from folclass.polynomial import parse_poly
+from folclass.polynomial import Poly, parse_poly
 
 
 def triple(case, a, b, c, spec):
@@ -145,7 +145,7 @@ def test_classification_commutes_with_embedding(F2, F8, F16, gf4_reports):
     assert len(classes) == 4 * (6 + 60)
     for d, F in classes:
         lifted = DerivationTriple(
-            d.case, *(f.map_coeffs(lambda x: embed(x, F), F) for f in d.components())
+            d.case, *(Poly(F, tuple(embed(x, F) for x in f.coeffs)) for f in d.components())
         )
         base = classify(d)
         assert base, f"{d} unmatched"

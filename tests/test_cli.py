@@ -328,6 +328,22 @@ def test_cartier_e_max_above_exponent_bound_exits_one(argv, monkeypatch, capsys)
     assert "above the exponent bound 1024" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["classify", "--field", "GF(2)", "--case", "I", "--a", "u", "--b", "t", "--c", "0"],
+     "prime field GF(2) at position 0: 'u'"),
+    (["classify", "--field", "GF(2)", "--case", "I", "--a", "1", "--b", "t", "--c", "t^3+u*t"],
+     "prime field GF(2) at position 4: 't^3+u*t'"),
+    (["cartier", "--G", "u,1@GF(2)"], "prime field GF(2) at position 0: 'u'"),
+    (["cartier", "--G", "1,2*u@GF(3)"], "prime field GF(3) at position 2: '2*u'"),
+])
+def test_generator_in_prime_field_exits_one(argv, reason, capsys):
+    # u is refused where it stands instead of being read as 0
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"generator u is not defined in the {reason}" in err
+
+
 def test_enumerate_odd_characteristic_exits_one(capsys):
     code, out, err = run_cli(["enumerate", "--field", "GF(9)", "--no-timing"], capsys)
     assert code == 1

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -93,6 +95,63 @@ def test_oracle_guard_reports_a_seeded_residue(F4, monkeypatch):
     assert oracle_delta_squared(triple("II", "1", "t", "0", F4)) == delta_squared(
         triple("II", "1", "t", "0", F4)
     )
+
+
+def _verdicts(d):
+    return is_valid_foliation(d), satisfies_C3(d), failed_conditions(d)
+
+
+def test_delta_squared_cache_keeps_every_verdict(F2):
+    # every GF(2) triple in all four cases, each judged twice: once after
+    # delta_squared ran on equal polynomials in another case, and once
+    # after it ran on the triple itself.  C3 is also checked against the
+    # minors of the oracle's delta^2, which never reads the cache.
+    judged = 0
+    for ds in zip(*(enumerate_triples(F2, case) for case in LieCase)):
+        for i, d in enumerate(ds):
+            delta_squared(ds[i - 1])
+            cold = _verdicts(d)
+            a, b, c = d.components()
+            A, B, C = oracle_delta_squared(d).components()
+            minors_vanish = not ((A * b + B * a) or (A * c + C * a) or (B * c + C * b))
+            assert cold[1] == minors_vanish, d
+            assert delta_squared(d) == oracle_delta_squared(d), d
+            assert _verdicts(d) == cold, d
+            judged += 1
+    assert judged == 4 * 255
+
+
+def test_formula_evaluated_once_per_triple(F4, monkeypatch):
+    # the oracle-gf4 sequence: the formula, the oracle, then the full check,
+    # whose C3 reuses the delta^2 just computed for the same triple
+    calls = []
+    formula = derivation._formula
+
+    def counted(d):
+        calls.append(d)
+        return formula(d)
+
+    monkeypatch.setattr(derivation, "_formula", counted)
+    seen = valid = 0
+    for d in enumerate_triples(F4, LieCase.II):
+        sq = delta_squared(d)
+        assert oracle_delta_squared(d) == sq
+        valid += is_valid_foliation(d)
+        assert delta_squared(d) is sq
+        seen += 1
+        assert len(calls) == seen and calls[-1] is d
+    assert seen == 4**8 - 1
+    assert valid == (16 - 1) * (16 - 4)  # |GL2(4)|
+
+
+def test_delta_squared_cache_holds_only_the_last_triple(F4):
+    first = triple("II", "1", "t", "t^2+t", F4)
+    delta_squared(first)
+    ref = weakref.ref(first)
+    delta_squared(triple("II", "1", "t", "t^2+t", F4))  # equal, not identical
+    del first
+    gc.collect()
+    assert ref() is None
 
 
 def _assert_minor_factorisations(d):

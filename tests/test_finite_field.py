@@ -177,6 +177,17 @@ def test_element_literal_errors(F4):
     assert err is not None and err.position == 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_prime_field_refuses_generator(q):
+    # GF(p) has no generator u; it used to read as 0, so "u+1" parsed as 1
+    spec = GF(q)
+    for text, pos in [("u", 0), ("u^2", 0), ("2*u+1", 2), ("1+u^0", 2)]:
+        with pytest.raises(ParseError, match=rf"prime field GF\({q}\)") as exc:
+            parse_element(text, spec)
+        assert exc.value.position == pos
+    assert parse_element("2+1", spec) == spec.element(3 % q)
+
+
 @pytest.mark.parametrize("q", [8, 9])
 def test_tables_match_direct_arithmetic(q):
     # every table entry against coefficient-vector arithmetic, which the

@@ -48,6 +48,53 @@ def test_derivative_is_additive_and_leibniz(q):
         assert (f * g).formal_derivative() == f.formal_derivative() * g + f * g.formal_derivative()
 
 
+def _loop_derivative(f):
+    """f' by coefficient loops on FieldElements: e * c as a sum of e copies."""
+    zero = f.spec.zero
+    deriv = []
+    for e, c in enumerate(f.coeffs[1:], 1):
+        acc = zero
+        for _ in range(e):
+            acc = acc + c
+        deriv.append(acc)
+    return _trim(deriv)
+
+
+def test_derivative_cached_once_per_poly():
+    # each constructor hands back a Poly whose first derivative is kept and
+    # returned again; the same coefficient indices over GF(2), GF(3) and
+    # GF(5) have distinct derivatives, so a cache keyed by the indices alone
+    # would mix the fields up.  f's derivative is cached before the Polys
+    # built from f, so none of them may start from f's cache.
+    rng = random.Random(41)
+    for q in (2, 3, 5):
+        spec = GF(q)
+        for _ in range(60):
+            idx = [rng.randrange(q) for _ in range(rng.randrange(7))]
+            f = Poly(spec, idx)
+            f.formal_derivative()
+            g = Poly._make(spec, [rng.randrange(q) for _ in range(rng.randrange(5))])
+            built = (f * g, g * f, f + g, -f, parse_poly(format_poly(f), spec))
+            for h in (f, g, *built, Poly(spec, range(1, 6))):
+                first = h.formal_derivative()
+                assert h.formal_derivative() is first
+                assert first.coeffs == _loop_derivative(h), (q, h)
+                # the cache lives on the object: an equal Poly built afresh
+                # computes its own
+                fresh = Poly(spec, h.coeffs)
+                assert fresh.formal_derivative() == first
+                assert fresh.formal_derivative() is not first
+
+
+def test_equality_and_hash_ignore_the_derivative_cache(F4):
+    f = parse_poly("t^3+u*t+1", F4)
+    g = parse_poly("t^3+u*t+1", F4)
+    f.formal_derivative()
+    assert f == g and hash(f) == hash(g)
+    assert {f: 1}[g] == 1
+    assert f.formal_derivative() == g.formal_derivative()
+
+
 def test_square_derivative_vanishes_char2(F4):
     rng = random.Random(11)
     for _ in range(100):
@@ -162,13 +209,7 @@ def test_arithmetic_matches_schoolbook_reference(q):
         assert (f * g).coeffs == _trim(prod)
         lam = spec.element(rng.randrange(q))
         assert f.scale(lam).coeffs == _trim(lam * x for x in fc)
-        deriv = []
-        for e in range(1, len(fc)):
-            acc = zero
-            for _ in range(e):  # e * c as a sum of e copies
-                acc = acc + fc[e]
-            deriv.append(acc)
-        assert f.formal_derivative().coeffs == _trim(deriv)
+        assert f.formal_derivative().coeffs == _loop_derivative(f)
         if g:
             quot, rem = divmod(f, g)
             assert (quot.coeffs, rem.coeffs) == _schoolbook_divmod(fc, gc, spec)
@@ -224,6 +265,16 @@ def test_parse_errors_carry_positions(F4):
         assert exc.value.position == pos
     with pytest.raises(ParseError):
         parse_poly("w+1", F4)
+
+
+def test_coefficient_errors_carry_positions_in_the_literal(F2):
+    # a coefficient's ParseError points into the polynomial literal, not
+    # into the coefficient's own text
+    for text, spec, pos in [("t^3+u*t", F2, 4), ("t+(1+u)", GF(3), 5), ("u", GF(5), 0)]:
+        with pytest.raises(ParseError, match="not defined in the prime field") as exc:
+            parse_poly(text, spec)
+        assert exc.value.position == pos
+        assert exc.value.text == text
 
 
 def test_parser_never_crashes_on_garbage(F4):
