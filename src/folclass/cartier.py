@@ -226,9 +226,6 @@ class Quadric:
         one = s.spec.one
         return cls(BiPoly({(2, 0): s, (0, 2): t, (0, 0): one}), s.spec.p)
 
-    def coefficient_one(self):
-        return self.G.constant_term()  # G(0,0) = 1 by construction here
-
     def trace_factor(self, e: int) -> BiPoly:
         """G^(p^e - 1), as G^(p-1) * (G^(p^(k-1) - 1))^p for k = 2..e."""
         if e < 1:
@@ -278,7 +275,7 @@ class TraceOperator:
     def canonical_input(self, e: int) -> BiPoly:
         """The numerator x^(p^e-1) y^(p^e-1) whose trace detects nonvanishing."""
         pe = self.p**e
-        return BiPoly.monomial(pe - 1, pe - 1, self.quadric.coefficient_one())
+        return BiPoly.monomial(pe - 1, pe - 1, self.quadric.G.constant_term())
 
     def verify_nonvanishing(self, e: int):
         """Trace the canonical form and confirm the image is nonzero.

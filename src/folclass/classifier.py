@@ -197,17 +197,13 @@ def instantiate(family: FamilyId, params, spec) -> DerivationTriple:
 # -- classification ------------------------------------------------------------
 
 
-def _deg(f):
-    return f.degree
-
-
 def _root_of_linear(f):
     # char 2: the root of f1*t + f0 is f0/f1
     return f.coeff(0) / f.coeff(1)
 
 
 def _shape_matches(family, d):
-    da, db, dc = _deg(d.a), _deg(d.b), _deg(d.c)
+    da, db, dc = d.a.degree, d.b.degree, d.c.degree
     f = FamilyId
     return {
         f.I_A: not d.c and db == 1 and da <= 1,

@@ -13,6 +13,15 @@ Every constructor and every operation returns those shared elements, so all
 arithmetic is a table lookup, and fields and elements compare by identity.
 Fields of order above _TABLE_LIMIT (256) are refused before anything is
 built.
+
+Element literals (in the generator u, integer coefficients), polynomial
+literals (in t, element coefficients; see the polynomial module) and modulus
+literals (in x, inside GF(q;mod=...)) share one grammar, term ('+' term)*,
+with one scanner and one printer.  A term is a coefficient, a power of the
+variable or both: `2*u^2`, `(u+1)*t`, `2x3`.  A modulus is written as
+FieldSpec.literal prints it, without '*' and with the '^' optional (x3 or
+x^3), and an exponent above k is refused where it stands.  Spaces are
+ignored, and a ParseError's position indexes the literal as typed.
 """
 
 from __future__ import annotations
@@ -155,7 +164,7 @@ class FieldSpec:
         spec = _FIELDS.get(key)
         if spec is None:
             if len(modulus) != k + 1 or modulus[k] != 1:
-                raise ValueError("modulus must be monic of degree k")
+                raise ValueError(f"modulus must be monic of degree {k} for GF({p**k})")
             if not _is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
             spec = super().__new__(cls)
@@ -378,126 +387,122 @@ def extension_field(spec, m):
 # -- literals ----------------------------------------------------------------
 
 
-def format_element(x):
-    """Element literal in the generator u, e.g. 0, 1, u+1, 2*u^2+1."""
+def _digits(s, pos):
+    """The end of the run of ASCII digits that starts at s[pos]."""
+    while pos < len(s) and "0" <= s[pos] <= "9":
+        pos += 1
+    return pos
+
+
+def _read_int(text, s, at, pos):
+    """A coefficient reader for integer coefficients (1 when none is written)."""
+    end = _digits(s, pos)
+    return (int(s[pos:end]) if end > pos else 1), end
+
+
+def _scan_terms(text, var, read_coeff, max_exp, start=0, end=None):
+    """Yield (coefficient, exponent, position of var or None) for each term of
+    text[start:end].
+
+    The scan runs over s, the range with its spaces removed, and at[i] is the
+    position in text of s[i] (at[len(s)] is end), so every ParseError names
+    text and a position in it.  read_coeff(text, s, at, pos) returns the
+    coefficient that starts at s[pos] and the position after it, or the
+    implicit coefficient and pos when none is written there.  An exponent
+    above max_exp (None for no bound) is refused at its digits.  The modulus
+    variable x takes no '*' and may leave out the '^' (x3).
+    """
+    if end is None:
+        end = len(text)
+    at = [i for i in range(start, end) if text[i] != " "]
+    s = "".join(text[i] for i in at)
+    at.append(end)
+    n = len(s)
+    pos = 0
+    while True:
+        term = pos
+        coeff, pos = read_coeff(text, s, at, pos)
+        if pos > term and var != "x" and s[pos : pos + 1] == "*":
+            pos += 1
+            if s[pos : pos + 1] != var:
+                raise ParseError(f"expected {var} after '*'", text, at[pos])
+        exp, where = 0, None
+        if s[pos : pos + 1] == var:
+            where = at[pos]
+            exp = 1
+            pos += 1
+            caret = s[pos : pos + 1] == "^"
+            if caret or var == "x":
+                pos += caret
+                digits = pos
+                pos = _digits(s, pos)
+                if pos > digits:
+                    exp = int(s[digits:pos])
+                    if max_exp is not None and exp > max_exp:
+                        raise ParseError(f"exponent above {max_exp}", text, at[digits])
+                elif caret:
+                    raise ParseError("expected exponent digits", text, at[digits])
+        elif pos == term:
+            raise ParseError(f"expected a coefficient or {var}", text, at[term])
+        yield coeff, exp, where
+        if pos == n:
+            return
+        if s[pos] != "+":
+            raise ParseError(f"unexpected character {s[pos]!r}", text, at[pos])
+        pos += 1
+
+
+def _format_terms(coeffs, var):
+    """The literal of the sum of coeffs[e] * var^e, highest power first.
+
+    Zero coefficients are left out ("0" when all are zero), a coefficient
+    that contains '+' is parenthesized, and a modulus (var x) is written
+    without '*' and '^'."""
+    times, caret = ("", "") if var == "x" else ("*", "^")
     terms = []
-    for e in range(x.spec.k - 1, -1, -1):
-        c = x.coeffs[e]
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
         if not c:
             continue
-        if e == 0:
-            terms.append(str(c))
-        else:
-            var = "u" if e == 1 else f"u^{e}"
-            terms.append(var if c == 1 else f"{c}*{var}")
-    return "+".join(terms) if terms else "0"
+        cs = str(c)
+        if e:
+            v = var if e == 1 else f"{var}{caret}{e}"
+            if "+" in cs:
+                cs = f"({cs})"
+            cs = v if cs == "1" else f"{cs}{times}{v}"
+        terms.append(cs)
+    return "+".join(terms) or "0"
 
 
-def _parse_element_term(s, pos, text, spec):
-    """One term of an element literal: int, u, u^e, int*u^e, int u^e.
-
-    A prime field has no generator u, so there u is refused at its position."""
-    n = len(s)
-    start = pos
-    num = None
-    while pos < n and s[pos].isdigit():
-        pos += 1
-    if pos > start:
-        num = int(s[start:pos])
-    if pos < n and s[pos] == "*":
-        if num is None:
-            raise ParseError("unexpected '*'", text, pos)
-        pos += 1
-        if pos >= n or s[pos] != "u":
-            raise ParseError("expected generator u after '*'", text, pos)
-    exp = 0
-    if pos < n and s[pos] == "u":
-        if spec.k == 1:
-            raise ParseError(f"generator u is not defined in the prime field {spec.literal()}", text, pos)
-        pos += 1
-        exp = 1
-        if pos < n and s[pos] == "^":
-            pos += 1
-            dstart = pos
-            while pos < n and s[pos].isdigit():
-                pos += 1
-            if pos == dstart:
-                raise ParseError("expected exponent digits", text, dstart)
-            exp = int(s[dstart:pos])
-    elif num is None:
-        raise ParseError("expected coefficient or generator", text, start)
-    return (1 if num is None else num), exp, pos
-
-
-def parse_element(text, spec):
-    """Parse an element literal like `u+1` or `2*u^2+2` into spec."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ParseError("empty element literal", text, 0)
-    value = spec.zero
-    pos = 0
-    n = len(s)
-    while True:
-        num, exp, pos = _parse_element_term(s, pos, text, spec)
-        value = value + spec.element((num % spec.p,)) * spec.generator**exp
-        if pos == n:
-            break
-        if s[pos] != "+":
-            raise ParseError(f"unexpected character {s[pos]!r}", text, pos)
-        pos += 1
-        if pos == n:
-            raise ParseError("trailing '+'", text, pos)
-    return value
+def format_element(x):
+    """Element literal in the generator u, e.g. 0, 1, u+1, 2*u^2+1."""
+    return _format_terms(x.coeffs, "u")
 
 
 def format_modulus(modulus):
     """Modulus literal in x with bare exponents, e.g. x3+x+1."""
-    terms = []
-    for e in range(len(modulus) - 1, -1, -1):
-        c = modulus[e]
-        if not c:
-            continue
-        if e == 0:
-            terms.append(str(c))
-        else:
-            var = "x" if e == 1 else f"x{e}"
-            terms.append(var if c == 1 else f"{c}{var}")
-    return "+".join(terms) if terms else "0"
+    return _format_terms(modulus, "x")
 
 
-def _parse_modulus(text, p):
-    s = text.replace(" ", "").replace("^", "")
-    coeffs = {}
-    pos = 0
-    n = len(s)
-    if not s:
-        raise ParseError("empty modulus literal", text, 0)
-    while True:
-        start = pos
-        num = None
-        while pos < n and s[pos].isdigit():
-            pos += 1
-        if pos > start:
-            num = int(s[start:pos])
-        exp = 0
-        if pos < n and s[pos] == "x":
-            pos += 1
-            exp = 1
-            dstart = pos
-            while pos < n and s[pos].isdigit():
-                pos += 1
-            if pos > dstart:
-                exp = int(s[dstart:pos])
-        elif num is None:
-            raise ParseError("expected coefficient or x", text, start)
-        coeffs[exp] = (coeffs.get(exp, 0) + (1 if num is None else num)) % p
-        if pos == n:
-            break
-        if s[pos] != "+":
-            raise ParseError(f"unexpected character {s[pos]!r}", text, pos)
+def _read_element(text, spec, start=0, end=None):
+    """The element literal text[start:end]; a prime field refuses u where it stands."""
+    value = spec.zero
+    for c, e, where in _scan_terms(text, "u", _read_int, None, start, end):
+        if where is not None and spec.k == 1:
+            raise ParseError(f"generator u is not defined in the prime field {spec.literal()}", text, where)
+        value = value + spec.element((c % spec.p,)) * spec.generator**e
+    return value
+
+
+def parse_element(text, spec):
+    """Parse an element literal like `u+1` or `2*u^2+2` into spec."""
+    return _read_element(text, spec)
+
+
+def _skip_spaces(text, pos):
+    while pos < len(text) and text[pos] == " ":
         pos += 1
-    k = max(coeffs)
-    return tuple(coeffs.get(e, 0) for e in range(k + 1))
+    return pos
 
 
 def parse_field(text):
@@ -505,22 +510,22 @@ def parse_field(text):
 
     A literal that names the canonical modulus gives the same object as one
     that names none."""
+    lead = len(text) - len(text.lstrip())
     s = text.strip()
     if not (s.startswith("GF(") and s.endswith(")")):
-        raise ParseError("field literal must look like GF(q) or GF(q;mod=...)", text, 0)
-    body = s[3:-1]
-    mod_text = None
-    if ";" in body:
-        body, opt = body.split(";", 1)
-        if not opt.startswith("mod="):
-            raise ParseError("unknown field option; expected mod=...", text, s.index(";") + 1)
-        mod_text = opt[4:]
+        raise ParseError("field literal must look like GF(q) or GF(q;mod=...)", text, lead)
+    close = lead + len(s) - 1
+    semi = text.find(";", lead, close)
+    order_end = close if semi < 0 else semi
+    if semi >= 0 and not text.startswith("mod=", semi + 1):
+        raise ParseError("unknown field option; expected mod=...", text, _skip_spaces(text, semi + 1))
+    order_at = _skip_spaces(text, lead + 3)
     try:
-        q = int(body)
+        q = int(text[lead + 3 : order_end])
     except ValueError:
-        raise ParseError("field order must be an integer", text, 3) from None
+        raise ParseError("field order must be an integer", text, order_at) from None
     if q < 2:
-        raise ParseError(f"field order {q} is below 2", text, 3)
+        raise ParseError(f"field order {q} is below 2", text, order_at)
     for p in SUPPORTED_CHARACTERISTICS:
         k = 0
         n = q
@@ -528,8 +533,13 @@ def parse_field(text):
             n //= p
             k += 1
         if n == 1 and k >= 1:
-            return FieldSpec(p, k, _parse_modulus(mod_text, p) if mod_text else None)
-    raise ParseError(f"order {q} is not a power of a supported prime", text, 3)
+            if semi < 0:
+                return FieldSpec(p, k)
+            modulus = [0] * (k + 1)
+            for c, e, _ in _scan_terms(text, "x", _read_int, k, semi + 5, close):
+                modulus[e] = (modulus[e] + c) % p
+            return FieldSpec(p, k, modulus)
+    raise ParseError(f"order {q} is not a power of a supported prime", text, order_at)
 
 
 def GF(q, mod=None):

@@ -10,12 +10,16 @@ indices of its FieldSpec and does all of its arithmetic by lookups in the
 spec's flat add/mul/neg/inv tables; this is the only univariate arithmetic
 path, shared by the closed delta^2 formula, the rewrite oracle and the
 conditions C1-C3.
+
+Polynomial literals (parse_poly, format_poly) use the term grammar, scanner
+and printer of finite_field's element and modulus literals, with element
+coefficients and exponents of t up to MAX_EXPONENT.
 """
 
 from __future__ import annotations
 
 from .errors import FieldMismatchError, ParseError
-from .finite_field import parse_element
+from .finite_field import _format_terms, _read_element, _scan_terms
 
 NEG_INF = float("-inf")
 
@@ -279,106 +283,38 @@ def poly_gcd(f, g):
 
 def format_poly(f):
     """Literal form with descending powers, e.g. t^2+u*t+1 or (u+1)*t."""
-    if not f:
-        return "0"
-    terms = []
-    coeffs = f.coeffs
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if not c:
-            continue
-        cs = str(c)
-        if e == 0:
-            terms.append(cs)
-            continue
-        v = "t" if e == 1 else f"t^{e}"
-        if cs == "1":
-            terms.append(v)
-        elif "+" in cs:
-            terms.append(f"({cs})*{v}")
-        else:
-            terms.append(f"{cs}*{v}")
-    return "+".join(terms)
-
-
-def _parse_coeff(s, start, end, text, spec):
-    """The element literal s[start:end]; an error's position is moved into text."""
-    try:
-        return parse_element(s[start:end], spec)
-    except ParseError as exc:
-        raise ParseError(exc.message, text, start + exc.position) from None
+    return _format_terms(f.coeffs, "t")
 
 
 def parse_poly(text, spec):
-    """Parse the polynomial literal grammar: term ('+' term)*, where a term is
-    an optional coefficient (element literal, parenthesized when it contains
-    '+') times an optional power of t.  Whitespace is ignored."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ParseError("empty polynomial literal", text, 0)
-    n = len(s)
-    pos = 0
-    coeffs: dict = {}
-    while True:
-        start = pos
-        coeff = None
-        # optional parenthesized element literal
-        if pos < n and s[pos] == "(":
+    """Parse a polynomial literal in t, like `t^2+u*t+1` or `(u+1)*t`.
+
+    A coefficient is an element literal, parenthesized when it contains '+';
+    a bare one runs over digits, u and '^'.  The grammar and the error
+    positions are those of finite_field's literals, and an exponent above
+    MAX_EXPONENT is refused."""
+
+    def read_coeff(text, s, at, pos):
+        if s[pos : pos + 1] == "(":
             depth, j = 1, pos + 1
-            while j < n and depth:
-                if s[j] == "(":
-                    depth += 1
-                elif s[j] == ")":
-                    depth -= 1
+            while j < len(s) and depth:
+                depth += (s[j] == "(") - (s[j] == ")")
                 j += 1
             if depth:
-                raise ParseError("unbalanced parenthesis", text, pos)
-            coeff = _parse_coeff(s, pos + 1, j - 1, text, spec)
-            pos = j
-        else:
-            j = pos
-            while j < n and (s[j].isdigit() or s[j] == "u" or (s[j] == "^" and j > pos)):
-                if s[j] == "^":
-                    j += 1
-                    while j < n and s[j].isdigit():
-                        j += 1
-                    continue
+                raise ParseError("unbalanced parenthesis", text, at[pos])
+            return _read_element(text, spec, at[pos] + 1, at[j - 1]), j
+        j = pos
+        if s[pos : pos + 1] != "^":
+            while j < len(s) and s[j] in "0123456789u^":
                 j += 1
-            if j > pos:
-                coeff = _parse_coeff(s, pos, j, text, spec)
-                pos = j
-        if coeff is not None and pos < n and s[pos] == "*":
-            pos += 1
-            if pos >= n or s[pos] != "t":
-                raise ParseError("expected variable 't' after '*'", text, pos)
-        exp = 0
-        if pos < n and s[pos] == "t":
-            pos += 1
-            exp = 1
-            if pos < n and s[pos] == "^":
-                pos += 1
-                dstart = pos
-                while pos < n and s[pos].isdigit():
-                    pos += 1
-                if pos == dstart:
-                    raise ParseError("expected exponent digits", text, dstart)
-                exp = int(s[dstart:pos])
-                if exp > MAX_EXPONENT:
-                    raise ParseError(f"exponent above {MAX_EXPONENT}", text, dstart)
-        elif coeff is None:
-            raise ParseError("expected a coefficient or variable", text, start)
-        if coeff is None:
-            coeff = spec.one
-        coeffs[exp] = coeffs.get(exp, spec.zero) + coeff
-        if pos == n:
-            break
-        if s[pos] != "+":
-            raise ParseError(f"unexpected character {s[pos]!r}", text, pos)
-        pos += 1
-        if pos == n:
-            raise ParseError("trailing '+'", text, pos)
-    deg = max(coeffs)
-    return Poly(spec, tuple(coeffs.get(e, spec.zero) for e in range(deg + 1)))
+        if j == pos:
+            return spec.one, pos
+        return _read_element(text, spec, at[pos], at[j]), j
+
+    coeffs: dict = {}
+    for c, e, _ in _scan_terms(text, "t", read_coeff, MAX_EXPONENT):
+        coeffs[e] = coeffs.get(e, spec.zero) + c
+    return Poly(spec, tuple(coeffs.get(e, spec.zero) for e in range(max(coeffs) + 1)))
 
 
 # -- sparse bivariate polynomials ---------------------------------------------

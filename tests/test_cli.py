@@ -62,6 +62,15 @@ def test_classify_huge_exponent_exits_one(capsys):
     assert "exponent above" in err and "position 2" in err
 
 
+def test_fields_huge_modulus_exponent_exits_one(capsys):
+    # refused while scanning the modulus, before one coefficient per degree
+    # is allocated, at its position in the field literal
+    code, out, err = run_cli(["fields", "--field", "GF(8;mod=x999999999+x+1)"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "exponent above 3 at position 10" in err
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-theorem", "--field", "GF(4)", "--bogus-flag"])

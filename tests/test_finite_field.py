@@ -16,7 +16,7 @@ from folclass.finite_field import (
     parse_element,
     parse_field,
 )
-from folclass.polynomial import Poly
+from folclass.polynomial import MAX_EXPONENT, Poly, format_poly, parse_poly
 
 
 def test_canonical_moduli():
@@ -145,6 +145,9 @@ def test_field_literals_round_trip():
     assert parse_field("GF(4)").literal() == "GF(4)"
     assert parse_field("GF(8;mod=x3+x+1)") is parse_field("GF(8)")
     assert parse_field("GF(9)").p == 3
+    for spec in (GF(8), GF(8, mod="x3+x2+1"), GF(9)):
+        assert parse_field(spec.literal()) is spec
+        assert parse_field(f"  {spec.literal()} ") is spec
     with pytest.raises(ParseError):
         parse_field("GF(6)")
     with pytest.raises(ParseError):
@@ -186,6 +189,70 @@ def test_prime_field_refuses_generator(q):
             parse_element(text, spec)
         assert exc.value.position == pos
     assert parse_element("2+1", spec) == spec.element(3 % q)
+
+
+# One grammar for element, polynomial and modulus literals: spaces are
+# ignored, and a refusal's position indexes the literal as typed.  Each row is
+# (grammar, field, literal, the value's literal or the refusal's position).
+LITERALS = [
+    ("element", "GF(4)", "u + 1", "u+1"),
+    ("element", "GF(9)", " 2 * u ^ 1 + 2 u", "u"),
+    ("element", "GF(4)", "u + ?", 4),
+    ("element", "GF(4)", "u +  ", 5),
+    ("element", "GF(3)", "1 + u", 4),
+    ("poly", "GF(4)", "t ^ 2 + u t + 1", "t^2+u*t+1"),
+    ("poly", "GF(4)", "( u + 1 ) * t", "(u+1)*t"),
+    ("poly", "GF(4)", "t + ?", 4),
+    ("poly", "GF(2)", "t^3 + u*t", 6),
+    ("poly", "GF(4)", "t + (u + ?)", 9),
+    ("poly", "GF(4)", "t + ( )", 6),
+    ("poly", "GF(4)", "u^ t", 3),
+    ("poly", "GF(4)", "t ^ ", 4),
+    ("poly", "GF(4)", f"t ^ {MAX_EXPONENT + 1}", 4),
+    ("field", None, "GF(8;mod=x^3 + x + 1)", "GF(8)"),
+    ("field", None, " GF(8;mod=x3 + x^2 + 1)", "GF(8;mod=x3+x2+1)"),
+    ("field", None, "GF(8;mod=x^3 + ?)", 15),
+    ("field", None, "GF(8;mod=x^)", 11),
+    ("field", None, "GF(8;mod=x^3+2^x)", 14),
+    ("field", None, "GF(8;mod=)", 9),
+    ("field", None, "  gf(4)", 2),
+    ("field", None, "  GF( x)", 6),
+    ("field", None, " GF(8;nod=x)", 6),
+]
+
+
+@pytest.mark.parametrize("grammar, field, text, expected", LITERALS)
+def test_one_literal_grammar(grammar, field, text, expected):
+    spec = parse_field(field) if field else None
+    parse = {
+        "element": lambda: format_element(parse_element(text, spec)),
+        "poly": lambda: format_poly(parse_poly(text, spec)),
+        "field": lambda: parse_field(text).literal(),
+    }[grammar]
+    if isinstance(expected, str):
+        assert parse() == expected
+        return
+    with pytest.raises(ParseError) as exc:
+        parse()
+    assert (exc.value.text, exc.value.position) == (text, expected)
+
+
+def test_modulus_exponent_above_the_degree_is_refused_where_it_stands():
+    # refused while scanning, before one coefficient per degree is allocated
+    for text, bound, pos in [
+        ("GF(8;mod=x999999999+x+1)", 3, 10),
+        ("GF(8;mod=x^4+x+1)", 3, 11),
+        ("GF(9;mod= x3+1)", 2, 11),
+    ]:
+        with pytest.raises(ParseError, match=f"exponent above {bound} at position {pos}"):
+            parse_field(text)
+
+
+def test_modulus_degree_error_names_the_degree_and_the_field():
+    with pytest.raises(ValueError, match=r"modulus must be monic of degree 3 for GF\(8\)"):
+        parse_field("GF(8;mod=x2+x+1)")
+    with pytest.raises(ValueError, match=r"modulus must be monic of degree 2 for GF\(9\)"):
+        FieldSpec(3, 2, (1, 0, 2))
 
 
 @pytest.mark.parametrize("q", [8, 9])

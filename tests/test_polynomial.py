@@ -4,7 +4,7 @@ import random
 import pytest
 
 from folclass.errors import FieldMismatchError, ParseError
-from folclass.finite_field import GF
+from folclass.finite_field import GF, parse_element, parse_field
 from folclass.polynomial import (
     MAX_EXPONENT,
     NEG_INF,
@@ -278,14 +278,27 @@ def test_coefficient_errors_carry_positions_in_the_literal(F2):
 
 
 def test_parser_never_crashes_on_garbage(F4):
+    # every literal grammar, spaces included: a refusal is a ParseError whose
+    # position lies in the literal as typed and never on a space; a field
+    # literal that scans may still name no supported field, which FieldSpec
+    # refuses with a ValueError
     rng = random.Random(37)
-    alphabet = "tu^*()+0123456789w "
-    for _ in range(500):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 12)))
-        try:
-            parse_poly(text, F4)
-        except ParseError:
-            pass  # rejection with a position is the contract
+    grammars = [
+        ("tu^*()+0123456789w ", "{}", lambda text: parse_poly(text, F4)),
+        ("u^*+0123456789w ", "{}", lambda text: parse_element(text, GF(9))),
+        ("x^*+0123w ", "GF(8;mod={})", parse_field),
+        ("0123456789;mod=x^+ ", " GF({})", parse_field),
+    ]
+    for alphabet, wrap, parse in grammars:
+        for _ in range(500):
+            text = wrap.format("".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 12))))
+            try:
+                parse(text)
+            except ParseError as exc:
+                assert 0 <= exc.position <= len(text), text
+                assert text[exc.position : exc.position + 1] != " ", text
+            except ValueError as exc:
+                assert parse is parse_field and str(exc).startswith(("modulus", "field order")), text
 
 
 def test_bipoly_basics(F4):
