@@ -383,10 +383,8 @@ def _add_common(p, scan=False):
     p.add_argument("--field", required=True, help="field literal, e.g. GF(4) or GF(8;mod=x3+x+1)")
     p.add_argument("--case", default="all", help="Lie case: I, II, III, IV, a comma list, or all")
     if scan:
-        # a string default goes through type=, so a bad $FOLCLASS_JOBS is a usage error
-        p.add_argument("--jobs", type=_positive_int, default=os.environ.get("FOLCLASS_JOBS", "1"),
-                       help="worker processes for the scan, at most q^2 are used "
-                       "(default $FOLCLASS_JOBS or 1)")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes for the scan, at most q^2 are used (default 1)")
         p.add_argument("--detail", help="write JSON-lines per-class detail to this path")
     _add_output(p, formats=("json", "csv"))
 

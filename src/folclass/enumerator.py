@@ -4,15 +4,16 @@ deduplicate scalar orbits, and check the family taxonomy both ways
 (soundness: every instance is admissible; completeness: every admissible
 scalar class is matched).
 
-The scan works on packed coefficient indices with flat field tables; in
-characteristic 2 index addition is XOR.  It never loops over c: for each
+The scan works on coefficient keys (a1, a0, b1, b0, c3, c2, c1, c0), tuples
+of element indices that sort in enumeration order, with flat field tables;
+in characteristic 2 index addition is XOR.  It never loops over c: for each
 (a, b) pair, p-closedness with c != 0 is two 2x2 linear systems in the
 coefficients of c whose matrix has determinant P(a,b) (the scalar of the
 first minor), and c = 0 is p-closed exactly when K(a,b) = 0 (see
 _scan_block).  Cramer's rule solves the systems when P != 0, the singular
 pairs test the q^2 coefficient pairs, and P = 0 pairs are decided, never
 skipped.  C1 is decided without a gcd (_is_primitive).  Each worker block is
-one a-index; blocks are merged in order, so any worker count gives the same
+one a; blocks are merged in order, so any worker count gives the same
 report.
 """
 
@@ -33,29 +34,32 @@ from .polynomial import Poly
 # ---------------------------------------------------------------------------
 
 
-def _poly_from_index(spec, idx, max_deg):
-    q = spec.order
-    return Poly._make(spec, [idx // q**e % q for e in range(max_deg + 1)])
+def _key_to_triple(key, spec, case):
+    """The triple of the key (a1, a0, b1, b0, c3, c2, c1, c0)."""
+    return DerivationTriple(
+        case,
+        Poly._make(spec, key[1::-1]),
+        Poly._make(spec, key[3:1:-1]),
+        Poly._make(spec, key[:3:-1]),
+    )
 
 
 def enumerate_triples(spec, case):
     """Deterministic stream of all candidate triples except (0, 0, 0).
 
-    Order is lexicographic on (index of a, index of b, index of c) where a
-    polynomial's index encodes its coefficients with the constant one least
-    significant; the first triple is (0, 0, 1).
+    Order is lexicographic on the key (a1, a0, b1, b0, c3, c2, c1, c0) of
+    coefficient indices; the first triple is (0, 0, 1).  Each distinct
+    polynomial is one Poly object, shared by every triple that contains it.
     """
     if spec.p != 2:
         raise ValueError("enumeration is specific to characteristic 2")
     q = spec.order
-    lines = [_poly_from_index(spec, i, 1) for i in range(q * q)]
-    cubics = [_poly_from_index(spec, i, 3) for i in range(q**4)]
-    for ia, a in enumerate(lines):
-        for ib, b in enumerate(lines):
-            for ic, c in enumerate(cubics):
-                if ia == 0 and ib == 0 and ic == 0:
-                    continue
-                yield DerivationTriple(case, a, b, c)
+    lines = [Poly._make(spec, f[::-1]) for f in itertools.product(range(q), repeat=2)]
+    cubics = [Poly._make(spec, f[::-1]) for f in itertools.product(range(q), repeat=4)]
+    triples = itertools.product(lines, lines, cubics)
+    next(triples)  # (0, 0, 0)
+    for a, b, c in triples:
+        yield DerivationTriple(case, a, b, c)
 
 
 def total_triple_count(spec):
@@ -63,13 +67,14 @@ def total_triple_count(spec):
 
 
 # ---------------------------------------------------------------------------
-# packed scan
+# coefficient scan
 # ---------------------------------------------------------------------------
 
 def _solve2(m, rhs, q, mul, inv):
-    """Solutions of m*(x, y) = rhs, m = (m00, m01, m10, m11) row by row, as
-    increasing indices x + q*y (char 2).  Cramer's rule gives the one solution
-    when det m != 0; a singular m has none, q or all q^2, found by testing.
+    """Solutions (x, y) of m*(x, y) = rhs, m = (m00, m01, m10, m11) row by
+    row, in increasing (y, x) order (char 2).  Cramer's rule gives the one
+    solution when det m != 0; a singular m has none, q or all q^2, found by
+    testing.
     """
     m00, m01, m10, m11 = m
     r0, r1 = rhs
@@ -77,37 +82,39 @@ def _solve2(m, rhs, q, mul, inv):
     if det:
         x = mul[(mul[r0 * q + m11] ^ mul[m01 * q + r1]) * q + inv[det]]
         y = mul[(mul[m00 * q + r1] ^ mul[m10 * q + r0]) * q + inv[det]]
-        return [x + q * y]
+        return [(x, y)]
     return [
-        x + q * y for y in range(q) for x in range(q)
+        (x, y) for y in range(q) for x in range(q)
         if mul[m00 * q + x] ^ mul[m01 * q + y] == r0 and mul[m10 * q + x] ^ mul[m11 * q + y] == r1
     ]
 
 
-def _is_primitive(a, b, c, q, mul, inv):
-    """C1 for packed coefficient tuples a = (a0, a1), b = (b0, b1), c = (c0, ..., c3).
+def _is_primitive(key, q, mul, inv):
+    """C1 for the key (a1, a0, b1, b0, c3, c2, c1, c0).
 
     If P = a1*b0 + a0*b1 != 0, a and b span the polynomials of degree <= 1,
     so gcd(a, b) = 1.  If P = 0, a and b are multiples of one l = l0 + l1*t:
     if a = b = 0 the gcd is c, a constant l is a unit, and a linear l divides
     c exactly when c(l0/l1) = 0.
     """
-    if mul[a[1] * q + b[0]] ^ mul[a[0] * q + b[1]]:
+    a1, a0, b1, b0 = key[:4]
+    c = key[4:]
+    if mul[a1 * q + b0] ^ mul[a0 * q + b1]:
         return True
-    l0, l1 = a if a != (0, 0) else b
+    l1, l0 = (a1, a0) if a1 or a0 else (b1, b0)
     if not (l0 or l1):
-        return bool(c[0]) and not any(c[1:])
+        return bool(c[3]) and not any(c[:3])
     if not l1:
         return True
     root = mul[l0 * q + inv[l1]]
     value = 0
-    for ci in reversed(c):
+    for ci in c:
         value = mul[value * q + root] ^ ci
     return value != 0
 
 
 def _scan_block(args):
-    """Scan the (a, b) pairs of one a-index; return packed valid triples.
+    """Scan the (a, b) pairs of one a = (a1, a0); return the valid keys.
 
     p-closedness is linear in c.  Write delta^2 = (A, B, C) as in
     delta_squared and let S_A, S_B be the parts that a^2 and b^2 contribute
@@ -127,24 +134,25 @@ def _scan_block(args):
     reads c = K/P).  The q^3 + q^2 - q pairs with P = 0 test all q^2 pairs:
     no solution, q, or q^2 when a = b = 0.  They are decided, never skipped,
     as "no admissible triple has P = 0" is part of what the scan verifies.
-    The candidates, in increasing c-index, then need C2 and C1.
+    The candidates, in increasing key order, then need C2 and C1.
+
+    In case I (S_A = S_B = 0) that emptiness has a short proof.  P = 0 makes
+    a and b multiples of one l.  If l is linear, (lc)' = 0 makes lc a square,
+    so l divides c and C1 fails.  If l is constant, c' = 0 makes c even, so
+    deg c <= 2 and, with a and b constant, C2 fails.  If a = b = 0, C1 asks
+    for a constant c, which C2 refuses.
     """
-    literal, case_name, ia = args
+    literal, case_name, (a1, a0) = args
     q, _add, mul, inv = parse_field(literal).tables()
-    pairs = tuple((i % q, i // q) for i in range(q * q))
     case = LieCase[case_name]
-    q2 = q * q
-    a0, a1 = a = pairs[ia]
     out = []
-    for ib, b in enumerate(pairs):
-        b0, b1 = b
-        # squares routed as in delta_squared; an even poly e0 + e2*t^2 is
-        # packed as the index e0 + e2*q, so XOR adds them
-        routed = {"alpha": 0, "beta": 0, "zero": 0}
-        routed[case.alpha_sq] ^= mul[a0 * q + a0] + mul[a1 * q + a1] * q
-        routed[case.beta_sq] ^= mul[b0 * q + b0] + mul[b1 * q + b1] * q
-        sa0, sa2 = pairs[routed["alpha"]]
-        sb0, sb2 = pairs[routed["beta"]]
+    for b1, b0 in itertools.product(range(q), repeat=2):
+        # squares routed as in delta_squared; f^2 = f0^2 + f1^2*t^2 in char 2
+        routed = {"alpha": [0, 0], "beta": [0, 0], "zero": [0, 0]}
+        for f0, f1, slot in ((a0, a1, case.alpha_sq), (b0, b1, case.beta_sq)):
+            routed[slot][0] ^= mul[f0 * q + f0]
+            routed[slot][1] ^= mul[f1 * q + f1]
+        (sa0, sa2), (sb0, sb2) = routed["alpha"], routed["beta"]
         m = (a1, a0, b1, b0)
         low = _solve2(m, (sa0, sb0), q, mul, inv)
         high = _solve2(m, (sa2, sb2), q, mul, inv)
@@ -155,22 +163,22 @@ def _scan_block(args):
             or mul[sa2 * q + b0] ^ mul[sb2 * q + a0]
             or mul[sa2 * q + b1] ^ mul[sb2 * q + a1]
         )
-        # c-index is low + q^2 * high, so this order is increasing
-        candidates = [0] if k_zero else []
-        candidates += [il + q2 * ih for ih in high for il in low if il or ih]
-        for ic in candidates:
-            c = pairs[ic % q2] + pairs[ic // q2]
-            if (a1 or b1 or c[3]) and _is_primitive(a, b, c, q, mul, inv):
-                out.append((ia, ib, ic))
+        # c is keyed (c3, c2, c1, c0), so high before low keeps this increasing
+        candidates = [(0, 0, 0, 0)] if k_zero else []
+        candidates += [(c3, c2, c1, c0) for c2, c3 in high for c0, c1 in low if c0 or c1 or c2 or c3]
+        for c in candidates:
+            key = m + c
+            if (a1 or b1 or c[0]) and _is_primitive(key, q, mul, inv):
+                out.append(key)
     return out
 
 
 def _scan(spec, case, jobs=1):
-    """All valid packed triples of the case, in lexicographic order."""
+    """All valid keys of the case, in increasing order."""
     if spec.p != 2:
         raise ValueError("enumeration is specific to characteristic 2")
     literal, q = spec.literal(), spec.order
-    blocks = [(literal, case.name, ia) for ia in range(q * q)]
+    blocks = [(literal, case.name, a) for a in itertools.product(range(q), repeat=2)]
     jobs = min(jobs, len(blocks))
     if jobs > 1:
         import multiprocessing
@@ -185,54 +193,25 @@ def _scan(spec, case, jobs=1):
     return out
 
 
-def _scale_packed(packed, lam, spec, mul):
-    q = spec.order
-
-    def scale_idx(idx, width):
-        return sum(mul[(idx // q**e % q) * q + lam] * q**e for e in range(width))
-
-    return tuple(scale_idx(idx, width) for idx, width in zip(packed, (2, 2, 4)))
-
-
-def _canonical_rep(packed, spec, mul, inv):
-    """Least element of the scalar orbit: scale the most significant nonzero
-    coefficient (a1, a0, b1, b0, c3, ..., c0) to 1, the least nonzero index.
-    Scaling keeps the zeros before it, and lam*x = 1 only for lam = x^-1."""
-    q = spec.order
-    ia, ib, ic = packed
-    lead = (ia * q * q + ib) * q**4 + ic
-    while lead >= q:
-        lead //= q
-    return _scale_packed(packed, inv[lead], spec, mul)
-
-
-def _packed_to_triple(packed, spec, case):
-    ia, ib, ic = packed
-    return DerivationTriple(
-        case,
-        _poly_from_index(spec, ia, 1),
-        _poly_from_index(spec, ib, 1),
-        _poly_from_index(spec, ic, 3),
-    )
+def _canonical_rep(key, spec):
+    """Least key of the scalar orbit: scale the first nonzero entry to 1, the
+    least nonzero index.  Scaling keeps the zeros before it, and lam*x = 1
+    only for lam = x^-1."""
+    q, _add, mul, inv = spec.tables()
+    lam = inv[next(x for x in key if x)]
+    return tuple(mul[x * q + lam] for x in key)
 
 
 def _scalar_classes(spec, case, jobs):
-    """(valid count, sorted packed least representatives of the scalar classes)."""
-    _, _add, mul, inv = spec.tables()
+    """(valid count, sorted least keys of the scalar classes)."""
     valid = _scan(spec, case, jobs=jobs)
-    reps = sorted({_canonical_rep(pk, spec, mul, inv) for pk in valid})
+    reps = sorted({_canonical_rep(key, spec) for key in valid})
     if len(valid) != len(reps) * (spec.order - 1):
         raise ConsistencyError(
             f"scalar orbits do not partition the valid set: {len(valid)} valid, "
             f"{len(reps)} classes over {spec.literal()}"
         )
     return len(valid), reps
-
-
-def find_valid(spec, case, jobs=1):
-    """Lexicographically least representatives of the valid scalar classes."""
-    _count, reps = _scalar_classes(spec, case, jobs)
-    return [_packed_to_triple(pk, spec, case) for pk in reps]
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +278,33 @@ class EnumerationReport:
     case: str
     total_triples: int
     valid_count: int
-    scalar_classes: int
-    matched: int
-    unmatched: list
-    overlaps: list
     runtime_seconds: float
-    class_matches: list = field(default_factory=list)  # [(triple, [FamilyMatch...])]
+    class_matches: list  # [(triple, [FamilyMatch...])], one per scalar class
+
+    @property
+    def scalar_classes(self):
+        return len(self.class_matches)
+
+    @property
+    def matched(self):
+        return sum(1 for _triple, matches in self.class_matches if matches)
+
+    @property
+    def unmatched(self):
+        return [triple.to_json_dict() for triple, matches in self.class_matches if not matches]
+
+    @property
+    def overlaps(self):
+        out = []
+        for triple, matches in self.class_matches:
+            families = sorted({m.family.value for m in matches})
+            if len(families) > 1:
+                out.append({"triple": triple.to_json_dict(), "families": families})
+        return out
 
     @property
     def complete(self):
-        return not self.unmatched
+        return all(matches for _triple, matches in self.class_matches)
 
     def to_json_dict(self, with_timing=True):
         out = {
@@ -318,8 +314,8 @@ class EnumerationReport:
             "valid_count": self.valid_count,
             "scalar_classes": self.scalar_classes,
             "matched": self.matched,
-            "unmatched": list(self.unmatched),
-            "overlaps": list(self.overlaps),
+            "unmatched": self.unmatched,
+            "overlaps": self.overlaps,
             "complete": self.complete,
         }
         if with_timing:
@@ -330,31 +326,16 @@ class EnumerationReport:
 def verify_completeness(spec, case, jobs=1):
     """Classify every valid scalar class; unmatched classes are report data."""
     start = time.monotonic()
-    valid_count, reps_packed = _scalar_classes(spec, case, jobs)
-    unmatched = []
-    overlaps = []
-    matched = 0
+    valid_count, keys = _scalar_classes(spec, case, jobs)
     class_matches = []
-    for pk in reps_packed:
-        triple = _packed_to_triple(pk, spec, case)
-        matches = classify(triple)
-        class_matches.append((triple, matches))
-        if matches:
-            matched += 1
-            families = sorted({m.family.value for m in matches})
-            if len(families) > 1:
-                overlaps.append({"triple": triple.to_json_dict(), "families": families})
-        else:
-            unmatched.append(triple.to_json_dict())
+    for key in keys:
+        triple = _key_to_triple(key, spec, case)
+        class_matches.append((triple, classify(triple)))
     return EnumerationReport(
         field=spec.literal(),
         case=case.name,
         total_triples=total_triple_count(spec),
         valid_count=valid_count,
-        scalar_classes=len(reps_packed),
-        matched=matched,
-        unmatched=unmatched,
-        overlaps=overlaps,
         runtime_seconds=time.monotonic() - start,
         class_matches=class_matches,
     )

@@ -20,8 +20,9 @@ literals (in x, inside GF(q;mod=...)) share one grammar, term ('+' term)*,
 with one scanner and one printer.  A term is a coefficient, a power of the
 variable or both: `2*u^2`, `(u+1)*t`, `2x3`.  A modulus is written as
 FieldSpec.literal prints it, without '*' and with the '^' optional (x3 or
-x^3), and an exponent above k is refused where it stands.  Spaces are
-ignored, and a ParseError's position indexes the literal as typed.
+x^3), and an exponent above k is refused where it stands.  A number with
+more than _MAX_DIGITS significant digits is refused where it starts.  Spaces
+are ignored, and a ParseError's position indexes the literal as typed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ SUPPORTED_CHARACTERISTICS = (2, 3, 5)
 # Largest supported field order: every field is tabulated, at q^2 add and mul
 # entries each.
 _TABLE_LIMIT = 256
+
+# The most significant digits a number in a literal may have: int()'s default
+# limit on a string, fixed here so that every Python version refuses alike.
+_MAX_DIGITS = 4300
 
 
 def _poly_mod_mul(f, g, modulus, p):
@@ -394,10 +399,20 @@ def _digits(s, pos):
     return pos
 
 
+def _number(text, run, at):
+    """The integer of the digit run `run`, which starts at text[at].  A run of
+    more than _MAX_DIGITS significant digits, which int() refuses without a
+    position, is refused where it starts."""
+    run = run.lstrip("0")
+    if len(run) > _MAX_DIGITS:
+        raise ParseError(f"number longer than {_MAX_DIGITS} digits", text, at)
+    return int(run or "0")
+
+
 def _read_int(text, s, at, pos):
     """A coefficient reader for integer coefficients (1 when none is written)."""
     end = _digits(s, pos)
-    return (int(s[pos:end]) if end > pos else 1), end
+    return (_number(text, s[pos:end], at[pos]) if end > pos else 1), end
 
 
 def _scan_terms(text, var, read_coeff, max_exp, start=0, end=None):
@@ -437,9 +452,11 @@ def _scan_terms(text, var, read_coeff, max_exp, start=0, end=None):
                 digits = pos
                 pos = _digits(s, pos)
                 if pos > digits:
-                    exp = int(s[digits:pos])
-                    if max_exp is not None and exp > max_exp:
+                    run = s[digits:pos].lstrip("0")
+                    # a run with more significant digits than the bound is above it
+                    if max_exp is not None and (len(run) > len(str(max_exp)) or int(run or "0") > max_exp):
                         raise ParseError(f"exponent above {max_exp}", text, at[digits])
+                    exp = _number(text, run, at[digits])
                 elif caret:
                     raise ParseError("expected exponent digits", text, at[digits])
         elif pos == term:
@@ -517,13 +534,14 @@ def parse_field(text):
     close = lead + len(s) - 1
     semi = text.find(";", lead, close)
     order_end = close if semi < 0 else semi
-    if semi >= 0 and not text.startswith("mod=", semi + 1):
-        raise ParseError("unknown field option; expected mod=...", text, _skip_spaces(text, semi + 1))
+    option = _skip_spaces(text, semi + 1)
+    if semi >= 0 and not text.startswith("mod=", option):
+        raise ParseError("unknown field option; expected mod=...", text, option)
     order_at = _skip_spaces(text, lead + 3)
-    try:
-        q = int(text[lead + 3 : order_end])
-    except ValueError:
-        raise ParseError("field order must be an integer", text, order_at) from None
+    order = text[lead + 3 : order_end].strip(" ")
+    if not (order.isascii() and order.isdigit()):
+        raise ParseError("field order must be an integer", text, order_at)
+    q = _number(text, order, order_at)
     if q < 2:
         raise ParseError(f"field order {q} is below 2", text, order_at)
     for p in SUPPORTED_CHARACTERISTICS:
@@ -536,7 +554,7 @@ def parse_field(text):
             if semi < 0:
                 return FieldSpec(p, k)
             modulus = [0] * (k + 1)
-            for c, e, _ in _scan_terms(text, "x", _read_int, k, semi + 5, close):
+            for c, e, _ in _scan_terms(text, "x", _read_int, k, option + 4, close):
                 modulus[e] = (modulus[e] + c) % p
             return FieldSpec(p, k, modulus)
     raise ParseError(f"order {q} is not a power of a supported prime", text, order_at)

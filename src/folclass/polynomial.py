@@ -245,14 +245,6 @@ class Poly:
             return self
         return self._scaled(self.spec.inv[self._idx[-1]])
 
-    def compose_with_affine(self, c):
-        """f(t + c) by Horner in (t + c)."""
-        shift = Poly(self.spec, (c, 1))
-        acc = Poly.zero(self.spec)
-        for i in reversed(self._idx):
-            acc = acc * shift + Poly._make(self.spec, (i,))
-        return acc
-
     def __repr__(self):
         return f"Poly({format_poly(self)!r} over {self.spec.literal()})"
 

@@ -11,7 +11,6 @@ from folclass.cartier import Quadric, SymbolicCoeff, TraceOperator, cartier_extr
 from folclass.classifier import classify
 from folclass.cli import main
 from folclass.derivation import (
-    DerivationTriple,
     LieCase,
     chart_at_infinity,
     delta_squared,
@@ -20,8 +19,6 @@ from folclass.derivation import (
     scale,
 )
 from folclass.enumerator import (
-    _poly_from_index,
-    _scale_packed,
     _scan,
     enumerate_triples,
     verify_soundness,
@@ -128,12 +125,12 @@ def test_criterion_4_proof_branch_corollaries(gf4_reports, gf8_reports):
 def test_criterion_5_scaling_invariance(F4, gf4_reports):
     q, _add, mul, _inv = F4.tables()
     exceptions = 0
-    # validity: the packed valid set of each case is stable under every
-    # nonzero scalar, which covers all 65535 triples, valid and invalid
+    # validity: the valid keys of each case are stable under every nonzero
+    # scalar, which covers all 65535 triples, valid and invalid
     for case in LieCase:
         valid = set(_scan(F4, case))
         for lam in range(1, q):
-            scaled = {_scale_packed(pk, lam, F4, mul) for pk in valid}
+            scaled = {tuple(mul[x * q + lam] for x in key) for key in valid}
             if scaled != valid:
                 exceptions += 1
     # classification outcomes: same families and parameters, scalar follows
@@ -157,21 +154,13 @@ def test_criterion_5_scaling_invariance(F4, gf4_reports):
 
 def test_criterion_6_c2_iff_chart(F4):
     start = time.monotonic()
-    q = F4.order
     exceptions = 0
     checked = 0
-    for ia in range(q * q):
-        a = _poly_from_index(F4, ia, 1)
-        for ib in range(q * q):
-            b = _poly_from_index(F4, ib, 1)
-            for ic in range(q**4):
-                if ia == ib == 0 and ic == 0:
-                    continue
-                d = DerivationTriple(LieCase.I, a, b, _poly_from_index(F4, ic, 3))
-                ch = chart_at_infinity(d)
-                if satisfies_C2(d) != (ch.regular and ch.nonvanishing_at_s0):
-                    exceptions += 1
-                checked += 1
+    for d in enumerate_triples(F4, LieCase.I):
+        ch = chart_at_infinity(d)
+        if satisfies_C2(d) != (ch.regular and ch.nonvanishing_at_s0):
+            exceptions += 1
+        checked += 1
     elapsed = time.monotonic() - start
     _report(
         6,

@@ -7,7 +7,7 @@ from folclass.classifier import (
     instantiate,
 )
 from folclass.derivation import DerivationTriple, LieCase, is_valid_foliation, scale
-from folclass.enumerator import find_valid, iter_family_instances
+from folclass.enumerator import iter_family_instances, verify_completeness
 from folclass.errors import InvalidParameterError, NotAFoliationError
 from folclass.finite_field import GF, embed
 from folclass.polynomial import Poly, parse_poly
@@ -140,7 +140,7 @@ def test_classification_commutes_with_embedding(F2, F8, F16, gf4_reports):
     # case over GF(2) (into GF(8)) and GF(4) (into GF(16)): a match over an
     # extension is the image of one over the base field, which is why
     # classify never searches extensions
-    classes = [(d, F8) for case in LieCase for d in find_valid(F2, case)]
+    classes = [(d, F8) for case in LieCase for d, _m in verify_completeness(F2, case).class_matches]
     classes += [(d, F16) for report in gf4_reports.values() for d, _m in report.class_matches]
     assert len(classes) == 4 * (6 + 60)
     for d, F in classes:

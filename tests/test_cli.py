@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from folclass import cli
-from folclass.cli import build_parser, main
+from folclass.cli import main
 
 
 def run_cli(argv, capsys):
@@ -60,6 +60,21 @@ def test_classify_huge_exponent_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "exponent above" in err and "position 2" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["classify", "--field", "GF(4)", "--case", "II", "--a", "1", "--b", "t", "--c", "t^" + "9" * 5000],
+     "exponent above 1024 at position 2"),
+    (["fields", "--field", "GF(8;mod=x" + "9" * 5000 + "+x+1)"], "exponent above 3 at position 10"),
+    (["fields", "--field", "GF(" + "9" * 5000 + ")"], "number longer than 4300 digits at position 3"),
+], ids=["t-exponent", "x-exponent", "field-order"])
+def test_long_digit_run_exits_one(argv, reason, capsys):
+    # refused at the digits' position, an exponent as above its bound without
+    # reading its digits; int() would refuse without a position
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert reason in err
 
 
 def test_fields_huge_modulus_exponent_exits_one(capsys):
@@ -192,8 +207,7 @@ def test_detail_jsonl(tmp_path):
         assert rec["matches"]
 
 
-def test_enumerate_includes_timing_by_default(monkeypatch, capsys):
-    monkeypatch.delenv("FOLCLASS_JOBS", raising=False)  # the default is 1 only without it
+def test_enumerate_includes_timing_by_default(capsys):
     code, out, _err = run_cli(["enumerate", "--field", "GF(2)", "--case", "IV"], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -286,27 +300,10 @@ def test_exit_code_two_on_vanishing_trace(monkeypatch, capsys):
     assert json.loads(out)["findings"] == 2
 
 
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("FOLCLASS_JOBS", "5")
-    parser = build_parser()
-    args = parser.parse_args(["verify-theorem", "--field", "GF(2)"])
-    assert args.jobs == 5
-    monkeypatch.delenv("FOLCLASS_JOBS")
-    parser = build_parser()
-    args = parser.parse_args(["verify-theorem", "--field", "GF(2)"])
-    assert args.jobs == 1
-
-
 @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
-def test_jobs_below_one_exits_one(jobs, monkeypatch, capsys):
+def test_jobs_below_one_exits_one(jobs, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--field", "GF(2)", "--jobs", jobs])
-    assert exc.value.code == 1
-    assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
-    # the $FOLCLASS_JOBS default is validated the same way, not ignored
-    monkeypatch.setenv("FOLCLASS_JOBS", jobs)
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--field", "GF(2)"])
     assert exc.value.code == 1
     assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
 

@@ -16,16 +16,14 @@ from folclass.derivation import (
 )
 from folclass.enumerator import (
     enumerate_triples,
-    find_valid,
     iter_family_instances,
     total_triple_count,
     verify_completeness,
     verify_soundness,
     _canonical_rep,
     _is_primitive,
-    _packed_to_triple,
-    _poly_from_index,
-    _scale_packed,
+    _key_to_triple,
+    _scalar_classes,
     _scan,
     _solve2,
 )
@@ -37,6 +35,25 @@ def triple(case, a, b, c, spec):
     return DerivationTriple(
         LieCase[case], parse_poly(a, spec), parse_poly(b, spec), parse_poly(c, spec)
     )
+
+
+def key_of(d):
+    """The key (a1, a0, b1, b0, c3, c2, c1, c0) of a triple."""
+    a, b, c = d.components()
+    return tuple(f.coeff(e).index for f, width in ((a, 2), (b, 2), (c, 4)) for e in reversed(range(width)))
+
+
+def all_keys(q):
+    """Every key except the zero one, in increasing order."""
+    keys = itertools.product(range(q), repeat=8)
+    next(keys)
+    return keys
+
+
+def class_reps(spec, case, jobs=1):
+    """The least representatives of the valid scalar classes, as triples."""
+    _count, keys = _scalar_classes(spec, case, jobs)
+    return [_key_to_triple(key, spec, case) for key in keys]
 
 
 def valid_via_oracle(d):
@@ -60,65 +77,59 @@ def test_total_count_gf4(F4):
     assert total_triple_count(F4) == 4**8 - 1 == 65535
 
 
+def test_keys_follow_enumeration_order_gf4(F4):
+    # every GF(4) triple: _key_to_triple inverts key_of, and the keys increase
+    # strictly in enumerate_triples order, the order the reports sort by
+    previous = None
+    count = 0
+    for d in enumerate_triples(F4, LieCase.II):
+        key = key_of(d)
+        assert _key_to_triple(key, F4, LieCase.II) == d
+        assert previous is None or previous < key
+        previous = key
+        count += 1
+    assert count == 65535
+
+
 def test_scan_agrees_with_object_filter_gf2(F2):
     for case in LieCase:
-        packed = set(_scan(F2, case))
-        q = F2.order
+        keys = set(_scan(F2, case))
         expected = set()
-        for ia in range(q * q):
-            for ib in range(q * q):
-                for ic in range(q**4):
-                    if ia == ib == 0 and ic == 0:
-                        continue
-                    d = DerivationTriple(
-                        case,
-                        _poly_from_index(F2, ia, 1),
-                        _poly_from_index(F2, ib, 1),
-                        _poly_from_index(F2, ic, 3),
-                    )
-                    ok = is_valid_foliation(d)
-                    assert ok == valid_via_oracle(d)
-                    if ok:
-                        expected.add((ia, ib, ic))
-        assert packed == expected, f"case {case.name}"
+        for key in all_keys(F2.order):
+            d = _key_to_triple(key, F2, case)
+            ok = is_valid_foliation(d)
+            assert ok == valid_via_oracle(d)
+            if ok:
+                expected.add(key)
+        assert keys == expected, f"case {case.name}"
 
 
 def test_scan_agrees_with_object_filter_gf4_case_ii(F4):
-    packed = set(_scan(F4, LieCase.II))
+    keys = set(_scan(F4, LieCase.II))
     count = 0
     for d in enumerate_triples(F4, LieCase.II):
         ok = is_valid_foliation(d)
         if ok:
             count += 1
-            ia = d.a.coeff(0).index + 4 * d.a.coeff(1).index
-            ib = d.b.coeff(0).index + 4 * d.b.coeff(1).index
-            ic = sum(d.c.coeff(e).index * 4**e for e in range(4))
-            assert (ia, ib, ic) in packed
-    assert count == len(packed)
+            assert key_of(d) in keys
+    assert count == len(keys)
 
 
 def test_scan_agrees_with_oracle_filter_gf4_sampled(F4):
     rng = random.Random(29)
     q = F4.order
     for case in LieCase:
-        packed = set(_scan(F4, case))
+        keys = set(_scan(F4, case))
         for _ in range(3000):
-            ia = rng.randrange(q * q)
-            ib = rng.randrange(q * q)
-            ic = rng.randrange(q**4)
-            if ia == ib == 0 and ic == 0:
+            key = tuple(rng.randrange(q) for _ in range(8))
+            if not any(key):
                 continue
-            d = DerivationTriple(
-                case,
-                _poly_from_index(F4, ia, 1),
-                _poly_from_index(F4, ib, 1),
-                _poly_from_index(F4, ic, 3),
-            )
-            assert valid_via_oracle(d) == ((ia, ib, ic) in packed)
+            d = _key_to_triple(key, F4, case)
+            assert valid_via_oracle(d) == (key in keys)
 
 
 def test_find_valid_gf2_case_i(F2):
-    reps = find_valid(F2, LieCase.I)
+    reps = class_reps(F2, LieCase.I)
     shown = {(str(d.a), str(d.b), str(d.c)) for d in reps}
     # the full c = 0 locus: gcd(a, b) = 1 with max degree 1
     assert shown == {
@@ -133,7 +144,7 @@ def test_find_valid_gf2_case_i(F2):
 
 
 def test_find_valid_gf2_case_ii_contains_known_member(F2):
-    reps = find_valid(F2, LieCase.II)
+    reps = class_reps(F2, LieCase.II)
     assert triple("II", "t+1", "t", "t^2+t", F2) in reps
     assert all(d.c for d in reps)
 
@@ -150,7 +161,7 @@ def test_find_valid_gf2_case_ii_contains_known_member(F2):
 def test_scalar_class_counts(q, classes):
     spec = GF(q)
     for case in LieCase:
-        reps = find_valid(spec, case)
+        reps = class_reps(spec, case)
         assert len(reps) == classes == q**3 - q
 
 
@@ -232,21 +243,21 @@ def test_determinism_across_worker_counts(F4):
     r1 = verify_completeness(F4, LieCase.II, jobs=1)
     r2 = verify_completeness(F4, LieCase.II, jobs=2)
     assert r1.to_json_dict(with_timing=False) == r2.to_json_dict(with_timing=False)
-    assert find_valid(F4, LieCase.III, jobs=1) == find_valid(F4, LieCase.III, jobs=2)
+    assert class_reps(F4, LieCase.III, jobs=1) == class_reps(F4, LieCase.III, jobs=2)
 
 
 def test_canonical_rep_is_orbit_minimum(F4, F8):
     rng = random.Random(31)
     for spec in (F4, F8):
-        q, _add, mul, inv = spec.tables()
+        q, _add, mul, _inv = spec.tables()
         for _ in range(200):
-            pk = (rng.randrange(q * q), rng.randrange(q * q), rng.randrange(q**4))
-            if pk == (0, 0, 0):
+            key = tuple(rng.randrange(q) for _ in range(8))
+            if not any(key):
                 continue
-            rep = _canonical_rep(pk, spec, mul, inv)
+            rep = _canonical_rep(key, spec)
             orbit = {rep}
             for lam in range(1, q):
-                orbit.add(_scale_packed(pk, lam, spec, mul))
+                orbit.add(tuple(mul[x * q + lam] for x in key))
             assert rep == min(orbit)
 
 
@@ -256,7 +267,7 @@ def test_solve2_matches_pair_filter_gf4(F4):
     nonsingular = 0
     for m00, m01, m10, m11, r0, r1 in itertools.product(range(q), repeat=6):
         expected = [
-            x + q * y
+            (x, y)
             for y in range(q)
             for x in range(q)
             if mul[m00 * q + x] ^ mul[m01 * q + y] == r0 and mul[m10 * q + x] ^ mul[m11 * q + y] == r1
@@ -266,31 +277,19 @@ def test_solve2_matches_pair_filter_gf4(F4):
     assert nonsingular == (q * q - 1) * (q * q - q) * q * q
 
 
-def _digits(idx, q, width):
-    return tuple(idx // q**e % q for e in range(width))
-
-
 def test_is_primitive_matches_c1_where_p_vanishes_gf4(F4):
     # the scan's C1 shortcut on every GF(4) triple whose (a, b) has P = 0;
     # no such triple is admissible, so the scan-vs-object tests cannot see
     # whether these pairs are decided or skipped
     q, _add, mul, inv = F4.tables()
     checked = 0
-    for ia, ib in itertools.product(range(q * q), repeat=2):
-        a, b = _digits(ia, q, 2), _digits(ib, q, 2)
-        if mul[a[1] * q + b[0]] != mul[a[0] * q + b[1]]:
+    for key in all_keys(q):
+        a1, a0, b1, b0 = key[:4]
+        if mul[a1 * q + b0] != mul[a0 * q + b1]:
             continue
-        for ic in range(q**4):
-            if ia == ib == ic == 0:
-                continue
-            d = DerivationTriple(
-                LieCase.I,
-                _poly_from_index(F4, ia, 1),
-                _poly_from_index(F4, ib, 1),
-                _poly_from_index(F4, ic, 3),
-            )
-            assert _is_primitive(a, b, _digits(ic, q, 4), q, mul, inv) == satisfies_C1(d), d
-            checked += 1
+        d = _key_to_triple(key, F4, LieCase.I)
+        assert _is_primitive(key, q, mul, inv) == satisfies_C1(d), d
+        checked += 1
     assert checked == (q**3 + q**2 - q) * q**4 - 1 == 19455
 
 
@@ -301,19 +300,19 @@ def test_scan_pairs_biject_with_gl2(q, request):
     spec = request.getfixturevalue(f"F{q}")
     _q, _add, mul, _inv = spec.tables()
     invertible = {
-        (ia, ib)
-        for ia, ib in itertools.product(range(q * q), repeat=2)
-        if mul[(ia // q) * q + ib % q] != mul[(ia % q) * q + ib // q]
+        (a1, a0, b1, b0)
+        for a1, a0, b1, b0 in itertools.product(range(q), repeat=4)
+        if mul[a1 * q + b0] != mul[a0 * q + b1]
     }
     for case in LieCase:
         valid = _scan(spec, case)
-        pairs = [(ia, ib) for ia, ib, _ic in valid]
+        pairs = [key[:4] for key in valid]
         assert len(pairs) == len(set(pairs)) == (q * q - 1) * (q * q - q)
         assert set(pairs) == invertible
         if q != 4:
             continue
-        for pk in valid:
-            d = _packed_to_triple(pk, spec, case)
+        for key in valid:
+            d = _key_to_triple(key, spec, case)
             a, b, c = d.components()
             A, B, _C = delta_squared(d).components()
             s_a = A + c * a.formal_derivative()

@@ -191,6 +191,8 @@ def test_prime_field_refuses_generator(q):
     assert parse_element("2+1", spec) == spec.element(3 % q)
 
 
+NINES = "9" * 5000
+
 # One grammar for element, polynomial and modulus literals: spaces are
 # ignored, and a refusal's position indexes the literal as typed.  Each row is
 # (grammar, field, literal, the value's literal or the refusal's position).
@@ -218,6 +220,15 @@ LITERALS = [
     ("field", None, "  gf(4)", 2),
     ("field", None, "  GF( x)", 6),
     ("field", None, " GF(8;nod=x)", 6),
+    ("field", None, "GF(8; mod=x3+x+1)", "GF(8)"),
+    # a digit run above int()'s 4300-digit limit is refused where it starts
+    pytest.param("poly", "GF(4)", "t^" + NINES, 2, id="poly-GF(4)-t^<5000 nines>-2"),
+    pytest.param("poly", "GF(4)", "t^" + "0" * 5000 + "2", "t^2", id="poly-GF(4)-t^<5000 zeros>2-t^2"),
+    pytest.param("element", "GF(4)", "u^" + NINES, 2, id="element-GF(4)-u^<5000 nines>-2"),
+    pytest.param("element", "GF(4)", "u+" + NINES, 2, id="element-GF(4)-u+<5000 nines>-2"),
+    pytest.param("field", None, f"GF(8;mod={NINES}x3+x+1)", 9, id="field-None-GF(8;mod=<5000 nines>x3+x+1)-9"),
+    pytest.param("field", None, f"GF(8;mod=x{NINES}+x+1)", 10, id="field-None-GF(8;mod=x<5000 nines>+x+1)-10"),
+    pytest.param("field", None, f"GF({NINES})", 3, id="field-None-GF(<5000 nines>)-3"),
 ]
 
 

@@ -229,16 +229,6 @@ def test_cross_field_operations_raise(F4, F8):
                 g.scale(F4.one)
 
 
-def test_compose_with_affine(F4):
-    rng = random.Random(23)
-    for _ in range(50):
-        f = rand_poly(F4, 3, rng)
-        c = F4.element(rng.randrange(4))
-        g = f.compose_with_affine(c)
-        for x in F4.elements():
-            assert g.eval(x) == f.eval(x + c)
-
-
 def test_parse_and_format(F2, F4):
     f = parse_poly("t^2+u*t+1", F4)
     assert [str(c) for c in f.coeffs] == ["1", "u", "1"]
