@@ -31,14 +31,19 @@ from .enumerator import (
     verify_soundness,
 )
 from .errors import FolclassError, ParseError
-from .finite_field import format_modulus, parse_element, parse_field
+from .finite_field import _MAX_DIGITS, format_modulus, parse_element, parse_field
 from .polynomial import MAX_EXPONENT, parse_poly
 
 _ALL_CASES = tuple(LieCase)
 
 
 def _positive_int(text):
-    """argparse type for counts that must be at least 1 (--jobs, --e-max)."""
+    """argparse type for counts that must be at least 1 (--jobs, --e-max).
+
+    A value of more than _MAX_DIGITS digits is refused by its length before
+    int() reads it, because only some Python versions cap int() there."""
+    if sum("0" <= ch <= "9" for ch in text) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"number longer than {_MAX_DIGITS} digits")
     try:
         value = int(text)
     except ValueError:

@@ -1,6 +1,7 @@
 import pytest
 
 from folclass.classifier import (
+    _FAMILIES,
     FamilyId,
     classify,
     families_of_case,
@@ -133,6 +134,33 @@ def test_round_trip_every_instance_is_recovered(q):
             assert any(
                 scale(m.lam, instantiate(m.family, m.params, spec)) == d for m in matches
             ), f"{family} instance {d} not recovered"
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_signatures_are_those_of_the_instances(q):
+    # classify skips a family whose signature set lacks the triple's: a
+    # missing signature would lose matches, an extra one would cost time
+    spec = GF(q)
+    for family in FamilyId:
+        instances = iter_family_instances(spec, family)
+        realized = {tuple(f.degree for f in d.components()) for _params, d in instances}
+        assert _FAMILIES[family].signatures == realized, family
+
+
+def test_iv_iii_r2_zero_is_iv_ii_with_t2_zero(F4):
+    # IV-iii's r2 != 0 is not needed for admissibility: at r2 = 0 its formula
+    # gives admissible triples, which are IV-ii's t2 = 0 instances and no
+    # IV-iii instance
+    zero = F4.zero
+    nonzero = [x for x in F4.elements() if x]
+    for s1 in nonzero:
+        for s2 in nonzero:
+            den, a, b, c = _FAMILIES[FamilyId.IV_III].cleared(s1, s2, zero)
+            d = scale(den.inverse(), DerivationTriple(LieCase.IV, a, b, c))
+            assert is_valid_foliation(d)
+            assert [(m.family, m.params) for m in classify(d)] == [
+                (FamilyId.IV_II, {"s1": s1 * s2, "t2": zero})
+            ]
 
 
 def test_classification_commutes_with_embedding(F2, F8, F16, gf4_reports):

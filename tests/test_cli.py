@@ -308,6 +308,20 @@ def test_jobs_below_one_exits_one(jobs, capsys):
     assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--field", "GF(2)", "--jobs", "9" * 5000],
+    ["cartier", "--e-max", "9" * 5000],
+], ids=["jobs", "e-max"])
+def test_count_longer_than_int_reads_exits_one(argv, capsys):
+    # refused by its length on every Python version, without echoing it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"{argv[-2]}: number longer than 4300 digits" in err
+    assert "9" * 50 not in err
+
+
 @pytest.mark.parametrize("e_max", ["0", "-1"])
 def test_cartier_e_max_below_one_exits_one(e_max, capsys):
     with pytest.raises(SystemExit) as exc:
