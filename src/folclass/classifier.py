@@ -80,9 +80,9 @@ class _Family(NamedTuple):
 
 
 def _t(*roots):  # (t - r1)...(t - rn), = (t + r1)...(t + rn) in char 2
-    f = Poly(roots[0].spec, (roots[0], 1))
+    f = Poly._make(roots[0].spec, (roots[0].index, 1))
     for r in roots[1:]:
-        f = f * Poly(r.spec, (r, 1))
+        f = f * Poly._make(r.spec, (r.index, 1))
     return f
 
 
@@ -249,6 +249,8 @@ def instantiate(family: FamilyId, params, spec) -> DerivationTriple:
         if not factor:
             raise InvalidParameterError(family.value, clause)
     den, a, b, c = row.cleared(*vals)
+    if den is spec.one:
+        return DerivationTriple(_CASES[family], a, b, c)
     inv = den.inverse()
     return DerivationTriple(_CASES[family], a.scale(inv), b.scale(inv), c.scale(inv))
 

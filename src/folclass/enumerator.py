@@ -10,11 +10,11 @@ in characteristic 2 index addition is XOR.  It never loops over c: for each
 (a, b) pair, p-closedness with c != 0 is two 2x2 linear systems in the
 coefficients of c whose matrix has determinant P(a,b) (the scalar of the
 first minor), and c = 0 is p-closed exactly when K(a,b) = 0 (see
-_scan_block).  Cramer's rule solves the systems when P != 0, the singular
-pairs test the q^2 coefficient pairs, and P = 0 pairs are decided, never
-skipped.  C1 is decided without a gcd (_is_primitive).  Each worker block is
-one a; blocks are merged in order, so any worker count gives the same
-report.
+_scan_block).  Cramer's rule solves the systems when P != 0; a singular
+system lists the q points on the line of one nonzero equation and filters
+them by the other, so P = 0 pairs are decided, never skipped.  C1 is
+decided without a gcd (_is_primitive).  Each worker block is one a; blocks
+are merged in order, so any worker count gives the same report.
 """
 
 from __future__ import annotations
@@ -73,8 +73,10 @@ def total_triple_count(spec):
 def _solve2(m, rhs, q, mul, inv):
     """Solutions (x, y) of m*(x, y) = rhs, m = (m00, m01, m10, m11) row by
     row, in increasing (y, x) order (char 2).  Cramer's rule gives the one
-    solution when det m != 0; a singular m has none, q or all q^2, found by
-    testing.
+    solution when det m != 0.  A singular m != 0 has none or q: every
+    solution lies on the line of one nonzero row, so its q points are listed
+    and filtered by both equations.  m = 0 has all q^2 when rhs = 0, else
+    none.
     """
     m00, m01, m10, m11 = m
     r0, r1 = rhs
@@ -83,8 +85,21 @@ def _solve2(m, rhs, q, mul, inv):
         x = mul[(mul[r0 * q + m11] ^ mul[m01 * q + r1]) * q + inv[det]]
         y = mul[(mul[m00 * q + r1] ^ mul[m10 * q + r0]) * q + inv[det]]
         return [(x, y)]
+    if m00 or m01:
+        u, v, r = m00, m01, r0
+    elif m10 or m11:
+        u, v, r = m10, m11, r1
+    else:
+        return [(x, y) for y in range(q) for x in range(q)] if not (r0 or r1) else []
+    # the q points of the row u*x + v*y = r, in increasing (y, x) order
+    if u:
+        iu = inv[u]
+        line = [(mul[(r ^ mul[v * q + y]) * q + iu], y) for y in range(q)]
+    else:
+        y = mul[r * q + inv[v]]
+        line = [(x, y) for x in range(q)]
     return [
-        (x, y) for y in range(q) for x in range(q)
+        (x, y) for x, y in line
         if mul[m00 * q + x] ^ mul[m01 * q + y] == r0 and mul[m10 * q + x] ^ mul[m11 * q + y] == r1
     ]
 
@@ -131,8 +146,9 @@ def _scan_block(args):
     M*(c0, c1) = (S_A0, S_B0) and M*(c2, c3) = (S_A2, S_B2) with
     M = [[a1, a0], [b1, b0]] and det M = P.  For c = 0 the triple is p-closed
     exactly when K = 0.  When P != 0, Cramer's rule gives one c (and minor 1
-    reads c = K/P).  The q^3 + q^2 - q pairs with P = 0 test all q^2 pairs:
-    no solution, q, or q^2 when a = b = 0.  They are decided, never skipped,
+    reads c = K/P).  The q^3 + q^2 - q pairs with P = 0 have no solution, q
+    (the points of one nonzero row's line that solve the other row), or q^2
+    when a = b = 0.  They are decided, never skipped,
     as "no admissible triple has P = 0" is part of what the scan verifies.
     The candidates, in increasing key order, then need C2 and C1.
 
@@ -254,13 +270,24 @@ class SoundnessReport:
 
 def verify_soundness(spec, case):
     """Instantiate every family of the case over all base-field parameters
-    and check admissibility; failures are returned as data, never raised."""
+    and check admissibility; failures are returned as data, never raised.
+
+    Every tuple is instantiated, counted and, when its triple is refused,
+    reported in order.  Distinct tuples can give one triple (IV-iii and
+    IV-iv read only s1*s2, and families of one case share triples), so
+    validity is decided once per distinct triple of the call and the verdict
+    is reused for the others.
+    """
     report = SoundnessReport(field=spec.literal(), case=case.name)
+    verdicts = {}  # triple -> is_valid_foliation(triple), for this call only
     for family in families_of_case(case):
         count = 0
         for params, triple in iter_family_instances(spec, family):
             count += 1
-            if not is_valid_foliation(triple):
+            valid = verdicts.get(triple)
+            if valid is None:
+                valid = verdicts[triple] = is_valid_foliation(triple)
+            if not valid:
                 report.failures.append(
                     {
                         "family": family.value,

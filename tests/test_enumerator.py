@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from folclass.classifier import FamilyId
+from folclass import enumerator
+from folclass.classifier import FamilyId, families_of_case
 from folclass.derivation import (
     DerivationTriple,
     LieCase,
@@ -261,20 +262,43 @@ def test_canonical_rep_is_orbit_minimum(F4, F8):
             assert rep == min(orbit)
 
 
+def pair_filter(m, rhs, q, mul):
+    """The solutions of m*(x, y) = rhs found by testing all q^2 pairs, in
+    increasing (y, x) order."""
+    m00, m01, m10, m11 = m
+    r0, r1 = rhs
+    return [
+        (x, y)
+        for y in range(q)
+        for x in range(q)
+        if mul[m00 * q + x] ^ mul[m01 * q + y] == r0 and mul[m10 * q + x] ^ mul[m11 * q + y] == r1
+    ]
+
+
 def test_solve2_matches_pair_filter_gf4(F4):
     # every 2x2 system over GF(4), against testing all q^2 pairs
     q, _add, mul, inv = F4.tables()
     nonsingular = 0
     for m00, m01, m10, m11, r0, r1 in itertools.product(range(q), repeat=6):
-        expected = [
-            (x, y)
-            for y in range(q)
-            for x in range(q)
-            if mul[m00 * q + x] ^ mul[m01 * q + y] == r0 and mul[m10 * q + x] ^ mul[m11 * q + y] == r1
-        ]
+        m, rhs = (m00, m01, m10, m11), (r0, r1)
         nonsingular += mul[m00 * q + m11] != mul[m01 * q + m10]
-        assert _solve2((m00, m01, m10, m11), (r0, r1), q, mul, inv) == expected
+        assert _solve2(m, rhs, q, mul, inv) == pair_filter(m, rhs, q, mul)
     assert nonsingular == (q * q - 1) * (q * q - q) * q * q
+
+
+def test_solve2_singular_systems_match_pair_filter_gf8(F8):
+    # every singular 2x2 system over GF(8), whose solutions _solve2 lists
+    # along one row's line, against testing all q^2 pairs, order included
+    q, _add, mul, inv = F8.tables()
+    singular = 0
+    for m00, m01, m10, m11 in itertools.product(range(q), repeat=4):
+        if mul[m00 * q + m11] != mul[m01 * q + m10]:
+            continue
+        m = (m00, m01, m10, m11)
+        for rhs in itertools.product(range(q), repeat=2):
+            assert _solve2(m, rhs, q, mul, inv) == pair_filter(m, rhs, q, mul), (m, rhs)
+            singular += 1
+    assert singular == (q**3 + q**2 - q) * q * q == 36352
 
 
 def test_is_primitive_matches_c1_where_p_vanishes_gf4(F4):
@@ -341,6 +365,54 @@ def test_soundness_reports(q):
         assert report.instances == expected[case]
         js = report.to_json_dict()
         assert js["passed"] is True and js["failures"] == []
+
+
+@pytest.mark.parametrize("q, tuples, distinct", [(4, 375, 264), (8, 5103, 2352)])
+def test_soundness_decides_each_distinct_triple_once(q, tuples, distinct, monkeypatch):
+    # IV-iii and IV-iv read only s1*s2, and families of one case share
+    # triples (every IV-iii triple is a IV-iv triple), so a case's tuples
+    # give fewer distinct triples; each is decided once, every tuple counted
+    spec = GF(q)
+    seen = []
+    real = enumerator.is_valid_foliation
+
+    def counting(d):
+        seen.append(d)
+        return real(d)
+
+    monkeypatch.setattr(enumerator, "is_valid_foliation", counting)
+    instances = 0
+    for case in LieCase:
+        before = len(seen)
+        instances += sum(verify_soundness(spec, case).instances.values())
+        triples = {d for family in families_of_case(case) for _params, d in iter_family_instances(spec, family)}
+        assert len(seen) - before == len(set(seen[before:])) == len(triples)
+        assert set(seen[before:]) == triples
+    assert instances == tuples
+    assert len(seen) == distinct
+
+
+def test_soundness_reports_every_tuple_of_a_refused_triple(F4, monkeypatch):
+    # refuse every IV-iv triple: each of the q(q-1)^3 IV-iv tuples is
+    # reported, and so is each tuple of another family with such a triple,
+    # in the order of a loop that checks every tuple
+    q = F4.order
+    refused = {d for _params, d in iter_family_instances(F4, FamilyId.IV_IV)}
+    monkeypatch.setattr(enumerator, "is_valid_foliation", lambda d: d not in refused)
+    expected = [
+        {
+            "family": family.value,
+            "params": {k: str(v) for k, v in params.items()},
+            "triple": d.to_json_dict(),
+        }
+        for family in families_of_case(LieCase.IV)
+        for params, d in iter_family_instances(F4, family)
+        if d in refused
+    ]
+    report = verify_soundness(F4, LieCase.IV)
+    assert report.failures == expected
+    assert sum(f["family"] == "IV-iv" for f in report.failures) == q * (q - 1) ** 3 == 108
+    assert not report.passed
 
 
 def test_family_instances_respect_constraints(F4):
