@@ -83,7 +83,7 @@ def _emit(args, payload, started=None, jobs=None, csv_rows=None):
     """Write the summary (csv_rows under --format csv, else the payload).
 
     The one owner of the timing block, added last: the runtime since
-    `started` and the scan's worker count, unless --no-timing.
+    `started` and the --jobs value, unless --no-timing.
     """
     if started is not None and not args.no_timing:
         timing = {"runtime_seconds": round(time.monotonic() - started, 6)}
@@ -167,19 +167,62 @@ def _detail_lines(report, with_timing):
     return lines
 
 
+def _run_task(task):
+    """One stage of one case, as report-ready data.
+
+    A task is (stage, field literal, case name, with_timing, detail).  It
+    carries the literal, not the FieldSpec: parse_field returns the field's
+    one interned spec in the parent and in a worker alike.  A soundness task
+    returns its report's JSON dict; a completeness task returns
+    {"report": ..., "corollaries": ... (cases I and II), "detail": [lines]
+    (only when detail is set)}.
+    """
+    stage, literal, case_name, with_timing, detail = task
+    spec, case = parse_field(literal), LieCase[case_name]
+    if stage == "soundness":
+        return verify_soundness(spec, case).to_json_dict()
+    report = verify_completeness(spec, case)
+    out = {"report": report.to_json_dict(with_timing=with_timing)}
+    if case in (LieCase.I, LieCase.II):
+        all_zero, all_nonzero = case_c_corollaries([t for t, _m in report.class_matches])
+        out["corollaries"] = {
+            "all_valid_have_c_zero": all_zero,
+            "all_valid_have_c_nonzero": all_nonzero,
+        }
+    if detail:
+        out["detail"] = _detail_lines(report, with_timing)
+    return out
+
+
+def _run_tasks(tasks, jobs):
+    """The results of the tasks, in task order: in this process at --jobs 1,
+    else in one pool of min(jobs, len(tasks)) workers for the whole run."""
+    jobs = min(jobs, len(tasks))
+    if jobs == 1:
+        return list(map(_run_task, tasks))
+    # imported here: with socket and pickle it adds about 1 MB to a serial run
+    import multiprocessing
+
+    # the platform's default start method: tasks carry only literals, so any
+    # method works, and forked workers (Linux's default before Python 3.14)
+    # skip re-importing the package
+    with multiprocessing.Pool(jobs) as pool:
+        return list(pool.imap(_run_task, tasks))
+
+
 def cmd_enumerate(args):
     started = time.monotonic()
     spec = parse_field(args.field)
     cases = _parse_cases(args.case)
+    with_timing, detail = not args.no_timing, bool(args.detail)
+    tasks = [("completeness", spec.literal(), case.name, with_timing, detail) for case in cases]
     results = []
     detail_lines = []
     unmatched = 0
-    for case in cases:
-        report = verify_completeness(spec, case, jobs=args.jobs)
-        unmatched += len(report.unmatched)
-        results.append(report.to_json_dict(with_timing=not args.no_timing))
-        if args.detail:
-            detail_lines.extend(_detail_lines(report, not args.no_timing))
+    for out in _run_tasks(tasks, args.jobs):
+        unmatched += len(out["report"]["unmatched"])
+        results.append(out["report"])
+        detail_lines.extend(out.get("detail", ()))
     payload = {
         "manifest": _manifest(
             "enumerate",
@@ -240,17 +283,16 @@ def cmd_verify_families(args):
     started = time.monotonic()
     spec = parse_field(args.field)
     cases = _parse_cases(args.case)
-    results = []
+    tasks = [("soundness", spec.literal(), case.name, False, False) for case in cases]
+    results = _run_tasks(tasks, 1)
     failures = 0
     csv_rows = []
-    for case in cases:
-        report = verify_soundness(spec, case)
-        failures += len(report.failures)
-        results.append(report.to_json_dict())
-        for family, count in report.instances.items():
-            fam_failures = sum(1 for f in report.failures if f["family"] == family)
+    for report in results:
+        failures += len(report["failures"])
+        for family, count in report["instances"].items():
+            fam_failures = sum(1 for f in report["failures"] if f["family"] == family)
             csv_rows.append(
-                [spec.literal(), case.name, family, count, fam_failures,
+                [spec.literal(), report["case"], family, count, fam_failures,
                  fam_failures == 0, __version__]
             )
     payload = {
@@ -269,27 +311,27 @@ def cmd_verify_theorem(args):
     started = time.monotonic()
     spec = parse_field(args.field)
     cases = _parse_cases(args.case)
+    with_timing, detail = not args.no_timing, bool(args.detail)
+    tasks = [
+        (stage, spec.literal(), case.name, with_timing, detail)
+        for case in cases
+        for stage in ("soundness", "completeness")
+    ]
+    outs = _run_tasks(tasks, args.jobs)
     results = []
     detail_lines = []
     findings = 0
-    for case in cases:
-        soundness = verify_soundness(spec, case)
-        completeness = verify_completeness(spec, case, jobs=args.jobs)
-        findings += len(soundness.failures) + len(completeness.unmatched)
+    for case, soundness, completeness in zip(cases, outs[0::2], outs[1::2]):
+        findings += len(soundness["failures"]) + len(completeness["report"]["unmatched"])
         entry = {
             "case": case.name,
-            "soundness": soundness.to_json_dict(),
-            "completeness": completeness.to_json_dict(with_timing=not args.no_timing),
+            "soundness": soundness,
+            "completeness": completeness["report"],
         }
-        if case in (LieCase.I, LieCase.II):
-            all_zero, all_nonzero = case_c_corollaries([t for t, _m in completeness.class_matches])
-            entry["corollaries"] = {
-                "all_valid_have_c_zero": all_zero,
-                "all_valid_have_c_nonzero": all_nonzero,
-            }
+        if "corollaries" in completeness:
+            entry["corollaries"] = completeness["corollaries"]
         results.append(entry)
-        if args.detail:
-            detail_lines.extend(_detail_lines(completeness, not args.no_timing))
+        detail_lines.extend(completeness.get("detail", ()))
     payload = {
         "manifest": _manifest(
             "verify-theorem",
@@ -389,7 +431,7 @@ def _add_common(p, scan=False):
     p.add_argument("--case", default="all", help="Lie case: I, II, III, IV, a comma list, or all")
     if scan:
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes for the scan, at most q^2 are used (default 1)")
+                       help="worker processes, at most one per (stage, case) task (default 1)")
         p.add_argument("--detail", help="write JSON-lines per-class detail to this path")
     _add_output(p, formats=("json", "csv"))
 

@@ -13,8 +13,9 @@ first minor), and c = 0 is p-closed exactly when K(a,b) = 0 (see
 _scan_block).  Cramer's rule solves the systems when P != 0; a singular
 system lists the q points on the line of one nonzero equation and filters
 them by the other, so P = 0 pairs are decided, never skipped.  C1 is
-decided without a gcd (_is_primitive).  Each worker block is one a; blocks
-are merged in order, so any worker count gives the same report.
+decided without a gcd (_is_primitive).  One block of the scan is one a;
+blocks are concatenated in order.  The verifications run in one process:
+the command line spreads whole (stage, case) tasks over its workers.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import time
 from dataclasses import dataclass, field
 
 from .classifier import classify, families_of_case, instantiate
-from .derivation import DerivationTriple, LieCase, is_valid_foliation
+from .derivation import DerivationTriple, is_valid_foliation
 from .errors import ConsistencyError, InvalidParameterError
-from .finite_field import parse_field
 from .polynomial import Poly
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def _is_primitive(key, q, mul, inv):
     return value != 0
 
 
-def _scan_block(args):
+def _scan_block(a, case, q, mul, inv):
     """Scan the (a, b) pairs of one a = (a1, a0); return the valid keys.
 
     p-closedness is linear in c.  Write delta^2 = (A, B, C) as in
@@ -158,9 +158,7 @@ def _scan_block(args):
     deg c <= 2 and, with a and b constant, C2 fails.  If a = b = 0, C1 asks
     for a constant c, which C2 refuses.
     """
-    literal, case_name, (a1, a0) = args
-    q, _add, mul, inv = parse_field(literal).tables()
-    case = LieCase[case_name]
+    a1, a0 = a
     out = []
     for b1, b0 in itertools.product(range(q), repeat=2):
         # squares routed as in delta_squared; f^2 = f0^2 + f1^2*t^2 in char 2
@@ -189,23 +187,14 @@ def _scan_block(args):
     return out
 
 
-def _scan(spec, case, jobs=1):
+def _scan(spec, case):
     """All valid keys of the case, in increasing order."""
     if spec.p != 2:
         raise ValueError("enumeration is specific to characteristic 2")
-    literal, q = spec.literal(), spec.order
-    blocks = [(literal, case.name, a) for a in itertools.product(range(q), repeat=2)]
-    jobs = min(jobs, len(blocks))
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_scan_block, blocks, chunksize=max(1, len(blocks) // (4 * jobs)))
-    else:
-        results = [_scan_block(b) for b in blocks]
+    q, _add, mul, inv = spec.tables()
     out = []
-    for r in results:
-        out.extend(r)
+    for a in itertools.product(range(q), repeat=2):
+        out.extend(_scan_block(a, case, q, mul, inv))
     return out
 
 
@@ -218,9 +207,9 @@ def _canonical_rep(key, spec):
     return tuple(mul[x * q + lam] for x in key)
 
 
-def _scalar_classes(spec, case, jobs):
+def _scalar_classes(spec, case):
     """(valid count, sorted least keys of the scalar classes)."""
-    valid = _scan(spec, case, jobs=jobs)
+    valid = _scan(spec, case)
     reps = sorted({_canonical_rep(key, spec) for key in valid})
     if len(valid) != len(reps) * (spec.order - 1):
         raise ConsistencyError(
@@ -350,10 +339,10 @@ class EnumerationReport:
         return out
 
 
-def verify_completeness(spec, case, jobs=1):
+def verify_completeness(spec, case):
     """Classify every valid scalar class; unmatched classes are report data."""
     start = time.monotonic()
-    valid_count, keys = _scalar_classes(spec, case, jobs)
+    valid_count, keys = _scalar_classes(spec, case)
     class_matches = []
     for key in keys:
         triple = _key_to_triple(key, spec, case)

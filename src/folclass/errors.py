@@ -22,6 +22,10 @@ class ParseError(FolclassError):
         self.text = text
         self.position = position
 
+    # rebuilt from its own arguments, so that it survives a pool worker's pickle
+    def __reduce__(self):
+        return type(self), (self.message, self.text, self.position)
+
 
 class InvalidParameterError(FolclassError):
     """A family parameter assignment violates its constraints."""
@@ -30,6 +34,9 @@ class InvalidParameterError(FolclassError):
         super().__init__(f"invalid parameters for family {family}: {clause}")
         self.family = family
         self.clause = clause
+
+    def __reduce__(self):
+        return type(self), (self.family, self.clause)
 
 
 class NotAFoliationError(FolclassError):

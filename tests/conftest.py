@@ -30,13 +30,11 @@ def F9():
     return GF(9)
 
 
-# GF(4) scans serially and GF(8) through the worker pool, so every run of the
-# suite goes through both paths
 @pytest.fixture(scope="session")
 def gf4_reports(F4):
-    return {case: verify_completeness(F4, case, jobs=1) for case in LieCase}
+    return {case: verify_completeness(F4, case) for case in LieCase}
 
 
 @pytest.fixture(scope="session")
 def gf8_reports(F8):
-    return {case: verify_completeness(F8, case, jobs=2) for case in LieCase}
+    return {case: verify_completeness(F8, case) for case in LieCase}

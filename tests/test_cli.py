@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
+import pickle
+import signal
 import subprocess
 import sys
 
 import pytest
 
-from folclass import cli
+from folclass import cli, errors
 from folclass.cli import main
 
 
@@ -111,18 +114,134 @@ def test_verify_theorem_summary(capsys):
         assert r["soundness"]["passed"] is True
 
 
-def test_byte_identical_reports_across_jobs(tmp_path):
-    out = tmp_path / "report.json"
-    blobs = []
-    for jobs in ("1", "2", "3"):
-        code = main(
-            ["verify-theorem", "--field", "GF(4)", "--case", "II",
-             "--jobs", jobs, "--no-timing", "--out", str(out)]
-        )
-        assert code == 0
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+def test_byte_identical_reports_across_jobs(monkeypatch, tmp_path, capsys):
+    # every output of the pooled commands is the same at every --jobs: the
+    # exit code, stdout, stderr, the JSON or CSV summary and the detail file
+    monkeypatch.chdir(tmp_path)
+    for command in ("verify-theorem", "enumerate"):
+        runs = set()
+        for jobs in ("1", "2", "3"):
+            base = [command, "--field", "GF(4)", "--jobs", jobs, "--no-timing", "--detail", "D.jsonl"]
+            code, out, err = run_cli(base, capsys)
+            detail = (tmp_path / "D.jsonl").read_bytes()
+            csv_code, csv_out, csv_err = run_cli([*base, "--format", "csv", "--out", "S.csv"], capsys)
+            runs.add((code, out, err, detail, csv_code, csv_out, csv_err,
+                      (tmp_path / "D.jsonl").read_bytes(), (tmp_path / "S.csv").read_bytes()))
+        assert len(runs) == 1
+        ((code, out, _err, detail, csv_code, csv_out, *_rest),) = runs
+        assert code == csv_code == 0 and csv_out == ""
+        assert [r["case"] for r in json.loads(out)["results"]] == ["I", "II", "III", "IV"]
+        assert len(detail.splitlines()) == 4 * (1 + 60)  # a manifest line and |PGL2(4)| classes per case
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_pool_capped_at_task_count(monkeypatch, capsys):
+    # a fake pool records its size and maps serially, so no worker starts
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    for argv, tasks in (
+        (["verify-theorem", "--field", "GF(2)"], 8),  # soundness and completeness of 4 cases
+        (["enumerate", "--field", "GF(2)", "--case", "I,III"], 2),
+    ):
+        serial = run_cli([*argv, "--no-timing"], capsys)
+        assert sizes == []
+        assert run_cli([*argv, "--no-timing", "--jobs", "1000000"], capsys) == serial
+        assert sizes == [tasks]
+        sizes.clear()
+    # one task needs no pool
+    run_cli(["enumerate", "--field", "GF(2)", "--case", "II", "--jobs", "2"], capsys)
+    assert sizes == []
+
+
+def _all_subclasses(cls):
+    return {cls}.union(*(_all_subclasses(sub) for sub in cls.__subclasses__()))
+
+
+def test_errors_survive_pickle():
+    # a worker's error reaches the parent pickled; one that cannot be rebuilt
+    # there leaves the pool waiting for a result forever
+    samples = [
+        errors.FolclassError("cannot write report"),
+        errors.FieldMismatchError("operands over GF(2) and GF(4)"),
+        errors.EmbeddingError("GF(4) does not embed in GF(8)"),
+        errors.ParseError("expected a coefficient or t", "t + ?", 4),
+        errors.InvalidParameterError("IV-iv", "s1 != 0"),
+        errors.NotAFoliationError("C1 fails"),
+        errors.ConsistencyError("scalar orbits do not partition the valid set"),
+    ]
+    assert {type(e) for e in samples} == _all_subclasses(errors.FolclassError)
+    for exc in samples:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc) and back.args == exc.args
+        assert vars(back) == vars(exc)
+
+
+# Runs the CLI with one stage patched to raise; the patch sits at module level
+# so that a worker started by any method applies it too.
+_FAILING_STAGE = """
+import sys
+from folclass import cli, enumerator
+from folclass.errors import ConsistencyError, InvalidParameterError
+
+
+def fail(*_args):
+    raise {error}
+
+
+{target} = fail
+
+if __name__ == "__main__":
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("target, error, message", [
+    ("enumerator._scalar_classes", 'ConsistencyError("scalar orbits do not partition")',
+     "error: scalar orbits do not partition"),
+    ("cli.verify_soundness", 'InvalidParameterError("IV-iv", "s1 != 0")',
+     "error: invalid parameters for family IV-iv: s1 != 0"),
+], ids=["ConsistencyError", "InvalidParameterError"])
+def test_worker_error_exits_one(target, error, message, tmp_path):
+    # in a child process with a timeout, so that a parent waiting forever
+    # on a lost error fails the test instead of hanging the suite
+    script = tmp_path / "failing_stage.py"
+    script.write_text(_FAILING_STAGE.format(target=target, error=error))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, str(script), "verify-theorem", "--field", "GF(2)", "--jobs", "2"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the parent hung on an error raised in a worker")
+    assert proc.returncode == 1
+    assert out == ""
+    assert err.strip() == message
 
 
 # stdout and D.jsonl digests by field literal; GF(8;mod=x3+x+1) names the

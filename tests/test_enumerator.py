@@ -51,9 +51,9 @@ def all_keys(q):
     return keys
 
 
-def class_reps(spec, case, jobs=1):
+def class_reps(spec, case):
     """The least representatives of the valid scalar classes, as triples."""
-    _count, keys = _scalar_classes(spec, case, jobs)
+    _count, keys = _scalar_classes(spec, case)
     return [_key_to_triple(key, spec, case) for key in keys]
 
 
@@ -214,37 +214,6 @@ def test_enumeration_rejects_odd_characteristic():
         next(enumerate_triples(GF(9), LieCase.I))
     with pytest.raises(ValueError, match="characteristic 2"):
         _scan(GF(9), LieCase.I)
-
-
-def test_scan_pool_capped_at_block_count(F2, monkeypatch):
-    # a fake pool records its size and maps serially, so no worker is forked
-    import multiprocessing
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    assert _scan(F2, LieCase.II, jobs=10**6) == _scan(F2, LieCase.II, jobs=1)
-    assert sizes == [F2.order**2]
-
-
-def test_determinism_across_worker_counts(F4):
-    r1 = verify_completeness(F4, LieCase.II, jobs=1)
-    r2 = verify_completeness(F4, LieCase.II, jobs=2)
-    assert r1.to_json_dict(with_timing=False) == r2.to_json_dict(with_timing=False)
-    assert class_reps(F4, LieCase.III, jobs=1) == class_reps(F4, LieCase.III, jobs=2)
 
 
 def test_canonical_rep_is_orbit_minimum(F4, F8):
