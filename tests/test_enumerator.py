@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from folclass import enumerator
+from folclass import cli, enumerator
 from folclass.classifier import FamilyId, families_of_case
 from folclass.derivation import (
     DerivationTriple,
@@ -214,6 +214,15 @@ def test_enumeration_rejects_odd_characteristic():
         next(enumerate_triples(GF(9), LieCase.I))
     with pytest.raises(ValueError, match="characteristic 2"):
         _scan(GF(9), LieCase.I)
+
+
+def test_determinism_across_worker_counts(F4):
+    # completeness tasks give the same data serially and in the task pool,
+    # and the same as a direct run
+    tasks = [("completeness", F4.literal(), name, False, True) for name in ("II", "III")]
+    serial = cli._run_tasks(tasks, 1)
+    assert cli._run_tasks(tasks, 2) == serial
+    assert serial[0]["report"] == verify_completeness(F4, LieCase.II).to_json_dict(with_timing=False)
 
 
 def test_canonical_rep_is_orbit_minimum(F4, F8):
