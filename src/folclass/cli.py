@@ -54,9 +54,14 @@ def _positive_int(text):
 
 
 def _parse_cases(text):
-    if text.lower() == "all":
+    """--case: all, or a comma list of distinct Lie cases."""
+    if text.strip().lower() == "all":
         return _ALL_CASES
-    return tuple(LieCase.from_name(part) for part in text.split(","))
+    cases = tuple(LieCase.from_name(part) for part in text.split(","))
+    for i, case in enumerate(cases):
+        if case in cases[:i]:
+            raise ValueError(f"Lie case {case.name} is named twice in --case {text!r}")
+    return cases
 
 
 def _manifest(command, args, **extra):
@@ -79,16 +84,17 @@ def _write_atomic(path, content):
         raise FolclassError(f"cannot write report to {path}: {exc}") from exc
 
 
-def _emit(args, payload, started=None, jobs=None, csv_rows=None):
+def _emit(args, payload, started=None, csv_rows=None):
     """Write the summary (csv_rows under --format csv, else the payload).
 
     The one owner of the timing block, added last: the runtime since
-    `started` and the --jobs value, unless --no-timing.
+    `started` and, for the commands that take it, the --jobs value, unless
+    --no-timing.
     """
     if started is not None and not args.no_timing:
         timing = {"runtime_seconds": round(time.monotonic() - started, 6)}
-        if jobs is not None:
-            timing["jobs"] = jobs
+        if hasattr(args, "jobs"):
+            timing["jobs"] = args.jobs
         payload["timing"] = timing
     if args.format == "csv" and csv_rows is not None:
         header, rows = csv_rows
@@ -147,42 +153,31 @@ def cmd_classify(args):
     return 0
 
 
-def _detail_lines(report, with_timing):
-    # first line carries the per-case manifest; one scalar class per line after
-    head = {
-        "field": report.field,
-        "case": report.case,
-        "tool": "folclass",
-        "version": __version__,
-    }
-    if with_timing:
-        head["runtime_seconds"] = report.runtime_seconds
-    lines = [json.dumps({"manifest": head})]
-    for triple, matches in report.class_matches:
-        lines.append(
-            json.dumps(
-                {"triple": triple.to_json_dict(), "matches": [m.to_json_dict() for m in matches]}
-            )
-        )
-    return lines
+def _detail_lines(report):
+    # one scalar class per line; _run_cases puts the case's manifest head first
+    return [
+        json.dumps({"triple": triple.to_json_dict(), "matches": [m.to_json_dict() for m in matches]})
+        for triple, matches in report.class_matches
+    ]
 
 
 def _run_task(task):
-    """One stage of one case, as report-ready data.
+    """One stage of one case, as (report-ready data, seconds it took).
 
-    A task is (stage, field literal, case name, with_timing, detail).  It
-    carries the literal, not the FieldSpec: parse_field returns the field's
-    one interned spec in the parent and in a worker alike.  A soundness task
-    returns its report's JSON dict; a completeness task returns
-    {"report": ..., "corollaries": ... (cases I and II), "detail": [lines]
-    (only when detail is set)}.
+    A task is (stage, field literal, case name, detail).  It carries the
+    literal, not the FieldSpec: parse_field returns the field's one interned
+    spec in the parent and in a worker alike.  A soundness task's data is its
+    report's JSON dict; a completeness task's is {"report": ...,
+    "corollaries": ... (cases I and II), "detail": [lines] (only when detail
+    is set)}.
     """
-    stage, literal, case_name, with_timing, detail = task
+    started = time.monotonic()
+    stage, literal, case_name, detail = task
     spec, case = parse_field(literal), LieCase[case_name]
     if stage == "soundness":
-        return verify_soundness(spec, case).to_json_dict()
+        return verify_soundness(spec, case).to_json_dict(), time.monotonic() - started
     report = verify_completeness(spec, case)
-    out = {"report": report.to_json_dict(with_timing=with_timing)}
+    out = {"report": report.to_json_dict()}
     if case in (LieCase.I, LieCase.II):
         all_zero, all_nonzero = case_c_corollaries([t for t, _m in report.class_matches])
         out["corollaries"] = {
@@ -190,8 +185,8 @@ def _run_task(task):
             "all_valid_have_c_nonzero": all_nonzero,
         }
     if detail:
-        out["detail"] = _detail_lines(report, with_timing)
-    return out
+        out["detail"] = _detail_lines(report)
+    return out, time.monotonic() - started
 
 
 def _run_tasks(tasks, jobs):
@@ -210,32 +205,51 @@ def _run_tasks(tasks, jobs):
         return list(pool.imap(_run_task, tasks))
 
 
+def _run_cases(args, stages):
+    """Run the stages of every --case over --field, case by case, at --jobs
+    (1 for verify-families, which has none).
+
+    Returns the manifest's field and cases, and one {stage: data} map per
+    case.  Unless --no-timing, each completeness report gets its task's
+    runtime_seconds.  With --detail, the detail file holds each case's
+    manifest head, then that case's class lines.
+    """
+    detail = getattr(args, "detail", None)
+    if detail and args.out and os.path.realpath(detail) == os.path.realpath(args.out):
+        raise FolclassError(f"--detail and --out name the same file {args.out!r}")
+    literal = parse_field(args.field).literal()
+    cases = _parse_cases(args.case)
+    tasks = [(stage, literal, case.name, bool(detail)) for case in cases for stage in stages]
+    results = iter(_run_tasks(tasks, getattr(args, "jobs", 1)))
+    runs, lines = [], []
+    for case in cases:
+        # zip stops after the last stage, so it takes exactly this case's results
+        timed = dict(zip(stages, results))
+        runs.append({stage: data for stage, (data, _seconds) in timed.items()})
+        if "completeness" not in timed:
+            continue
+        data, seconds = timed["completeness"]
+        head = {"field": literal, "case": case.name, "tool": "folclass", "version": __version__}
+        if not args.no_timing:
+            data["report"]["runtime_seconds"] = head["runtime_seconds"] = seconds
+        if detail:
+            lines += [json.dumps({"manifest": head}), *data["detail"]]
+    if detail:
+        _write_atomic(detail, "\n".join(lines) + "\n")
+    return {"field": literal, "cases": [case.name for case in cases]}, runs
+
+
 def cmd_enumerate(args):
     started = time.monotonic()
-    spec = parse_field(args.field)
-    cases = _parse_cases(args.case)
-    with_timing, detail = not args.no_timing, bool(args.detail)
-    tasks = [("completeness", spec.literal(), case.name, with_timing, detail) for case in cases]
-    results = []
-    detail_lines = []
-    unmatched = 0
-    for out in _run_tasks(tasks, args.jobs):
-        unmatched += len(out["report"]["unmatched"])
-        results.append(out["report"])
-        detail_lines.extend(out.get("detail", ()))
+    scope, runs = _run_cases(args, ("completeness",))
+    results = [run["completeness"]["report"] for run in runs]
+    unmatched = sum(len(r["unmatched"]) for r in results)
     payload = {
-        "manifest": _manifest(
-            "enumerate",
-            args,
-            field=spec.literal(),
-            cases=[c.name for c in cases],
-        ),
+        "manifest": _manifest("enumerate", args, **scope),
         "results": results,
         "findings": unmatched,
     }
-    if args.detail:
-        _write_atomic(args.detail, "\n".join(detail_lines) + "\n")
-    _emit(args, payload, started, args.jobs, _completeness_csv(results))
+    _emit(args, payload, started, _completeness_csv(results))
     return 2 if unmatched else 0
 
 
@@ -281,10 +295,8 @@ def _completeness_csv(results, soundness_failures=None):
 
 def cmd_verify_families(args):
     started = time.monotonic()
-    spec = parse_field(args.field)
-    cases = _parse_cases(args.case)
-    tasks = [("soundness", spec.literal(), case.name, False, False) for case in cases]
-    results = _run_tasks(tasks, 1)
+    scope, runs = _run_cases(args, ("soundness",))
+    results = [run["soundness"] for run in runs]
     failures = 0
     csv_rows = []
     for report in results:
@@ -292,64 +304,46 @@ def cmd_verify_families(args):
         for family, count in report["instances"].items():
             fam_failures = sum(1 for f in report["failures"] if f["family"] == family)
             csv_rows.append(
-                [spec.literal(), report["case"], family, count, fam_failures,
+                [report["field"], report["case"], family, count, fam_failures,
                  fam_failures == 0, __version__]
             )
     payload = {
-        "manifest": _manifest(
-            "verify-families", args, field=spec.literal(), cases=[c.name for c in cases]
-        ),
+        "manifest": _manifest("verify-families", args, **scope),
         "results": results,
         "findings": failures,
     }
     header = ["field", "case", "family", "instances", "failures", "passed", "version"]
-    _emit(args, payload, started, csv_rows=(header, csv_rows))
+    _emit(args, payload, started, (header, csv_rows))
     return 2 if failures else 0
 
 
 def cmd_verify_theorem(args):
     started = time.monotonic()
-    spec = parse_field(args.field)
-    cases = _parse_cases(args.case)
-    with_timing, detail = not args.no_timing, bool(args.detail)
-    tasks = [
-        (stage, spec.literal(), case.name, with_timing, detail)
-        for case in cases
-        for stage in ("soundness", "completeness")
-    ]
-    outs = _run_tasks(tasks, args.jobs)
+    scope, runs = _run_cases(args, ("soundness", "completeness"))
     results = []
-    detail_lines = []
     findings = 0
-    for case, soundness, completeness in zip(cases, outs[0::2], outs[1::2]):
+    for run in runs:
+        soundness, completeness = run["soundness"], run["completeness"]
         findings += len(soundness["failures"]) + len(completeness["report"]["unmatched"])
         entry = {
-            "case": case.name,
+            "case": soundness["case"],
             "soundness": soundness,
             "completeness": completeness["report"],
         }
         if "corollaries" in completeness:
             entry["corollaries"] = completeness["corollaries"]
         results.append(entry)
-        detail_lines.extend(completeness.get("detail", ()))
+    total = total_triple_count(parse_field(args.field))
     payload = {
-        "manifest": _manifest(
-            "verify-theorem",
-            args,
-            field=spec.literal(),
-            cases=[c.name for c in cases],
-            total_triples_per_case=total_triple_count(spec),
-        ),
+        "manifest": _manifest("verify-theorem", args, **scope, total_triples_per_case=total),
         "results": results,
         "findings": findings,
     }
-    if args.detail:
-        _write_atomic(args.detail, "\n".join(detail_lines) + "\n")
     csv_rows = _completeness_csv(
         [r["completeness"] for r in results],
         [len(r["soundness"]["failures"]) for r in results],
     )
-    _emit(args, payload, started, args.jobs, csv_rows)
+    _emit(args, payload, started, csv_rows)
     return 2 if findings else 0
 
 

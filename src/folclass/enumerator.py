@@ -14,14 +14,14 @@ _scan_block).  Cramer's rule solves the systems when P != 0; a singular
 system lists the q points on the line of one nonzero equation and filters
 them by the other, so P = 0 pairs are decided, never skipped.  C1 is
 decided without a gcd (_is_primitive).  One block of the scan is one a;
-blocks are concatenated in order.  The verifications run in one process:
-the command line spreads whole (stage, case) tasks over its workers.
+blocks are concatenated in order.  The verifications run in one process
+and measure no time: the command line spreads whole (stage, case) tasks
+over its workers and times each task.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 from .classifier import classify, families_of_case, instantiate
@@ -294,7 +294,6 @@ class EnumerationReport:
     case: str
     total_triples: int
     valid_count: int
-    runtime_seconds: float
     class_matches: list  # [(triple, [FamilyMatch...])], one per scalar class
 
     @property
@@ -322,8 +321,8 @@ class EnumerationReport:
     def complete(self):
         return all(matches for _triple, matches in self.class_matches)
 
-    def to_json_dict(self, with_timing=True):
-        out = {
+    def to_json_dict(self):
+        return {
             "field": self.field,
             "case": self.case,
             "total_triples": self.total_triples,
@@ -334,14 +333,10 @@ class EnumerationReport:
             "overlaps": self.overlaps,
             "complete": self.complete,
         }
-        if with_timing:
-            out["runtime_seconds"] = self.runtime_seconds
-        return out
 
 
 def verify_completeness(spec, case):
     """Classify every valid scalar class; unmatched classes are report data."""
-    start = time.monotonic()
     valid_count, keys = _scalar_classes(spec, case)
     class_matches = []
     for key in keys:
@@ -352,7 +347,6 @@ def verify_completeness(spec, case):
         case=case.name,
         total_triples=total_triple_count(spec),
         valid_count=valid_count,
-        runtime_seconds=time.monotonic() - start,
         class_matches=class_matches,
     )
 

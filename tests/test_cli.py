@@ -345,6 +345,36 @@ def test_case_comma_list(capsys):
     assert payload["manifest"]["cases"] == ["I", "III"]
 
 
+@pytest.mark.parametrize("case", [" all ", "ALL"])
+def test_case_all_spelled_loosely(case, capsys):
+    # spaces and letter case are ignored in "all" as in a case name
+    code, out, _err = run_cli(["enumerate", "--field", "GF(2)", "--case", case, "--no-timing"], capsys)
+    assert code == 0
+    assert json.loads(out)["manifest"]["cases"] == ["I", "II", "III", "IV"]
+
+
+@pytest.mark.parametrize("case", ["I,I", "i, I"])
+def test_case_named_twice_exits_one(case, capsys):
+    # a repeated case would report every one of its classes twice
+    code, out, err = run_cli(["enumerate", "--field", "GF(2)", "--case", case, "--no-timing"], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"Lie case I is named twice in --case {case!r}" in err
+
+
+def test_detail_and_out_naming_one_file_exits_one(monkeypatch, tmp_path, capsys):
+    # refused before any work, so the summary cannot overwrite the detail
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        ["enumerate", "--field", "GF(2)", "--case", "I", "--detail", "same.json", "--out", "./same.json"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "--detail and --out name the same file './same.json'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_families_command(capsys):
     code, out, _err = run_cli(
         ["verify-families", "--field", "GF(4)", "--case", "III", "--no-timing"], capsys
@@ -570,6 +600,56 @@ def test_timing_block_by_default_and_last(argv, capsys):
     assert "timing" not in json.loads(out)
 
 
+def _drop_timing(value):
+    """The JSON value without its timing block and runtime_seconds keys."""
+    if isinstance(value, dict):
+        return {k: _drop_timing(v) for k, v in value.items() if k not in ("timing", "runtime_seconds")}
+    if isinstance(value, list):
+        return [_drop_timing(v) for v in value]
+    return value
+
+
+def _blank_runtime_column(text):
+    rows = [line.split(",") for line in text.splitlines()]
+    if "runtime_seconds" in rows[0]:
+        column = rows[0].index("runtime_seconds")
+        for row in rows[1:]:
+            row[column] = ""
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    *((command, "--field", "GF(4)", "--jobs", jobs, "--detail", "D.jsonl")
+      for command in ("enumerate", "verify-theorem") for jobs in ("1", "2")),
+    ("verify-families", "--field", "GF(4)"),
+], ids=" ".join)
+def test_timed_reports_differ_only_in_timing(argv, monkeypatch, tmp_path, capsys):
+    # without its timing fields a timed report is the --no-timing one, byte
+    # for byte: summary, CSV and detail, key order included
+    monkeypatch.chdir(tmp_path)
+    timed_cases = 0 if argv[0] == "verify-families" else 4  # completeness reports
+    for fmt in ("json", "csv"):
+        reports = []
+        for timing in ((), ("--no-timing",)):
+            assert run_cli([*argv, "--format", fmt, "--out", "S", *timing], capsys) == (0, "", "")
+            reports.append({path.name: path.read_text() for path in tmp_path.iterdir()})
+        timed, untimed = reports
+        assert timed.keys() == untimed.keys()
+        if fmt == "json":
+            # the timing block's runtime and each completeness report's
+            assert timed["S"].count('"runtime_seconds"') == 1 + timed_cases
+            summary = json.dumps(_drop_timing(json.loads(timed["S"])), indent=2) + "\n"
+        else:
+            assert (timed["S"] != untimed["S"]) is bool(timed_cases)
+            summary = _blank_runtime_column(timed["S"])
+        assert summary == untimed["S"]
+        if "D.jsonl" in timed:
+            assert timed["D.jsonl"].count('"runtime_seconds"') == 4  # one per case head
+            lines = timed["D.jsonl"].splitlines()
+            detail = "".join(json.dumps(_drop_timing(json.loads(line))) + "\n" for line in lines)
+            assert detail == untimed["D.jsonl"]
+
+
 def test_verify_theorem_csv_counts_soundness_failures(monkeypatch, capsys):
     real = cli.verify_soundness
 
@@ -624,3 +704,46 @@ def test_enumerate_reports_seeded_unmatched_class(monkeypatch, tmp_path, capsys)
     lines = [json.loads(line) for line in (tmp_path / "D.jsonl").read_text().splitlines()]
     assert len(lines) == 7
     assert [rec["matches"] for rec in lines[1:] if rec["triple"] == unmatched] == [[]]
+
+
+# Records the modules that importing folclass and running a pooled scan and
+# a trace load; the guard keeps a spawned worker from running the commands.
+_STDLIB_ONLY = """
+import json
+import sys
+
+before = set(sys.modules)
+import folclass
+from folclass import cli
+
+if __name__ == "__main__":
+    for argv in (["verify-theorem", "--field", "GF(2)", "--jobs", "2", "--no-timing", "--out", "v.json"],
+                 ["cartier", "--e-max", "2", "--no-timing", "--out", "c.json"]):
+        assert cli.main(argv) == 0
+    print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_package_stays_stdlib_only(tmp_path):
+    # compared with the modules loaded before the import, as site .pth files
+    # may load third-party modules at startup
+    script = tmp_path / "stdlib_only.py"
+    script.write_text(_STDLIB_ONLY)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "folclass.cli" in loaded and "multiprocessing.pool" in loaded
+    foreign = [
+        name for name in loaded
+        if name.partition(".")[0] not in sys.stdlib_module_names
+        and name.partition(".")[0] != "folclass" and name != "__mp_main__"
+    ]
+    assert foreign == []

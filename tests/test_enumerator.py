@@ -219,10 +219,10 @@ def test_enumeration_rejects_odd_characteristic():
 def test_determinism_across_worker_counts(F4):
     # completeness tasks give the same data serially and in the task pool,
     # and the same as a direct run
-    tasks = [("completeness", F4.literal(), name, False, True) for name in ("II", "III")]
-    serial = cli._run_tasks(tasks, 1)
-    assert cli._run_tasks(tasks, 2) == serial
-    assert serial[0]["report"] == verify_completeness(F4, LieCase.II).to_json_dict(with_timing=False)
+    tasks = [("completeness", F4.literal(), name, True) for name in ("II", "III")]
+    serial = [data for data, _seconds in cli._run_tasks(tasks, 1)]
+    assert [data for data, _seconds in cli._run_tasks(tasks, 2)] == serial
+    assert serial[0]["report"] == verify_completeness(F4, LieCase.II).to_json_dict()
 
 
 def test_canonical_rep_is_orbit_minimum(F4, F8):
@@ -401,8 +401,7 @@ def test_family_instances_respect_constraints(F4):
 
 def test_report_json_round_trips(gf4_reports):
     report = gf4_reports[LieCase.II]
-    js = report.to_json_dict(with_timing=True)
+    js = report.to_json_dict()
     assert json.loads(json.dumps(js)) == js
     assert js["complete"] is True
-    assert "runtime_seconds" in js
-    assert "runtime_seconds" not in report.to_json_dict(with_timing=False)
+    assert "runtime_seconds" not in js  # timed by the command line's task runner
