@@ -220,9 +220,14 @@ class Quadric:
 
     @classmethod
     def concrete(cls, s, t):
-        """G = s*x^2 + t*y^2 + 1 over the field of s and t."""
+        """G = s*x^2 + t*y^2 + 1 over the field of s and t.
+
+        s = t = 0 is refused: G = 1 is not a conic, and a trace along it
+        would pass vacuously."""
         if s.spec is not t.spec:
             raise ValueError("s and t must live in one field")
+        if not (s or t):
+            raise ValueError("s = t = 0 gives G = 1, which is not a conic: s or t must be nonzero")
         one = s.spec.one
         return cls(BiPoly({(2, 0): s, (0, 2): t, (0, 0): one}), s.spec.p)
 

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, FieldMismatchError
-from .polynomial import Poly, poly_gcd
+from .polynomial import Poly, _addmul, poly_gcd
 
 
 class LieCase(enum.Enum):
@@ -110,18 +110,24 @@ def delta_squared(d: DerivationTriple) -> SquaredDerivation:
 
 
 def _formula(d):
-    """delta_squared's closed formula, evaluated without the cache."""
+    """delta_squared's closed formula, evaluated without the cache.
+
+    Each slot's products are added by _addmul straight into one index list,
+    long enough for any of them, and one Poly is wrapped per slot."""
     a, b, c = d.a, d.b, d.c
-    A = c * a.formal_derivative()
-    B = c * b.formal_derivative()
-    C = c * c.formal_derivative()
+    spec, fa, fb, fc = a.spec, a._idx, b._idx, c._idx
+    n = 2 * max(len(fa), len(fb), len(fc)) - 1
+    A, B, C = [0] * n, [0] * n, [0] * n
+    _addmul(spec, A, fc, a.formal_derivative()._idx)
+    _addmul(spec, B, fc, b.formal_derivative()._idx)
+    _addmul(spec, C, fc, c.formal_derivative()._idx)
     # a square is formed only when the case sends it to a nonzero slot
-    for f, slot in ((a, d.case.alpha_sq), (b, d.case.beta_sq)):
+    for f, slot in ((fa, d.case.alpha_sq), (fb, d.case.beta_sq)):
         if slot == "alpha":
-            A = A + f * f
+            _addmul(spec, A, f, f)
         elif slot == "beta":
-            B = B + f * f
-    return SquaredDerivation(A, B, C)
+            _addmul(spec, B, f, f)
+    return SquaredDerivation(Poly._make(spec, A), Poly._make(spec, B), Poly._make(spec, C))
 
 
 def _rewrite_rules(case):
@@ -152,18 +158,21 @@ def _compose_engine(case, a, b, c):
     rx*ry' on the word y.  The length-2 words are then rewritten by the
     case's table in _REWRITES, built once per Lie case from the defining
     relations (commutation, (d/dt)^2 = 0, alpha^2 and beta^2 per case); a
-    product whose word rewrites to zero is not formed.  Returns the
-    accumulator over the basis words A, B, T, the irreducible length-2
-    words and the identity word.
+    product whose word rewrites to zero is not formed.  Every product is
+    added by _addmul into its word's index list, long enough for any of
+    them.  Returns these untrimmed lists over the basis words A, B, T, the
+    irreducible length-2 words and the identity word.
     """
-    zero = Poly.zero(a.spec)
-    slots = {w: zero for w in ("A", "B", "T", "AB", "AT", "BT", "")}
-    coeff = {"A": a, "B": b, "T": c}
+    spec = a.spec
+    coeff = {"A": a._idx, "B": b._idx, "T": c._idx}
+    n = 2 * max(len(a._idx), len(b._idx), len(c._idx)) - 1
+    slots = {w: [0] * n for w in ("A", "B", "T", "AB", "AT", "BT", "")}
     for word, target in _REWRITES[case].items():
         if target is not None:
-            slots[target] = slots[target] + coeff[word[0]] * coeff[word[1]]
-    for y, ry in coeff.items():
-        slots[y] = slots[y] + c * ry.formal_derivative()
+            _addmul(spec, slots[target], coeff[word[0]], coeff[word[1]])
+    fc = c._idx
+    for y, ry in (("A", a), ("B", b), ("T", c)):
+        _addmul(spec, slots[y], fc, ry.formal_derivative()._idx)
     return slots
 
 
@@ -175,21 +184,25 @@ def oracle_delta_squared(d: DerivationTriple) -> SquaredDerivation:
     transcribing the closed formula.  Any residue on irreducible length-2
     words or on the identity word signals a bug.  It never reads
     delta_squared's cache.  Both sides share Poly's table arithmetic, the
-    derivative that each Poly keeps included, so the check rests on the two
-    expansions being different algorithms, and on the tests that check that
-    arithmetic:
+    derivative that each Poly keeps and the kernel _addmul, into which each
+    adds its products, so the check rests on the two expansions being
+    different algorithms, and on the tests that check that arithmetic:
     test_tables_match_direct_arithmetic (the field tables against
     coefficient-vector arithmetic) and
-    test_arithmetic_matches_schoolbook_reference (Poly against coefficient
-    loops on FieldElements).
+    test_arithmetic_matches_schoolbook_reference (Poly, and _addmul on its
+    own over lists of products, against coefficient loops on
+    FieldElements).
     """
     slots = _compose_engine(d.case, *d.components())
     for word in ("AB", "AT", "BT", ""):
-        if slots[word]:
+        if any(slots[word]):
             raise ConsistencyError(
                 f"operator expansion left a nonzero residue on word {word or '1'}"
             )
-    return SquaredDerivation(slots["A"], slots["B"], slots["T"])
+    spec = d.spec
+    return SquaredDerivation(
+        Poly._make(spec, slots["A"]), Poly._make(spec, slots["B"]), Poly._make(spec, slots["T"])
+    )
 
 
 def satisfies_C1(d: DerivationTriple) -> bool:
@@ -211,9 +224,20 @@ def satisfies_C2(d: DerivationTriple) -> bool:
 
 
 def _minors_vanish(d: DerivationTriple, sq: SquaredDerivation) -> bool:
-    A, B, C = sq.components()
-    a, b, c = d.components()
-    return not ((A * b + B * a) or (A * c + C * a) or (B * c + C * b))
+    """Whether A*b + B*a, A*c + C*a and B*c + C*b all vanish (char 2).
+
+    Each minor's two products are added by _addmul into one index list,
+    which is tested for zero before the next minor is formed."""
+    spec = d.spec
+    A, B, C = sq.A._idx, sq.B._idx, sq.C._idx
+    a, b, c = d.a._idx, d.b._idx, d.c._idx
+    for x, y, u, v in ((A, b, B, a), (A, c, C, a), (B, c, C, b)):
+        out = [0] * (max(len(x) + len(y), len(u) + len(v)) - 1)
+        _addmul(spec, out, x, y)
+        _addmul(spec, out, u, v)
+        if any(out):
+            return False
+    return True
 
 
 def satisfies_C3(d: DerivationTriple) -> bool:

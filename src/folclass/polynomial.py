@@ -9,7 +9,10 @@ treat zero uniformly.  A univariate Poly stores its coefficients as element
 indices of its FieldSpec and does all of its arithmetic by lookups in the
 spec's flat add/mul/neg/inv tables; this is the only univariate arithmetic
 path, shared by the closed delta^2 formula, the rewrite oracle and the
-conditions C1-C3.
+conditions C1-C3.  Its one convolution loop is _addmul, which adds a
+product into an index list in place: Poly's * runs it into a fresh list,
+and the delta^2 formula, the oracle and the C3 minors run it into one list
+per slot, so they build no Poly per product.
 
 Polynomial literals (parse_poly, format_poly) use the term grammar, scanner
 and printer of finite_field's element and modulus literals, with element
@@ -148,23 +151,15 @@ class Poly:
         return Poly._make(self.spec, [neg[i] for i in self._idx])
 
     def __mul__(self, other):
+        """The product, formed by _addmul in a fresh zero list."""
         spec = self.spec
         if other.spec is not spec:
             self._spec_with(other)
         f, g = self._idx, other._idx
         if not f or not g:
             return _wrap(spec, ())
-        q, add, mul = spec.order, spec.add, spec.mul
         out = [0] * (len(f) + len(g) - 1)
-        i = 0
-        for fi in f:
-            if fi:
-                row = fi * q
-                k = i
-                for gj in g:  # a zero gj adds mul[row] = 0
-                    out[k] = add[out[k] * q + mul[row + gj]]
-                    k += 1
-            i += 1
+        _addmul(spec, out, f, g)
         # no trim: a field has no zero divisors, so the product of the two
         # nonzero leading coefficients leaves the top coefficient nonzero
         return _wrap(spec, tuple(out))
@@ -250,6 +245,25 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _addmul(spec, out, f, g):
+    """Add the product of the index tuples f and g into the index list out.
+
+    out must hold at least len(f) + len(g) - 1 entries; the entries beyond
+    the product are left as they are.  A zero coefficient of f is skipped,
+    since it adds nothing; no other branch reads a coefficient's value.
+    """
+    q, add, mul = spec.order, spec.add, spec.mul
+    i = 0
+    for fi in f:
+        if fi:
+            row = fi * q
+            k = i
+            for gj in g:  # a zero gj adds mul[row] = 0
+                out[k] = add[out[k] * q + mul[row + gj]]
+                k += 1
+        i += 1
 
 
 def _wrap(spec, idx):

@@ -357,6 +357,16 @@ def test_quadric_guards():
         Quadric.concrete(F4.one, F2.one)
 
 
+@pytest.mark.parametrize("q", [4, 3])
+def test_concrete_quadric_refuses_s_t_zero(q):
+    # G = 1 has no curve to trace along; only s = t = 0 is refused
+    F = GF(q)
+    with pytest.raises(ValueError, match="not a conic"):
+        Quadric.concrete(F.zero, F.zero)
+    for s, t in ((F.one, F.zero), (F.zero, F.one)):
+        assert Quadric.concrete(s, t).G.constant_term() == F.one
+
+
 def test_form_printing():
     op = TraceOperator(Quadric.symbolic())
     _nonzero, form = op.verify_nonvanishing(1)

@@ -416,6 +416,22 @@ def test_cartier_command_concrete_and_p3(capsys):
     assert all(r["image"] == "(1)/G dx^dy" for r in payload["results"])
 
 
+@pytest.mark.parametrize("literal", ["0,0@GF(4)", "0,0@GF(3)"])
+def test_cartier_s_t_zero_exits_one(literal, capsys):
+    # G = 1 is not a conic: refused with a named reason, not a vacuous pass
+    code, out, err = run_cli(["cartier", "--G", literal, "--no-timing"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "s = t = 0 gives G = 1, which is not a conic" in err
+
+
+@pytest.mark.parametrize("literal", ["1,0@GF(3)", "0,1@GF(4)"])
+def test_cartier_one_zero_coefficient_still_runs(literal, capsys):
+    code, out, _err = run_cli(["cartier", "--G", literal, "--no-timing"], capsys)
+    assert code == 0
+    assert all(r["nonzero"] for r in json.loads(out)["results"])
+
+
 def test_exit_code_two_on_soundness_findings(monkeypatch, capsys):
     # a counterexample is a finding, not a crash: exit code 2
     import folclass.cli as cli_mod

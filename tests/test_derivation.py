@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -97,6 +98,20 @@ def test_oracle_guard_reports_a_seeded_residue(F4, monkeypatch):
     )
 
 
+def test_formula_defect_shows_against_the_oracle(F4, monkeypatch):
+    # swapping case II's alpha^2 / beta^2 routing is a defect that only the
+    # formula sees: _REWRITES copied the routing at import, so the oracle
+    # keeps the true relations and criterion 1's comparison must fail
+    monkeypatch.setattr(LieCase.II, "alpha_sq", "beta")
+    monkeypatch.setattr(LieCase.II, "beta_sq", "alpha")
+    assert derivation._REWRITES[LieCase.II]["AA"] == "A"
+    d = next(d for d in enumerate_triples(F4, LieCase.II) if delta_squared(d) != oracle_delta_squared(d))
+    monkeypatch.undo()
+    assert (LieCase.II.alpha_sq, LieCase.II.beta_sq) == ("alpha", "beta")
+    again = DerivationTriple(LieCase.II, *d.components())  # not the cached object
+    assert delta_squared(again) == oracle_delta_squared(again)
+
+
 def _verdicts(d):
     return is_valid_foliation(d), satisfies_C3(d), failed_conditions(d)
 
@@ -154,20 +169,34 @@ def test_delta_squared_cache_holds_only_the_last_triple(F4):
     assert ref() is None
 
 
-def _assert_minor_factorisations(d):
-    """The factorisations of the three minors that the packed scan solves."""
-    a, b, c = d.components()
+def _routed_squares(d):
+    """S_A and S_B: the parts a^2 and b^2 contribute to A and B in d's case."""
+    a, b = d.a, d.b
     routed = {"alpha": Poly.zero(d.spec), "beta": Poly.zero(d.spec), "zero": Poly.zero(d.spec)}
     routed[d.case.alpha_sq] = routed[d.case.alpha_sq] + a * a
     routed[d.case.beta_sq] = routed[d.case.beta_sq] + b * b
-    s_a, s_b = routed["alpha"], routed["beta"]
+    return routed["alpha"], routed["beta"]
+
+
+def _first_minor_holds(d):
+    """A*b + B*a == c*P + K, with P = (ab)' and K = S_A*b + S_B*a."""
+    a, b, c = d.components()
+    A, B, _ = delta_squared(d).components()
+    s_a, s_b = _routed_squares(d)
+    P = Poly.constant(a.coeff(1) * b.coeff(0) + a.coeff(0) * b.coeff(1))
+    return A * b + B * a == c * P + (s_a * b + s_b * a)
+
+
+def _assert_minor_factorisations(d):
+    """The factorisations of the three minors that the packed scan solves."""
+    a, b, c = d.components()
+    s_a, s_b = _routed_squares(d)
     for s in (s_a, s_b):
         assert s.degree <= 2 and not s.coeff(1), d
     A, B, C = delta_squared(d).components()
     assert A == c * a.formal_derivative() + s_a, d
     assert B == c * b.formal_derivative() + s_b, d
-    P = Poly.constant(a.coeff(1) * b.coeff(0) + a.coeff(0) * b.coeff(1))
-    assert A * b + B * a == c * P + (s_a * b + s_b * a), d
+    assert _first_minor_holds(d), d
     assert A * c + C * a == c * ((a * c).formal_derivative() + s_a), d
     assert B * c + C * b == c * ((b * c).formal_derivative() + s_b), d
 
@@ -187,6 +216,37 @@ def test_minor_factorisations_sampled(q, request):
             a, b, c = (Poly(spec, tuple(rng.randrange(q) for _ in range(n))) for n in (2, 2, 4))
             if a or b or c:
                 _assert_minor_factorisations(DerivationTriple(case, a, b, c))
+
+
+def test_first_minor_identity_on_a_grid(F4):
+    """A*b + B*a = c*P + K holds over every field of characteristic 2.
+
+    Read delta_squared and both sides as maps from the coefficients a1, a0,
+    b1, b0, c3 .. c0 to coefficients: straight-line sums of products, whose
+    only value branch skips a zero term.  So each coefficient of the
+    difference of the two sides is a polynomial over GF(2).  A and B are
+    c*a' + S_A and c*b' + S_B, with S_A, S_B among a^2, b^2 and 0, and
+    P = a1*b0 + a0*b1, K = S_A*b + S_B*a.  Every product in the difference
+    then has degree at most 3 in each a- and b-coefficient (a^2*a, when
+    case IV routes a^2 to B) and at most 1 in each c-coefficient (the first
+    minor never multiplies c by c).  A polynomial of degree below |S_i| in
+    its i-th variable that vanishes on S_1 x ... x S_8 is zero (Alon,
+    "Combinatorial Nullstellensatz", 1999, Lemma 2.1).  Taking S_i = GF(4)
+    (4 > 3 points) for the a- and b-coefficients and {0, 1} (2 > 1) for the
+    c-coefficients gives 16 * 16 * 16 = 4,096 triples per case.  The zero
+    triple, which DerivationTriple refuses, satisfies the identity because
+    every term on both sides has a factor from (a, b, c).
+    """
+    linear = [Poly(F4, (a0, a1)) for a1 in range(4) for a0 in range(4)]
+    binary = [Poly(F4, cs) for cs in itertools.product((0, 1), repeat=4)]
+    checked = 0
+    for case in LieCase:
+        for a, b, c in itertools.product(linear, linear, binary):
+            if a or b or c:
+                d = DerivationTriple(case, a, b, c)
+                assert _first_minor_holds(d), d
+                checked += 1
+    assert checked == 4 * (4096 - 1)
 
 
 def test_c1_examples(F2):

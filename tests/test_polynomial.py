@@ -10,6 +10,7 @@ from folclass.polynomial import (
     NEG_INF,
     BiPoly,
     Poly,
+    _addmul,
     format_poly,
     parse_poly,
     poly_gcd,
@@ -187,8 +188,10 @@ def _schoolbook_divmod(f, g, spec):
 
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_arithmetic_matches_schoolbook_reference(q):
-    # Poly's table arithmetic against coefficient loops on FieldElements; the
-    # delta^2 formula and the rewrite oracle both multiply through Poly
+    # Poly's table arithmetic against coefficient loops on FieldElements.
+    # The delta^2 formula, the rewrite oracle and the C3 minors all add their
+    # products through _addmul, the loop under Poly's *, so criterion 1
+    # (formula against oracle) cannot see a fault in it; this test can.
     spec = GF(q)
     zero = spec.zero
     rng = random.Random(q)
@@ -214,6 +217,24 @@ def test_arithmetic_matches_schoolbook_reference(q):
             quot, rem = divmod(f, g)
             assert (quot.coeffs, rem.coeffs) == _schoolbook_divmod(fc, gc, spec)
             assert (f % g).coeffs == rem.coeffs
+    # the kernel on its own: random lists of (f, g) pairs, zero operands and
+    # unequal lengths among them, added into one accumulator that is longer
+    # than every product and starts from nonzero entries
+    for _ in range(300):
+        pairs = []
+        for _ in range(rng.randrange(1, 5)):
+            f = rand_poly(spec, rng.randrange(-1, 5), rng)
+            g = rand_poly(spec, rng.randrange(-1, 5), rng)
+            pairs.append((f, g))
+        n = max(len(f.coeffs) + len(g.coeffs) for f, g in pairs) + rng.randrange(3)
+        out = [rng.randrange(q) for _ in range(n)]
+        acc = [spec.elements()[i] for i in out]
+        for f, g in pairs:
+            _addmul(spec, out, f._idx, g._idx)
+            for i, x in enumerate(f.coeffs):
+                for j, y in enumerate(g.coeffs):
+                    acc[i + j] = acc[i + j] + x * y
+        assert out == [x.index for x in acc]
 
 
 def test_cross_field_operations_raise(F4, F8):
@@ -227,6 +248,14 @@ def test_cross_field_operations_raise(F4, F8):
                 f.scale(F8.one)
             with pytest.raises(FieldMismatchError):
                 g.scale(F4.one)
+    # * runs _addmul on index tuples, which would read GF(8;mod=x3+x2+1)'s
+    # indices in GF(8)'s tables of the same size; the spec check refuses it
+    other = parse_field("GF(8;mod=x3+x2+1)")
+    for f in (Poly.zero(F8), Poly.t(F8), Poly(F8, (3, 5, 7))):
+        for g in (Poly.zero(other), Poly.t(other), Poly(other, (3, 5, 7))):
+            for x, y in ((f, g), (g, f)):
+                with pytest.raises(FieldMismatchError, match="distinct fields"):
+                    x * y
 
 
 def test_parse_and_format(F2, F4):
