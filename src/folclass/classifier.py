@@ -25,12 +25,12 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .derivation import DerivationTriple, LieCase, failed_conditions, scale
+from .derivation import DerivationTriple, LieCase, failed_conditions
 from .errors import InvalidParameterError, NotAFoliationError
 # embed and extension_field are not called here; the per-layer benchmark
 # tracer (perfbench/tracer.py) wraps them as attributes of this module.
-from .finite_field import embed, extension_field, parse_element  # noqa: F401
-from .polynomial import NEG_INF, Poly
+from .finite_field import FieldElement, embed, extension_field, parse_element  # noqa: F401
+from .polynomial import NEG_INF, Poly, _wrap
 
 
 class FamilyId(enum.Enum):
@@ -61,10 +61,11 @@ class FamilyId(enum.Enum):
 
 
 _CASES = {f: LieCase[f.value.split("-")[0]] for f in FamilyId}
+_CASE_FAMILIES = {case: tuple(f for f in FamilyId if _CASES[f] is case) for case in LieCase}
 
 
 def families_of_case(case: LieCase):
-    return tuple(f for f in FamilyId if _CASES[f] is case)
+    return _CASE_FAMILIES[case]
 
 
 class _Family(NamedTuple):
@@ -80,9 +81,10 @@ class _Family(NamedTuple):
 
 
 def _t(*roots):  # (t - r1)...(t - rn), = (t + r1)...(t + rn) in char 2
-    f = Poly._make(roots[0].spec, (roots[0].index, 1))
+    spec = roots[0].spec
+    f = _wrap(spec, (roots[0].index, 1))  # monic, so already trimmed
     for r in roots[1:]:
-        f = f * Poly._make(r.spec, (r.index, 1))
+        f = f * _wrap(spec, (r.index, 1))
     return f
 
 
@@ -244,15 +246,15 @@ def instantiate(family: FamilyId, params, spec) -> DerivationTriple:
         if name not in params:
             raise InvalidParameterError(family.value, f"missing parameter {name}")
         v = params[name]
-        vals.append(parse_element(v, spec) if isinstance(v, str) else spec.element(v))
+        if not (isinstance(v, FieldElement) and v.spec is spec):
+            v = parse_element(v, spec) if isinstance(v, str) else spec.element(v)
+        vals.append(v)
     for factor, clause in row.constraints(*vals):
         if not factor:
             raise InvalidParameterError(family.value, clause)
     den, a, b, c = row.cleared(*vals)
-    if den is spec.one:
-        return DerivationTriple(_CASES[family], a, b, c)
-    inv = den.inverse()
-    return DerivationTriple(_CASES[family], a.scale(inv), b.scale(inv), c.scale(inv))
+    inv = den.inverse().index
+    return DerivationTriple(_CASES[family], a._scaled(inv), b._scaled(inv), c._scaled(inv))
 
 
 def classify(d: DerivationTriple):
@@ -280,8 +282,10 @@ def classify(d: DerivationTriple):
             inst = instantiate(family, params, d.spec)
         except InvalidParameterError:  # the coefficients give no instance
             continue
-        x, y = next((x, y) for x, y in zip(components, inst.components()) if x)
+        pairs = tuple(zip(components, inst.components()))
+        x, y = next((x, y) for x, y in pairs if x)
+        # lam is a ratio of two nonzero leading coefficients: a unit of spec
         lam = x.leading / y.leading
-        if scale(lam, inst) == d:
+        if all(g._scaled(lam.index) == f for f, g in pairs):
             matches.append(FamilyMatch(family, params, lam))
     return matches

@@ -72,23 +72,38 @@ def _manifest(command, args, **extra):
     return m
 
 
+def _report_file(path):
+    """The file that a report path names: a symlink is resolved to its
+    target, and an existing path that is not a regular file is refused, so
+    that no FIFO, device or folder is replaced by the report."""
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    if os.path.exists(target) and not os.path.isfile(target):
+        kind = "a directory" if os.path.isdir(target) else "not a regular file"
+        raise FolclassError(f"cannot write report to {path}: it is {kind}")
+    return target
+
+
 def _write_atomic(path, content):
-    tmp = path + ".tmp"
+    target = _report_file(path)
+    tmp = target + ".tmp"
     try:
         with open(tmp, "w") as fh:
             fh.write(content)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, target)
+        except OSError:
+            os.remove(tmp)
+            raise
     except OSError as exc:
         raise FolclassError(f"cannot write report to {path}: {exc}") from exc
 
 
 def _check_writable(path):
     """Refuse a report path that cannot be written, before any work is done:
-    its folder must exist and be writable, and it must not be a folder."""
-    folder = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        reason = "it is a directory"
-    elif not os.path.isdir(folder):
+    it must name a regular file or nothing (_report_file), and the folder
+    of that file must exist and be writable."""
+    folder = os.path.dirname(_report_file(path)) or "."
+    if not os.path.isdir(folder):
         reason = f"no directory {folder!r}"
     elif not os.access(folder, os.W_OK):
         reason = f"directory {folder!r} is not writable"

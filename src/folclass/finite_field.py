@@ -313,7 +313,10 @@ class FieldElement:
 
     def __truediv__(self, other):
         self._check(other)
-        return self * other.inverse()
+        if not other.index:
+            raise ZeroDivisionError("inverse of zero field element")
+        spec = self.spec
+        return spec._elements[spec.mul[self.index * spec.order + spec.inv[other.index]]]
 
     def __pow__(self, n):
         if n < 0:

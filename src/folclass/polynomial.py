@@ -34,10 +34,12 @@ class Poly:
     """A univariate polynomial over a FieldSpec, in the variable t.
 
     The coefficients are a trimmed tuple of element indices, constant term
-    first.  Every operation is a lookup in the spec's flat tables, so no
-    FieldElement arithmetic runs here; coeff(), leading and coeffs hand back
-    the spec's interned FieldElements.  Operands from another field raise
-    FieldMismatchError, the zero polynomial included.
+    first.  Sums, negations, derivatives and remainders trim their result;
+    a product or a scale by a unit keeps its leading coefficient nonzero, so
+    it needs no trim.  Every operation is a lookup in the spec's flat
+    tables, so no FieldElement arithmetic runs here; coeff(), leading and
+    coeffs hand back the spec's interned FieldElements.  Operands from
+    another field raise FieldMismatchError, the zero polynomial included.
 
     A Poly never changes after it is built, so its derivative never does
     either: formal_derivative() computes it on the first call, keeps it in
@@ -165,9 +167,15 @@ class Poly:
         return _wrap(spec, tuple(out))
 
     def _scaled(self, lam):
+        """self times the element of index lam.  A unit keeps the leading
+        coefficient nonzero, so the product needs no trim; 1 gives self."""
+        if lam == 1:
+            return self
         spec = self.spec
+        if not lam:
+            return _wrap(spec, ())
         mul, row = spec.mul, lam * spec.order
-        return Poly._make(spec, [mul[row + i] for i in self._idx])
+        return _wrap(spec, tuple([mul[row + i] for i in self._idx]))
 
     def scale(self, c):
         """Multiply by the field constant c."""
@@ -175,35 +183,13 @@ class Poly:
         return self._scaled(c.index)
 
     def _reduce(self, other, quot):
-        """The remainder of self by other, as a trimmed Poly.
-
-        When quot is a list it receives the quotient's coefficients, constant
-        term first; % passes None and no quotient is formed."""
+        """The remainder of self by other, as a Poly; a list quot receives
+        the quotient's coefficients (see _reduce_into)."""
         spec = self._spec_with(other)
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        g = other._idx
-        d = len(g) - 1
-        if len(self._idx) <= d:
-            return self
-        q, add, mul, neg = spec.order, spec.add, spec.mul, spec.neg
-        lead_inv = spec.inv[g[-1]]
-        # subtract c * (other / lead) at each step; the leading term cancels
-        # by construction, so only the d lower coefficients are updated
-        lower = [mul[lead_inv * q + gj] for gj in g[:-1]]
         rem = list(self._idx)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if quot is not None:
-                quot.append(mul[c * q + lead_inv])
-            if c:
-                row = neg[c] * q
-                base = i - d
-                for j, gj in enumerate(lower):
-                    rem[base + j] = add[rem[base + j] * q + mul[row + gj]]
-        if quot is not None:
-            quot.reverse()
-        return Poly._make(spec, rem[:d])
+        return _wrap(spec, tuple(rem[: _reduce_into(spec, rem, other._idx, quot)]))
 
     def __divmod__(self, other):
         quot = []
@@ -266,6 +252,37 @@ def _addmul(spec, out, f, g):
         i += 1
 
 
+def _reduce_into(spec, rem, g, quot):
+    """Reduce the index list rem modulo the trimmed nonzero index tuple g in
+    place, and return the trimmed length n of the remainder rem[:n].
+
+    When quot is a list it receives the quotient's coefficients, constant
+    term first; % and gcd pass None and no quotient is formed."""
+    d = len(g) - 1
+    n = len(rem)
+    if n > d:
+        q, add, mul, neg = spec.order, spec.add, spec.mul, spec.neg
+        lead_inv = spec.inv[g[-1]]
+        # subtract c * (g / lead) at each step; the leading term cancels by
+        # construction, so only the d lower coefficients are updated
+        lower = [mul[lead_inv * q + gj] for gj in g[:-1]]
+        for i in range(n - 1, d - 1, -1):
+            c = rem[i]
+            if quot is not None:
+                quot.append(mul[c * q + lead_inv])
+            if c:
+                row = neg[c] * q
+                base = i - d
+                for j, gj in enumerate(lower):
+                    rem[base + j] = add[rem[base + j] * q + mul[row + gj]]
+        if quot is not None:
+            quot.reverse()
+        n = d
+    while n and not rem[n - 1]:
+        n -= 1
+    return n
+
+
 def _wrap(spec, idx):
     """A Poly around idx, a tuple of indices that is already trimmed."""
     f = Poly.__new__(Poly)
@@ -279,9 +296,15 @@ def poly_gcd(f, g):
     """Monic gcd by Euclid's algorithm; gcd(f, 0) = monic(f)."""
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
+    spec = f._spec_with(g)
+    # Euclid on index lists: each remainder is reduced in place and trimmed
+    # by deleting its tail, and only the monic gcd is wrapped as a Poly
+    f, g = list(f._idx), list(g._idx)
     while g:
-        f, g = g, f % g
-    return f.monic()
+        del f[_reduce_into(spec, f, g, None) :]
+        f, g = g, f
+    mul, row = spec.mul, spec.inv[f[-1]] * spec.order
+    return _wrap(spec, tuple([mul[row + i] for i in f]))
 
 
 # -- literals ----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from folclass.classifier import (
@@ -8,9 +10,10 @@ from folclass.classifier import (
     instantiate,
 )
 from folclass.derivation import DerivationTriple, LieCase, is_valid_foliation, scale
-from folclass.enumerator import iter_family_instances, verify_completeness
+from folclass.cli import main
+from folclass.enumerator import iter_family_instances, verify_completeness, verify_soundness
 from folclass.errors import InvalidParameterError, NotAFoliationError
-from folclass.finite_field import GF, embed
+from folclass.finite_field import GF, embed, parse_field
 from folclass.polynomial import Poly, parse_poly
 
 
@@ -195,3 +198,60 @@ def test_classification_equivariant_under_scaling(F4):
             (m.family, sorted((k, str(v)) for k, v in m.params.items())) for m in base
         ]
         assert [m.lam for m in scaled] == [lam * m.lam for m in base]
+
+
+def _matches_through_scale(d):
+    """classify's matches with its lambda test done as it used to be: the
+    whole instance scaled by derivation.scale and compared with d."""
+    components = d.components()
+    signature = tuple(f.degree for f in components)
+    out = []
+    for family in families_of_case(d.case):
+        row = _FAMILIES[family]
+        if signature not in row.signatures:
+            continue
+        params = dict(zip(row.names, row.inverse(*components)))
+        try:
+            inst = instantiate(family, params, d.spec)
+        except InvalidParameterError:
+            continue
+        x, y = next((x, y) for x, y in zip(components, inst.components()) if x)
+        lam = x.leading / y.leading
+        if scale(lam, inst) == d:
+            out.append((family, params, lam))
+    return out
+
+
+@pytest.mark.parametrize("field", ["GF(4)", "GF(8;mod=x3+x+1)", "GF(8;mod=x3+x2+1)"])
+def test_coefficientwise_lambda_test_agrees_with_scale(field):
+    # classify compares lam * g with f component by component; on every
+    # class of every case this gives the matches of scaling the whole
+    # instance, in the same order, with the same parameters and lambda
+    spec = parse_field(field)
+    for case in LieCase:
+        report = verify_completeness(spec, case)
+        assert len(report.class_matches) == spec.order**3 - spec.order
+        for d, matches in report.class_matches:
+            assert matches
+            assert [(m.family, m.params, m.lam) for m in matches] == _matches_through_scale(d), d
+
+
+def test_seeded_iv_iv_defect_fails_the_soundness_sweep(F4, monkeypatch, capsys):
+    # IV-iv's c scaled by sigma^2 (sigma = u, neither 0 nor 1) breaks the
+    # p-closedness of every IV-iv instance: the real sweep refuses all
+    # q(q-1)^3 of them and no other family's, and verify-families exits 2
+    sigma_squared = F4.generator * F4.generator
+    row = _FAMILIES[FamilyId.IV_IV]
+
+    def cleared(*params):
+        den, a, b, c = row.cleared(*params)
+        return den, a, b, c.scale(sigma_squared)
+
+    monkeypatch.setitem(_FAMILIES, FamilyId.IV_IV, row._replace(cleared=cleared))
+    report = verify_soundness(F4, LieCase.IV)
+    assert not report.passed
+    assert {f["family"] for f in report.failures} == {"IV-iv"}
+    assert len(report.failures) == report.instances["IV-iv"] == 108
+    assert main(["verify-families", "--field", "GF(4)", "--case", "IV", "--no-timing"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["findings"] == 108

@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import signal
+import stat
 import subprocess
 import sys
 
@@ -533,6 +534,61 @@ def test_failed_report_write_exits_one(monkeypatch, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: cannot write report to missing/c.json: [Errno")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--field", "GF(4)", "--out", "fifo"],
+    ["verify-theorem", "--field", "GF(4)", "--detail", "fifo"],
+    ["cartier", "--e-max", "1", "--out", "fifo"],
+    ["cartier", "--e-max", "1", "--out", "link"],
+], ids=["enumerate-out", "verify-theorem-detail", "cartier-out", "cartier-out-link"])
+def test_report_path_that_is_not_a_regular_file_exits_one(argv, monkeypatch, tmp_path, capsys):
+    # a FIFO, or a symlink to one, would be replaced by a regular file; the
+    # scanning commands refuse it before any task runs, cartier at the write
+    def no_tasks(*_args):
+        raise AssertionError("a task ran before the report paths were checked")
+
+    monkeypatch.setattr(cli, "_run_tasks", no_tasks)
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("fifo")
+    os.symlink("fifo", "link")
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write report to {argv[-1]}: it is not a regular file\n"
+    assert sorted(os.listdir()) == ["fifo", "link"]
+    assert stat.S_ISFIFO(os.stat("fifo").st_mode) and os.path.islink("link")
+
+
+def test_report_through_a_symlink_writes_its_target(monkeypatch, tmp_path, capsys):
+    # the link stays a link, and the file it names (made here) gets the report
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("reports")
+    os.symlink("reports/summary.json", "out.json")
+    os.symlink("reports/detail.jsonl", "detail.jsonl")
+    argv = ["enumerate", "--field", "GF(2)", "--case", "I", "--no-timing",
+            "--out", "out.json", "--detail", "detail.jsonl"]
+    code, out, _err = run_cli(argv, capsys)
+    assert code == 0 and out == ""
+    assert os.path.islink("out.json") and os.path.islink("detail.jsonl")
+    assert sorted(os.listdir("reports")) == ["detail.jsonl", "summary.json"]
+    payload = json.loads((tmp_path / "reports" / "summary.json").read_text())
+    assert payload["manifest"]["outputs"] == {"summary": "out.json", "detail": "detail.jsonl"}
+    # a manifest line and |PGL2(2)| = 6 classes
+    assert len((tmp_path / "reports" / "detail.jsonl").read_text().splitlines()) == 7
+
+
+def test_failed_replace_leaves_no_temporary_file(monkeypatch, tmp_path, capsys):
+    def refuse(_src, _dst):
+        raise PermissionError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["cartier", "--e-max", "1", "--out", "c.json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot write report to c.json: replace refused\n"
+    assert os.listdir() == []
 
 
 @pytest.mark.parametrize("e_max", ["0", "-1"])

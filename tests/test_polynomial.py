@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 
@@ -235,6 +236,42 @@ def test_arithmetic_matches_schoolbook_reference(q):
                 for j, y in enumerate(g.coeffs):
                     acc[i + j] = acc[i + j] + x * y
         assert out == [x.index for x in acc]
+
+
+def _schoolbook_gcd(f, g, spec):
+    """The monic gcd of two coefficient tuples by Euclid on FieldElements."""
+    while g:
+        f, g = g, _schoolbook_divmod(f, g, spec)[1]
+    return tuple(x / f[-1] for x in f)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_gcd_and_scale_match_schoolbook_reference(q):
+    # every pair of polynomials of degree <= 2, odd p included: poly_gcd's
+    # in-place Euclid on index lists against Euclid on FieldElements, and
+    # scale by zero, by one and by every unit against coefficient products
+    spec = GF(q)
+    polys = [Poly(spec, c) for c in itertools.product(range(q), repeat=3)]
+    # gcd(x*f, y*g) = gcd(f, g) for units x and y, so the reference is
+    # computed once per pair of monic (or zero) polynomials
+    monic = [tuple(x / f.leading for x in f.coeffs) if f else () for f in polys]
+    reference = {}
+    for f, mf in zip(polys, monic):
+        for g, mg in zip(polys, monic):
+            if f or g:
+                expected = reference.get((mf, mg))
+                if expected is None:
+                    gcd = _schoolbook_gcd(mf, mg, spec)
+                    expected = reference[mf, mg] = tuple(x.index for x in gcd)
+                assert poly_gcd(f, g)._idx == expected, (f, g)
+    units = spec.elements()[1:]
+    for f in polys:
+        assert f.scale(spec.zero) == Poly.zero(spec)
+        assert f.scale(spec.one) == f
+        for lam in units:
+            scaled = f.scale(lam)
+            assert scaled.degree == f.degree
+            assert scaled.coeffs == tuple(lam * x for x in f.coeffs)
 
 
 def test_cross_field_operations_raise(F4, F8):
