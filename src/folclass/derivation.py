@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, FieldMismatchError
-from .polynomial import Poly, _addmul, poly_gcd
+from .polynomial import Poly, _addmul, _euclid
 
 
 class LieCase(enum.Enum):
@@ -73,19 +73,36 @@ class DerivationTriple:
         return f"[case {self.case.name}] a={self.a}, b={self.b}, c={self.c} over {self.spec.literal()}"
 
 
-@dataclass(frozen=True)
 class SquaredDerivation:
-    """The alpha, beta, d/dt components of delta squared."""
+    """The alpha, beta, d/dt components of delta squared.
 
-    A: Poly
-    B: Poly
-    C: Poly
+    A value: two are equal when their components are, and nothing changes
+    the components once it is built.  It keeps plain slots because two are
+    built per triple when the formula is checked against the oracle."""
+
+    __slots__ = ("A", "B", "C")
+
+    def __init__(self, A: Poly, B: Poly, C: Poly):
+        self.A = A
+        self.B = B
+        self.C = C
 
     def components(self):
         return (self.A, self.B, self.C)
 
     def is_zero(self):
         return not (self.A or self.B or self.C)
+
+    def __eq__(self, other):
+        if not isinstance(other, SquaredDerivation):
+            return NotImplemented
+        return self.A == other.A and self.B == other.B and self.C == other.C
+
+    def __hash__(self):
+        return hash((self.A, self.B, self.C))
+
+    def __repr__(self):
+        return f"SquaredDerivation(A={self.A!r}, B={self.B!r}, C={self.C!r})"
 
 
 # The last (triple, delta^2) pair, rebound as one tuple.  It is looked up by
@@ -112,41 +129,60 @@ def delta_squared(d: DerivationTriple) -> SquaredDerivation:
 def _formula(d):
     """delta_squared's closed formula, evaluated without the cache.
 
-    Each slot's products are added by _addmul straight into one index list,
-    long enough for any of them, and one Poly is wrapped per slot."""
+    The products c*a', c*b' and c*c' are added by _addmul straight into one
+    index list per slot, long enough for any term, and one Poly is wrapped
+    per slot.  A square is added by Frobenius: in characteristic 2,
+    f^2 = sum of frob(f_i)*t^(2i), one table lookup per coefficient and no
+    convolution.  The case's routing of alpha^2 and beta^2 is read from
+    d.case on every call."""
     a, b, c = d.a, d.b, d.c
     spec, fa, fb, fc = a.spec, a._idx, b._idx, c._idx
+    q, add, mul, frob = spec.order, spec.add, spec.mul, spec.frob
     n = 2 * max(len(fa), len(fb), len(fc)) - 1
     A, B, C = [0] * n, [0] * n, [0] * n
-    _addmul(spec, A, fc, a.formal_derivative()._idx)
-    _addmul(spec, B, fc, b.formal_derivative()._idx)
-    _addmul(spec, C, fc, c.formal_derivative()._idx)
-    # a square is formed only when the case sends it to a nonzero slot
-    for f, slot in ((fa, d.case.alpha_sq), (fb, d.case.beta_sq)):
-        if slot == "alpha":
-            _addmul(spec, A, f, f)
-        elif slot == "beta":
-            _addmul(spec, B, f, f)
+    _addmul(q, add, mul, A, fc, a.formal_derivative()._idx)
+    _addmul(q, add, mul, B, fc, b.formal_derivative()._idx)
+    _addmul(q, add, mul, C, fc, c.formal_derivative()._idx)
+    case = d.case
+    for f, slot in ((fa, case.alpha_sq), (fb, case.beta_sq)):
+        if slot != "zero":
+            out = A if slot == "alpha" else B
+            k = 0
+            for fi in f:
+                out[k] = add[out[k] * q + frob[fi]]
+                k += 2
     return SquaredDerivation(Poly._make(spec, A), Poly._make(spec, B), Poly._make(spec, C))
 
 
-def _rewrite_rules(case):
-    """The word -> slot table of the case's relations on length-2 words.
+# The oracle's coefficient letters, in the order of (a, b, c), and its
+# slots: the basis words A, B, T, then the words that must cancel, the
+# irreducible length-2 words and the identity word.
+_LETTERS = ("A", "B", "T")
+_WORDS = ("A", "B", "T", "AB", "AT", "BT", "")
+_RESIDUE = (3, 4, 5, 6)
 
-    alpha and beta commute with each other and with d/dt, so BA, TA and TB
-    rewrite to AB, AT and BT; (d/dt)^2 = 0; and alpha^2, beta^2 go to the
-    case's slot.  A word that rewrites to zero maps to None.
+
+def _rewrite_rules(case):
+    """The schedule of the case's length-2 words: one (left letter, right
+    letter, target slot) per word xy, as indices into _LETTERS and _WORDS.
+
+    The table is derived from the relations: alpha and beta commute with
+    each other and with d/dt, so BA, TA and TB rewrite to AB, AT and BT;
+    (d/dt)^2 = 0; and alpha^2, beta^2 go to the case's slot.  A word that
+    rewrites to zero has no entry.
     """
     square = {"A": case.alpha_sq, "B": case.beta_sq, "T": "zero"}
     letter = {"alpha": "A", "beta": "B", "zero": None}
-    rules = {}
-    for x in "ABT":
-        for y in "ABT":
-            rules[x + y] = letter[square[x]] if x == y else "".join(sorted(x + y))
-    return rules
+    rules = []
+    for i, x in enumerate(_LETTERS):
+        for j, y in enumerate(_LETTERS):
+            target = letter[square[x]] if x == y else "".join(sorted(x + y))
+            if target is not None:
+                rules.append((i, j, _WORDS.index(target)))
+    return tuple(rules)
 
 
-# derived once per Lie case; the oracle only reads it
+# compiled once per Lie case; the oracle only reads it
 _REWRITES = {case: _rewrite_rules(case) for case in LieCase}
 
 
@@ -156,23 +192,23 @@ def _compose_engine(case, a, b, c):
     Each product (rx*x) o (ry*y) of two terms is the word xy with
     coefficient rx*ry; when x is d/dt, moving it past ry also leaves
     rx*ry' on the word y.  The length-2 words are then rewritten by the
-    case's table in _REWRITES, built once per Lie case from the defining
-    relations (commutation, (d/dt)^2 = 0, alpha^2 and beta^2 per case); a
-    product whose word rewrites to zero is not formed.  Every product is
-    added by _addmul into its word's index list, long enough for any of
-    them.  Returns these untrimmed lists over the basis words A, B, T, the
-    irreducible length-2 words and the identity word.
+    case's schedule in _REWRITES, compiled once per Lie case from the
+    defining relations (commutation, (d/dt)^2 = 0, alpha^2 and beta^2 per
+    case); a product whose word rewrites to zero is not formed, and every
+    other one, squares included, is formed by convolution.  Every product
+    is added by _addmul into its slot's index list, long enough for any of
+    them.  Returns these untrimmed lists, indexed as _WORDS.
     """
     spec = a.spec
-    coeff = {"A": a._idx, "B": b._idx, "T": c._idx}
-    n = 2 * max(len(a._idx), len(b._idx), len(c._idx)) - 1
-    slots = {w: [0] * n for w in ("A", "B", "T", "AB", "AT", "BT", "")}
-    for word, target in _REWRITES[case].items():
-        if target is not None:
-            _addmul(spec, slots[target], coeff[word[0]], coeff[word[1]])
-    fc = c._idx
-    for y, ry in (("A", a), ("B", b), ("T", c)):
-        _addmul(spec, slots[y], fc, ry.formal_derivative()._idx)
+    q, add, mul = spec.order, spec.add, spec.mul
+    coeff = fa, fb, fc = a._idx, b._idx, c._idx
+    n = 2 * max(len(fa), len(fb), len(fc)) - 1
+    slots = [[0] * n for _ in _WORDS]
+    for x, y, target in _REWRITES[case]:
+        _addmul(q, add, mul, slots[target], coeff[x], coeff[y])
+    _addmul(q, add, mul, slots[0], fc, a.formal_derivative()._idx)
+    _addmul(q, add, mul, slots[1], fc, b.formal_derivative()._idx)
+    _addmul(q, add, mul, slots[2], fc, c.formal_derivative()._idx)
     return slots
 
 
@@ -180,39 +216,47 @@ def oracle_delta_squared(d: DerivationTriple) -> SquaredDerivation:
     """Recompute delta^2 by symbolic operator composition.
 
     Independent of delta_squared: the square is expanded as a word rewrite
-    with the Lie relations, read from the case's rewrite table, instead of
-    transcribing the closed formula.  Any residue on irreducible length-2
-    words or on the identity word signals a bug.  It never reads
-    delta_squared's cache.  Both sides share Poly's table arithmetic, the
-    derivative that each Poly keeps and the kernel _addmul, into which each
-    adds its products, so the check rests on the two expansions being
-    different algorithms, and on the tests that check that arithmetic:
-    test_tables_match_direct_arithmetic (the field tables against
-    coefficient-vector arithmetic) and
+    with the Lie relations, read from the case's compiled schedule, instead
+    of transcribing the closed formula, and it squares a and b by
+    convolution where the formula squares them by Frobenius.  Any residue
+    on irreducible length-2 words or on the identity word signals a bug.
+    It never reads delta_squared's cache.  Both sides share Poly's table
+    arithmetic, the derivative that each Poly keeps and the kernel
+    _addmul, into which each adds its products c*a', c*b' and c*c', so the
+    check rests on the two expansions being different algorithms, and on
+    the tests that check that arithmetic: test_tables_match_direct_arithmetic
+    (the field tables against coefficient-vector arithmetic),
     test_arithmetic_matches_schoolbook_reference (Poly, and _addmul on its
     own over lists of products, against coefficient loops on
-    FieldElements).
+    FieldElements), test_frobenius_square_matches_convolution (the
+    formula's squares against _addmul and *) and
+    test_formula_matches_schoolbook_loops (the formula against coefficient
+    loops on FieldElements).
     """
     slots = _compose_engine(d.case, *d.components())
-    for word in ("AB", "AT", "BT", ""):
-        if any(slots[word]):
+    for w in _RESIDUE:
+        if any(slots[w]):
             raise ConsistencyError(
-                f"operator expansion left a nonzero residue on word {word or '1'}"
+                f"operator expansion left a nonzero residue on word {_WORDS[w] or '1'}"
             )
     spec = d.spec
     return SquaredDerivation(
-        Poly._make(spec, slots["A"]), Poly._make(spec, slots["B"]), Poly._make(spec, slots["T"])
+        Poly._make(spec, slots[0]), Poly._make(spec, slots[1]), Poly._make(spec, slots[2])
     )
 
 
 def satisfies_C1(d: DerivationTriple) -> bool:
-    """Primitivity: the gcd of the nonzero components is a nonzero constant."""
-    # once the running gcd is a unit, every further gcd is 1
+    """Primitivity: the gcd of the nonzero components is a nonzero constant.
+
+    Euclid runs on the components' index lists, and the verdict reads only
+    the length of the running gcd: once it is 1, the gcd is a unit and
+    every further gcd is 1."""
+    spec = d.spec
     g = None
-    for f in d.components():
+    for f in (d.a._idx, d.b._idx, d.c._idx):
         if f:
-            g = f if g is None else poly_gcd(g, f)
-            if g.degree == 0:
+            g = list(f) if g is None else _euclid(spec, g, list(f))
+            if len(g) == 1:
                 return True
     return False
 
@@ -229,12 +273,13 @@ def _minors_vanish(d: DerivationTriple, sq: SquaredDerivation) -> bool:
     Each minor's two products are added by _addmul into one index list,
     which is tested for zero before the next minor is formed."""
     spec = d.spec
+    q, add, mul = spec.order, spec.add, spec.mul
     A, B, C = sq.A._idx, sq.B._idx, sq.C._idx
     a, b, c = d.a._idx, d.b._idx, d.c._idx
     for x, y, u, v in ((A, b, B, a), (A, c, C, a), (B, c, C, b)):
         out = [0] * (max(len(x) + len(y), len(u) + len(v)) - 1)
-        _addmul(spec, out, x, y)
-        _addmul(spec, out, u, v)
+        _addmul(q, add, mul, out, x, y)
+        _addmul(q, add, mul, out, u, v)
         if any(out):
             return False
     return True

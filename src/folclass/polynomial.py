@@ -9,10 +9,15 @@ treat zero uniformly.  A univariate Poly stores its coefficients as element
 indices of its FieldSpec and does all of its arithmetic by lookups in the
 spec's flat add/mul/neg/inv tables; this is the only univariate arithmetic
 path, shared by the closed delta^2 formula, the rewrite oracle and the
-conditions C1-C3.  Its one convolution loop is _addmul, which adds a
-product into an index list in place: Poly's * runs it into a fresh list,
-and the delta^2 formula, the oracle and the C3 minors run it into one list
-per slot, so they build no Poly per product.
+conditions C1-C3.  Its one convolution loop is _addmul(q, add, mul, out,
+f, g), which adds the product of f and g into the index list out in place,
+reading the field's order and flat add/mul tables that the caller passes:
+Poly's * passes its own spec's tables and runs it into a fresh list, and
+the delta^2 formula, the rewrite oracle and the C3 minors load the tables
+once per expansion and run it into one list per slot, so they build no
+Poly per product.  Its one Euclid loop is _euclid, on index lists reduced
+in place by _reduce_into: poly_gcd makes its result monic and wraps it,
+and the derivation's C1 reads only its length.
 
 Polynomial literals (parse_poly, format_poly) use the term grammar, scanner
 and printer of finite_field's element and modulus literals, with element
@@ -161,7 +166,7 @@ class Poly:
         if not f or not g:
             return _wrap(spec, ())
         out = [0] * (len(f) + len(g) - 1)
-        _addmul(spec, out, f, g)
+        _addmul(spec.order, spec.add, spec.mul, out, f, g)
         # no trim: a field has no zero divisors, so the product of the two
         # nonzero leading coefficients leaves the top coefficient nonzero
         return _wrap(spec, tuple(out))
@@ -233,14 +238,16 @@ class Poly:
         return format_poly(self)
 
 
-def _addmul(spec, out, f, g):
+def _addmul(q, add, mul, out, f, g):
     """Add the product of the index tuples f and g into the index list out.
 
-    out must hold at least len(f) + len(g) - 1 entries; the entries beyond
-    the product are left as they are.  A zero coefficient of f is skipped,
-    since it adds nothing; no other branch reads a coefficient's value.
+    q, add and mul are the order and the flat add/mul tables of the field
+    whose indices f, g and out hold; a caller that adds many products loads
+    them once.  out must hold at least len(f) + len(g) - 1 entries; the
+    entries beyond the product are left as they are.  A zero coefficient of
+    f is skipped, since it adds nothing; no other branch reads a
+    coefficient's value.
     """
-    q, add, mul = spec.order, spec.add, spec.mul
     i = 0
     for fi in f:
         if fi:
@@ -292,17 +299,24 @@ def _wrap(spec, idx):
     return f
 
 
+def _euclid(spec, f, g):
+    """A gcd of the trimmed index lists f and g, not made monic, by Euclid's
+    algorithm; f and g are reduced in place and one of them is returned.
+    Each remainder is trimmed by deleting its tail, so the result is
+    trimmed, and it is empty only when f and g both are."""
+    while g:
+        del f[_reduce_into(spec, f, g, None) :]
+        f, g = g, f
+    return f
+
+
 def poly_gcd(f, g):
     """Monic gcd by Euclid's algorithm; gcd(f, 0) = monic(f)."""
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
     spec = f._spec_with(g)
-    # Euclid on index lists: each remainder is reduced in place and trimmed
-    # by deleting its tail, and only the monic gcd is wrapped as a Poly
-    f, g = list(f._idx), list(g._idx)
-    while g:
-        del f[_reduce_into(spec, f, g, None) :]
-        f, g = g, f
+    # only the monic gcd is wrapped as a Poly
+    f = _euclid(spec, list(f._idx), list(g._idx))
     mul, row = spec.mul, spec.inv[f[-1]] * spec.order
     return _wrap(spec, tuple([mul[row + i] for i in f]))
 

@@ -255,3 +255,39 @@ def test_seeded_iv_iv_defect_fails_the_soundness_sweep(F4, monkeypatch, capsys):
     assert main(["verify-families", "--field", "GF(4)", "--case", "IV", "--no-timing"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"] == 108
+
+
+@pytest.mark.parametrize("component", ["b", "c"])
+def test_seeded_b_or_c_defect_unmatches_its_family(F4, gf4_reports, monkeypatch, capsys, component):
+    # IV-ii's b (or c) scaled by u while a is kept: lambda, read off a,
+    # still fits a, so only classify's comparison of b (or c) can refuse
+    # the family.  IV-ii matched 12 GF(4) classes, 9 of them together with
+    # IV-iv; the real classify drops IV-ii from all 12 and keeps the IV-iv
+    # matches, and the other 3 classes are left unmatched, so enumerate
+    # exits 2 and lists exactly them
+    u = F4.generator
+    row = _FAMILIES[FamilyId.IV_II]
+
+    def cleared(*params):
+        den, a, b, c = row.cleared(*params)
+        return (den, a, b.scale(u), c) if component == "b" else (den, a, b, c.scale(u))
+
+    before = [
+        (d, [(m.family, m.params, m.lam) for m in matches])
+        for d, matches in gf4_reports[LieCase.IV].class_matches
+        if any(m.family is FamilyId.IV_II for m in matches)
+    ]
+    assert len(before) == 12
+    monkeypatch.setitem(_FAMILIES, FamilyId.IV_II, row._replace(cleared=cleared))
+    sole = []
+    for d, matches in before:
+        kept = [m for m in matches if m[0] is not FamilyId.IV_II]
+        assert [(m.family, m.params, m.lam) for m in classify(d)] == kept, d
+        if not kept:
+            sole.append(d.to_json_dict())
+    assert len(sole) == 3
+    assert main(["enumerate", "--field", "GF(4)", "--case", "IV", "--no-timing"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["findings"] == 3
+    (result,) = payload["results"]
+    assert result["unmatched"] == sole

@@ -7,8 +7,8 @@ import pytest
 
 from folclass import derivation
 from folclass.errors import ConsistencyError, FieldMismatchError
-from folclass.finite_field import GF
-from folclass.polynomial import Poly, parse_poly, poly_gcd
+from folclass.finite_field import GF, parse_field
+from folclass.polynomial import Poly, _addmul, parse_poly, poly_gcd
 from folclass.derivation import (
     DerivationTriple,
     LieCase,
@@ -90,7 +90,10 @@ def test_oracle_agrees_on_gf4_sample(F4):
 def test_oracle_guard_reports_a_seeded_residue(F4, monkeypatch):
     # a wrong rule that sends (d/dt)^2 to the identity word instead of zero
     # must surface as a residue on word 1, not as a delta^2 that differs
-    monkeypatch.setitem(derivation._REWRITES[LieCase.II], "TT", "")
+    t, one = derivation._LETTERS.index("T"), derivation._WORDS.index("")
+    rules = derivation._REWRITES[LieCase.II]
+    assert not [r for r in rules if r[:2] == (t, t)]
+    monkeypatch.setitem(derivation._REWRITES, LieCase.II, rules + ((t, t, one),))
     with pytest.raises(ConsistencyError, match="on word 1$"):
         oracle_delta_squared(triple("II", "1", "t", "t^2+t", F4))
     assert oracle_delta_squared(triple("II", "1", "t", "0", F4)) == delta_squared(
@@ -104,12 +107,84 @@ def test_formula_defect_shows_against_the_oracle(F4, monkeypatch):
     # keeps the true relations and criterion 1's comparison must fail
     monkeypatch.setattr(LieCase.II, "alpha_sq", "beta")
     monkeypatch.setattr(LieCase.II, "beta_sq", "alpha")
-    assert derivation._REWRITES[LieCase.II]["AA"] == "A"
+    a = derivation._LETTERS.index("A")
+    rules = derivation._REWRITES[LieCase.II]
+    assert [r for r in rules if r[:2] == (a, a)] == [(a, a, derivation._WORDS.index("A"))]
     d = next(d for d in enumerate_triples(F4, LieCase.II) if delta_squared(d) != oracle_delta_squared(d))
     monkeypatch.undo()
     assert (LieCase.II.alpha_sq, LieCase.II.beta_sq) == ("alpha", "beta")
     again = DerivationTriple(LieCase.II, *d.components())  # not the cached object
     assert delta_squared(again) == oracle_delta_squared(again)
+
+
+GF8_MODULI = ("GF(8;mod=x3+x+1)", "GF(8;mod=x3+x2+1)")
+
+
+@pytest.mark.parametrize("field", ["GF(4)", *GF8_MODULI, "GF(16)"])
+def test_frobenius_square_matches_convolution(field):
+    # the formula squares a and b by Frobenius, f^2 = sum of frob(f_i)*t^(2i);
+    # on every polynomial of degree <= 3 both of its squares (routed to A
+    # and to B in case II, with c = 0) equal _addmul of f with itself from
+    # a zero list, and f * f.  Criterion 1 runs at GF(2) and GF(4) only, so
+    # this is the check that reaches the larger fields' frob tables.
+    spec = parse_field(field)
+    q, zero = spec.order, Poly.zero(spec)
+    for coeffs in itertools.product(range(q), repeat=4):
+        f = Poly(spec, coeffs)
+        if not f:
+            continue
+        out = [0] * (2 * len(f._idx) - 1)
+        _addmul(q, spec.add, spec.mul, out, f._idx, f._idx)
+        sq = derivation._formula(DerivationTriple(LieCase.II, f, f, zero))
+        assert sq.A._idx == sq.B._idx == tuple(out) == (f * f)._idx, f
+        assert not sq.C
+
+
+def _schoolbook_delta_squared(d):
+    """delta^2 by coefficient loops on FieldElements: every product,
+    squares included, by convolution, and a' as the odd-degree terms."""
+    spec = d.spec
+    zero = spec.zero
+    a, b, c = (list(f.coeffs) for f in d.components())
+
+    def mul(f, g):
+        out = [zero] * max(len(f) + len(g) - 1, 0)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] = out[i + j] + x * y
+        return out
+
+    def add(f, g):
+        n = max(len(f), len(g))
+        return [x + y for x, y in zip(f + [zero] * (n - len(f)), g + [zero] * (n - len(g)))]
+
+    def deriv(f):  # e * f_e in characteristic 2
+        return [f[e] if e % 2 else zero for e in range(1, len(f))]
+
+    slots = {"alpha": mul(c, deriv(a)), "beta": mul(c, deriv(b)), "zero": []}
+    slots[d.case.alpha_sq] = add(slots[d.case.alpha_sq], mul(a, a))
+    slots[d.case.beta_sq] = add(slots[d.case.beta_sq], mul(b, b))
+    return tuple(Poly(spec, tuple(f)) for f in (slots["alpha"], slots["beta"], mul(c, deriv(c))))
+
+
+@pytest.mark.parametrize("field", [*GF8_MODULI, "GF(16)"])
+def test_formula_matches_schoolbook_loops(field):
+    # seeded triples in all four cases, components of degree up to 4 and of
+    # unequal lengths, against the schoolbook expansion
+    spec = parse_field(field)
+    rng = random.Random(spec.order)
+    checked = 0
+    for case in LieCase:
+        for _ in range(300):
+            a, b, c = (
+                Poly(spec, tuple(rng.randrange(spec.order) for _ in range(rng.randrange(6))))
+                for _ in range(3)
+            )
+            if a or b or c:
+                d = DerivationTriple(case, a, b, c)
+                assert derivation._formula(d).components() == _schoolbook_delta_squared(d), d
+                checked += 1
+    assert checked > 4 * 290
 
 
 def _verdicts(d):
@@ -265,6 +340,9 @@ def _c1_by_full_gcd(d):
 
 
 def test_c1_early_stop_keeps_every_verdict(F2, F4):
+    # satisfies_C1 runs its own Euclid on index lists and stops once the
+    # running gcd has length 1; the reference folds poly_gcd over every
+    # nonzero component
     for case in LieCase:
         for d in enumerate_triples(F2, case):
             assert satisfies_C1(d) == _c1_by_full_gcd(d), d
@@ -275,6 +353,24 @@ def test_c1_early_stop_keeps_every_verdict(F2, F4):
             assert satisfies_C1(d) == _c1_by_full_gcd(d), d
             checked += 1
     assert checked == 15 * 16 * 256
+    # a seeded GF(8) sample over both moduli and all four cases, each
+    # coefficient zero half of the time so that common factors are common
+    rng = random.Random(8)
+    verdicts = {True: 0, False: 0}
+    for field in GF8_MODULI:
+        spec = parse_field(field)
+        for case in LieCase:
+            for _ in range(2500):
+                a, b, c = (
+                    Poly(spec, tuple(rng.choice((0, rng.randrange(1, 8))) for _ in range(n)))
+                    for n in (2, 2, 4)
+                )
+                if a or b or c:
+                    d = DerivationTriple(case, a, b, c)
+                    v = satisfies_C1(d)
+                    assert v == _c1_by_full_gcd(d), d
+                    verdicts[v] += 1
+    assert verdicts == {True: 16_547, False: 3_380}
 
 
 def test_c2_examples(F4):
