@@ -1,18 +1,22 @@
 """Exact arithmetic in small finite fields GF(p^k).
 
-Elements are coefficient vectors over GF(p) reduced modulo a fixed monic
-irreducible polynomial.  Fields are small enough (desk scale) that every
-element can be enumerated and every check run exhaustively.
+Fields are small enough (desk scale) that every element can be enumerated
+and every check run exhaustively.  GF(p) is tabulated from residues.  GF(p^k)
+holds coefficient vectors over GF(p) modulo a fixed monic irreducible
+modulus, indexed in base p (_coeffs_of, _index_of), and its tables are built
+over GF(p)'s by the package's one convolution loop _addmul and one reduction
+loop _reduce_into, which live here; the irreducibility test is trial
+division by _reduce_into, and the polynomial module imports both loops.
 
 There is one FieldSpec object per field: FieldSpec(p, k, modulus),
 parse_field, GF and extension_field all return the object interned under the
-key (p, k, modulus), the modulus being the canonical one when none is given.
-A field is validated and fully built when it is first made: its flat
-add/mul/neg/inv/frob/root tables and its q FieldElements, one per index.
-Every constructor and every operation returns those shared elements, so all
-arithmetic is a table lookup, and fields and elements compare by identity.
-Fields of order above _TABLE_LIMIT (256) are refused before anything is
-built.
+key (p, k, modulus), the modulus being the canonical one when none is given;
+every monic degree-1 modulus names GF(p) itself.  A field is validated and
+fully built when it is first made: its flat add/mul/neg/inv/frob/root tables
+and its q FieldElements, one per index.  Every constructor and every
+operation returns those shared elements, so all arithmetic is a table
+lookup, and fields and elements compare by identity.  Fields of order above
+_TABLE_LIMIT (256) are refused before anything is built.
 
 Element literals (in the generator u, integer coefficients), polynomial
 literals (in t, element coefficients; see the polynomial module) and modulus
@@ -27,6 +31,8 @@ are ignored, and a ParseError's position indexes the literal as typed.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import EmbeddingError, FieldMismatchError, ParseError
 
 SUPPORTED_CHARACTERISTICS = (2, 3, 5)
@@ -40,100 +46,99 @@ _TABLE_LIMIT = 256
 _MAX_DIGITS = 4300
 
 
-def _poly_mod_mul(f, g, modulus, p):
-    """Multiply two coefficient tuples and reduce mod (modulus, p)."""
-    k = len(modulus) - 1
-    prod = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
+def _addmul(q, add, mul, out, f, g):
+    """Add the product of the index tuples f and g into the index list out.
+
+    q, add and mul are the order and the flat add/mul tables of the field
+    whose indices f, g and out hold; a caller that adds many products loads
+    them once.  out must hold at least len(f) + len(g) - 1 entries; the
+    entries beyond the product are left as they are.  A zero coefficient of
+    f is skipped; no other branch reads a coefficient's value.
+    """
+    i = 0
+    for fi in f:
         if fi:
-            for j, gj in enumerate(g):
-                prod[i + j] = (prod[i + j] + fi * gj) % p
-    # modulus is monic: x^k = -(lower terms)
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
-    return tuple(prod[:k])
+            row = fi * q
+            k = i
+            for gj in g:  # a zero gj adds mul[row] = 0
+                out[k] = add[out[k] * q + mul[row + gj]]
+                k += 1
+        i += 1
 
 
-def _poly_divmod_gfp(num, den, p):
-    """Plain polynomial division over GF(p) on int-list coefficients."""
-    num = list(num)
-    dd = len(den) - 1
-    while den[dd] == 0:
-        dd -= 1
-    inv_lead = pow(den[dd], p - 2, p) if den[dd] != 1 else 1
-    quot = [0] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            q = (c * inv_lead) % p
-            quot[i - dd] = q
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - q * den[j]) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _reduce_into(spec, rem, g, quot):
+    """Reduce the index list rem modulo the trimmed nonzero index tuple g in
+    place, and return the trimmed length n of the remainder rem[:n].
+
+    When quot is a list it receives the quotient's coefficients, constant
+    term first; % and gcd pass None and no quotient is formed."""
+    d = len(g) - 1
+    n = len(rem)
+    if n > d:
+        q, add, mul, neg = spec.order, spec.add, spec.mul, spec.neg
+        lead_inv = spec.inv[g[-1]]
+        # subtract c * (g / lead) at each step; the leading term cancels by
+        # construction, so only the d lower coefficients are updated
+        lower = [mul[lead_inv * q + gj] for gj in g[:-1]]
+        for i in range(n - 1, d - 1, -1):
+            c = rem[i]
+            if quot is not None:
+                quot.append(mul[c * q + lead_inv])
+            if c:
+                row = neg[c] * q
+                base = i - d
+                for j, gj in enumerate(lower):
+                    rem[base + j] = add[rem[base + j] * q + mul[row + gj]]
+        if quot is not None:
+            quot.reverse()
+        n = d
+    while n and not rem[n - 1]:
+        n -= 1
+    return n
+
+
+def _coeffs_of(idx, p, k):
+    """The k base-p digits of idx, constant term first."""
+    return tuple(idx // p**e % p for e in range(k))
+
+
+def _index_of(coeffs, p):
+    """The index whose base-p digits are coeffs (see _coeffs_of)."""
+    idx = 0
+    for c in reversed(coeffs):
+        idx = idx * p + c
+    return idx
 
 
 def _is_irreducible(modulus, p):
-    """Trial division by every monic polynomial of degree <= k//2.
-
-    A reducible degree-k polynomial always has a monic factor of degree at
-    most k//2, so dividing by each of those is an exhaustive test at this
-    scale.
-    """
+    """Whether the monic modulus is irreducible over GF(p), by trial division
+    with _reduce_into by every monic polynomial of degree <= k//2: a
+    reducible one has such a factor.  GF(p)'s indices are the residues, so
+    the modulus is its own index list."""
     k = len(modulus) - 1
-    if k < 1 or modulus[k] != 1:
-        return False
-    if k == 1:
+    if k == 1:  # choosing GF(p)'s modulus must not build GF(p)
         return True
-    if modulus[0] == 0:  # divisible by x
-        return False
+    prime = FieldSpec(p, 1)
     for d in range(1, k // 2 + 1):
         for idx in range(p**d):
-            den = [0] * (d + 1)
-            n = idx
-            for j in range(d):
-                den[j] = n % p
-                n //= p
-            den[d] = 1
-            _, rem = _poly_divmod_gfp(modulus, den, p)
-            if len(rem) == 1 and rem[0] == 0:
+            if not _reduce_into(prime, list(modulus), _coeffs_of(idx, p, d) + (1,), None):
                 return False
     return True
 
 
-_CANONICAL_MODULI: dict = {}
-
-
+@cache
 def canonical_modulus(p, k):
     """The canonical modulus: the least monic irreducible of degree k.
 
     "Least" orders coefficient vectors by their base-p integer encoding with
     the constant coefficient least significant, so tables are reproducible
-    across runs and machines.  GF(4) gets u^2+u+1, GF(8) gets x^3+x+1.
+    across runs and machines.  GF(p) gets x, GF(4) gets u^2+u+1, GF(8) gets
+    x^3+x+1.  One exists for every k (Gauss's count is positive).
     """
-    key = (p, k)
-    if key not in _CANONICAL_MODULI:
-        if k == 1:
-            _CANONICAL_MODULI[key] = (0, 1)  # GF(p) = GF(p)[x]/(x)
-        else:
-            for idx in range(p**k):
-                coeffs = []
-                n = idx
-                for _ in range(k):
-                    coeffs.append(n % p)
-                    n //= p
-                cand = tuple(coeffs) + (1,)
-                if _is_irreducible(cand, p):
-                    _CANONICAL_MODULI[key] = cand
-                    break
-            else:
-                raise ValueError(f"no irreducible of degree {k} over GF({p})")
-    return _CANONICAL_MODULI[key]
+    for idx in range(p**k):
+        cand = _coeffs_of(idx, p, k) + (1,)
+        if _is_irreducible(cand, p):
+            return cand
 
 
 # Every FieldSpec ever made, by its key (p, k, modulus).
@@ -165,6 +170,9 @@ class FieldSpec:
         if modulus is None:
             modulus = canonical_modulus(p, k)
         modulus = tuple(int(c) % p for c in modulus)
+        if k == 1 and modulus[1:] == (1,):
+            # GF(p)[x]/(x - a) is GF(p) for every a: one prime field per p
+            modulus = (0, 1)
         key = (p, k, modulus)
         spec = _FIELDS.get(key)
         if spec is None:
@@ -191,35 +199,26 @@ class FieldSpec:
             return f"GF({self.order})"
         return f"GF({self.order};mod={format_modulus(self.modulus)})"
 
-    # -- element plumbing ---------------------------------------------------
-
-    def coeffs_of_index(self, idx):
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(idx % self.p)
-            idx //= self.p
-        return tuple(coeffs)
-
-    def index_of_coeffs(self, coeffs):
-        idx = 0
-        for c in reversed(coeffs):
-            idx = idx * self.p + c
-        return idx
-
     def _build_tables(self):
         # the only place that constructs a FieldElement
-        p, q = self.p, self.order
-        by_idx = [self.coeffs_of_index(i) for i in range(q)]
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for i in range(q):
-            ci = by_idx[i]
-            for j in range(i, q):
-                cj = by_idx[j]
-                s = self.index_of_coeffs(tuple((a + b) % p for a, b in zip(ci, cj)))
-                m = self.index_of_coeffs(_poly_mod_mul(ci, cj, self.modulus, p))
-                add[i * q + j] = add[j * q + i] = s
-                mul[i * q + j] = mul[j * q + i] = m
+        p, k, q = self.p, self.k, self.order
+        by_idx = [_coeffs_of(i, p, k) for i in range(q)]
+        if k == 1:
+            # an element's index is its residue
+            add = [(i + j) % p for i in range(q) for j in range(q)]
+            mul = [i * j % p for i in range(q) for j in range(q)]
+        else:
+            # sums digit by digit, products by _addmul reduced by _reduce_into
+            prime = FieldSpec(p, 1)
+            padd, pmul = prime.add, prime.mul
+            add, mul = [0] * (q * q), [0] * (q * q)
+            for i, x in enumerate(by_idx):
+                for j, y in enumerate(by_idx[i:], i):
+                    prod = [0] * (2 * k - 1)
+                    _addmul(p, padd, pmul, prod, x, y)
+                    del prod[_reduce_into(prime, prod, self.modulus, None) :]
+                    add[i * q + j] = add[j * q + i] = _index_of([padd[a * p + b] for a, b in zip(x, y)], p)
+                    mul[i * q + j] = mul[j * q + i] = _index_of(prod, p)
         self.add = tuple(add)
         self.mul = tuple(mul)
         self.neg = tuple(add[i * q : (i + 1) * q].index(0) for i in range(q))
@@ -254,7 +253,7 @@ class FieldSpec:
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) > self.k:
             raise ValueError("too many coefficients for this field")
-        return self._elements[self.index_of_coeffs(coeffs)]
+        return self._elements[_index_of(coeffs, self.p)]
 
     def elements(self):
         """All p^k elements in index order (constant coefficient varies fastest);
@@ -276,7 +275,7 @@ class FieldElement:
     def __init__(self, spec, coeffs):
         self.spec = spec
         self.coeffs = coeffs
-        self.index = spec.index_of_coeffs(coeffs)
+        self.index = _index_of(coeffs, spec.p)
 
     def _check(self, other):
         if not isinstance(other, FieldElement):

@@ -11,13 +11,15 @@ spec's flat add/mul/neg/inv tables; this is the only univariate arithmetic
 path, shared by the closed delta^2 formula, the rewrite oracle and the
 conditions C1-C3.  Its one convolution loop is _addmul(q, add, mul, out,
 f, g), which adds the product of f and g into the index list out in place,
-reading the field's order and flat add/mul tables that the caller passes:
-Poly's * passes its own spec's tables and runs it into a fresh list, and
-the delta^2 formula, the rewrite oracle and the C3 minors load the tables
-once per expansion and run it into one list per slot, so they build no
-Poly per product.  Its one Euclid loop is _euclid, on index lists reduced
-in place by _reduce_into: poly_gcd makes its result monic and wraps it,
-and the derivation's C1 reads only its length.
+reading the field's order and flat add/mul tables that the caller passes,
+and its one reduction loop is _reduce_into.  Both live in finite_field,
+which builds every field's tables by them over GF(p), and are imported
+here: Poly's * passes its own spec's tables to _addmul and runs it into a
+fresh list, and the delta^2 formula, the rewrite oracle and the C3 minors
+load the tables once per expansion and run it into one list per slot, so
+they build no Poly per product.  Its one Euclid loop is _euclid, on index
+lists reduced in place by _reduce_into: poly_gcd makes its result monic and
+wraps it, and the derivation's C1 reads only its length.
 
 Polynomial literals (parse_poly, format_poly) use the term grammar, scanner
 and printer of finite_field's element and modulus literals, with element
@@ -27,7 +29,7 @@ coefficients and exponents of t up to MAX_EXPONENT.
 from __future__ import annotations
 
 from .errors import FieldMismatchError, ParseError
-from .finite_field import _format_terms, _read_element, _scan_terms
+from .finite_field import _addmul, _format_terms, _read_element, _reduce_into, _scan_terms
 
 NEG_INF = float("-inf")
 
@@ -236,58 +238,6 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
-
-
-def _addmul(q, add, mul, out, f, g):
-    """Add the product of the index tuples f and g into the index list out.
-
-    q, add and mul are the order and the flat add/mul tables of the field
-    whose indices f, g and out hold; a caller that adds many products loads
-    them once.  out must hold at least len(f) + len(g) - 1 entries; the
-    entries beyond the product are left as they are.  A zero coefficient of
-    f is skipped, since it adds nothing; no other branch reads a
-    coefficient's value.
-    """
-    i = 0
-    for fi in f:
-        if fi:
-            row = fi * q
-            k = i
-            for gj in g:  # a zero gj adds mul[row] = 0
-                out[k] = add[out[k] * q + mul[row + gj]]
-                k += 1
-        i += 1
-
-
-def _reduce_into(spec, rem, g, quot):
-    """Reduce the index list rem modulo the trimmed nonzero index tuple g in
-    place, and return the trimmed length n of the remainder rem[:n].
-
-    When quot is a list it receives the quotient's coefficients, constant
-    term first; % and gcd pass None and no quotient is formed."""
-    d = len(g) - 1
-    n = len(rem)
-    if n > d:
-        q, add, mul, neg = spec.order, spec.add, spec.mul, spec.neg
-        lead_inv = spec.inv[g[-1]]
-        # subtract c * (g / lead) at each step; the leading term cancels by
-        # construction, so only the d lower coefficients are updated
-        lower = [mul[lead_inv * q + gj] for gj in g[:-1]]
-        for i in range(n - 1, d - 1, -1):
-            c = rem[i]
-            if quot is not None:
-                quot.append(mul[c * q + lead_inv])
-            if c:
-                row = neg[c] * q
-                base = i - d
-                for j, gj in enumerate(lower):
-                    rem[base + j] = add[rem[base + j] * q + mul[row + gj]]
-        if quot is not None:
-            quot.reverse()
-        n = d
-    while n and not rem[n - 1]:
-        n -= 1
-    return n
 
 
 def _wrap(spec, idx):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 
@@ -7,7 +8,7 @@ from folclass.errors import EmbeddingError, FieldMismatchError, ParseError
 from folclass.finite_field import (
     GF,
     FieldSpec,
-    _poly_mod_mul,
+    _is_irreducible,
     canonical_modulus,
     embed,
     extension_field,
@@ -29,10 +30,47 @@ def test_canonical_moduli():
 
 
 def test_rejects_reducible_modulus():
-    with pytest.raises(ValueError):
-        FieldSpec(2, 2, (0, 0, 1))  # x^2 = x*x
-    with pytest.raises(ValueError):
-        FieldSpec(2, 2, (1, 0, 1))  # x^2+1 = (x+1)^2
+    for p, modulus in [
+        (2, (0, 0, 1)),  # x^2 = x*x
+        (2, (1, 0, 1)),  # x^2+1 = (x+1)^2
+        # reducible with no root in GF(p): only a factor of degree 2 shows it
+        (2, (1, 0, 1, 0, 1)),  # x^4+x^2+1 = (x^2+x+1)^2
+        (2, (1, 0, 0, 0, 1, 1)),  # x^5+x^4+1 = (x^2+x+1)(x^3+x+1)
+        (3, (1, 0, 2, 0, 1)),  # x^4+2x^2+1 = (x^2+1)^2
+    ]:
+        with pytest.raises(ValueError, match="is reducible"):
+            FieldSpec(p, len(modulus) - 1, modulus)
+
+
+def _gauss_count(p, d):
+    """Monic irreducibles of degree d over GF(p): (1/d) sum over e | d of
+    mu(e) p^(d/e) (Lidl and Niederreiter, Finite Fields, Thm 3.25)."""
+
+    def mu(n):
+        sign, f = 1, 2
+        while f * f <= n:
+            if n % f == 0:
+                n //= f
+                if n % f == 0:
+                    return 0
+                sign = -sign
+            f += 1
+        return -sign if n > 1 else sign
+
+    return sum(mu(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+
+
+@pytest.mark.parametrize(
+    "p, counts",
+    [(2, [2, 1, 2, 3, 6, 9, 18, 30]), (3, [3, 3, 8, 18, 48]), (5, [5, 10, 40])],
+)
+def test_irreducible_counts_match_gauss(p, counts):
+    # every monic modulus of each degree up to the table limit
+    for d, expected in enumerate(counts, start=1):
+        accepted = sum(
+            _is_irreducible(low + (1,), p) for low in itertools.product(range(p), repeat=d)
+        )
+        assert accepted == expected == _gauss_count(p, d)
 
 
 def test_rejects_unsupported_characteristic():
@@ -266,26 +304,111 @@ def test_modulus_degree_error_names_the_degree_and_the_field():
         FieldSpec(3, 2, (1, 0, 2))
 
 
-@pytest.mark.parametrize("q", [8, 9])
+# The moduli, written out, that the schoolbook reference reduces by.
+REFERENCE_MODULI = {8: (1, 1, 0, 1), 9: (1, 0, 1), 25: (2, 0, 1), 256: (1, 1, 0, 1, 1, 0, 0, 0, 1)}
+
+
+def _schoolbook(p, modulus):
+    """Integer coefficient vectors mod p: the vector of an index, and the
+    index of a product reduced by the monic modulus, one term at a time."""
+    k = len(modulus) - 1
+
+    def vector(i):
+        return [i // p**e % p for e in range(k)]
+
+    def times(x, y):
+        prod = [0] * (2 * k - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        for top in range(2 * k - 2, k - 1, -1):  # x^k = -(lower terms)
+            c = prod[top]
+            for j in range(k):
+                prod[top - k + j] = (prod[top - k + j] - c * modulus[j]) % p
+        return prod[:k]
+
+    def index(v):
+        return sum(c * p**e for e, c in enumerate(v))
+
+    return vector, times, index
+
+
+@pytest.mark.parametrize("q", [8, 9, 25, 256])
 def test_tables_match_direct_arithmetic(q):
-    # every table entry against coefficient-vector arithmetic, which the
-    # elements themselves no longer use
+    # every table entry against the schoolbook reference, which shares no
+    # code with the tables' build
     spec = GF(q)
-    n, add, mul, inv = spec.tables()
-    p, xs = spec.p, spec.elements()
-    assert n == q == len(xs)
-    for x, y in itertools.product(xs, xs):
-        s = tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))
-        m = _poly_mod_mul(x.coeffs, y.coeffs, spec.modulus, p)
-        assert xs[add[x.index * q + y.index]].coeffs == s
-        assert xs[mul[x.index * q + y.index]].coeffs == m
-        assert (x - y).coeffs == tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))
-        assert x * y is xs[mul[x.index * q + y.index]]
-    for i, x in enumerate(xs):
-        assert spec.element(i) is x and x.index == i
-        assert (-x).coeffs == tuple((-a) % p for a in x.coeffs)
-        if x:
-            assert _poly_mod_mul(x.coeffs, xs[inv[i]].coeffs, spec.modulus, p) == spec.one.coeffs
+    p, modulus = spec.p, REFERENCE_MODULI[q]
+    assert spec.modulus == modulus
+    vector, times, index = _schoolbook(p, modulus)
+    vs = [vector(i) for i in range(q)]
+    xs = spec.elements()
+    assert spec.tables() == (q, spec.add, spec.mul, spec.inv) and len(xs) == q
+    for i, x in enumerate(vs):
+        assert spec.element(i) is xs[i] and xs[i].index == i and list(xs[i].coeffs) == x
+        assert spec.neg[i] == index([-a % p for a in x])
+        for j in range(i, q):
+            y = vs[j]
+            assert spec.add[i * q + j] == spec.add[j * q + i] == index([(a + b) % p for a, b in zip(x, y)])
+            assert spec.mul[i * q + j] == spec.mul[j * q + i] == index(times(x, y))
+            assert (xs[i] - xs[j]).coeffs == tuple((a - b) % p for a, b in zip(x, y))
+            assert xs[i] * xs[j] is xs[spec.mul[i * q + j]]
+        if i:
+            assert times(x, vs[spec.inv[i]]) == vs[1]
+        power = x
+        for _ in range(p - 1):
+            power = times(power, x)
+        assert spec.frob[i] == index(power)
+        assert spec.root[index(power)] == i
+    assert spec.inv[0] == 0
+
+
+# sha256 of repr((modulus, add, mul, neg, inv, frob, root)) for every
+# supported field with its canonical modulus, and for GF(8)'s other modulus,
+# computed at commit 84aa301, whose tables came from finite_field's own
+# coefficient arithmetic, before products ran through _addmul and _reduce_into
+TABLE_DIGESTS = {
+    "GF(2)": "d80a2ba738226c39183bab9133a1071935a2271588680cb9ac0f0a209d3786eb",
+    "GF(4)": "0b8fa159aabd273d58dcafc19cb531ad6a8f46a2875169b86834dbe044d5c6d2",
+    "GF(8)": "9e129356c6f70d363a8ccc7ca79bcdd19b82d07ab7b1e7079d4028959e2182cf",
+    "GF(16)": "ac4c4711646b748cff6ed96800212c909f4fa08f15c5d07ce48a3eae46e0c1c6",
+    "GF(32)": "d1bb90568abd82c2309d4eab95a44fb9599622b23ef083687b79e917bb92e23b",
+    "GF(64)": "f58d1b2dc89cfab38d1e445eb99c6344e560de681818f1b783120edab4c2d194",
+    "GF(128)": "536d6fba337aaff189e9c605a6573ab172615fc1ed73bf70c5bdcd4fe945f045",
+    "GF(256)": "eecbd89504b5582d28d585a381e426b7ed7ed6672b98c7da9194d052091ed22d",
+    "GF(3)": "fd6e6483abe52110bf24da4ed202ed2854d5a54b54d2623bd475935a509b962d",
+    "GF(9)": "4479cdf81600a76fec8daebb03eefdccf63842a3f3acf40545ee63403043fb63",
+    "GF(27)": "922b559e18d0f1b89473d37809e0763e9d16df676068f67f0c5e8cea97fe315b",
+    "GF(81)": "0ccf8aa733a6a6dc888fd26353caacbc135baf1246f4fcef347bc82183b98230",
+    "GF(243)": "925b1722e8e5b9f6e269a2e8c576b1f780c0a6fdf3be80a00cb078dfb0cbeee6",
+    "GF(5)": "ad17c6f43e9921523c99c06d8c71047a09d59266043f2197daf12e1164389720",
+    "GF(25)": "26b0b0dc2a019fb5407bae5b237ad7aa27b10f14245eecf6f04cae119f18abdf",
+    "GF(125)": "9077260d316b60ffc5471529fa2a0671a71847e7dfd5ccf109c79b737467fcf3",
+    "GF(8;mod=x3+x2+1)": "3df572eb43520617365efdd5d1a87ab985c6edb3b9c2961a59bd0c2b805ba32a",
+}
+
+
+def test_every_supported_field_is_pinned():
+    # the 16 supported (p, k) are exactly the canonical fields pinned above
+    supported = {FieldSpec(p, k).literal() for p in (2, 3, 5) for k in range(1, 9) if p**k <= 256}
+    assert len(supported) == 16 and supported == set(TABLE_DIGESTS) - {"GF(8;mod=x3+x2+1)"}
+    for literal, digest in TABLE_DIGESTS.items():
+        spec = parse_field(literal)
+        tables = (spec.modulus, spec.add, spec.mul, spec.neg, spec.inv, spec.frob, spec.root)
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest, literal
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_prime_field_per_p(p):
+    # GF(p)[x]/(x - a) is GF(p) for every a: each monic degree-1 modulus
+    # names the prime field itself
+    prime = GF(p)
+    for a in range(p):
+        literal = f"GF({p};mod={format_modulus((a, 1))})"
+        spec = parse_field(literal)
+        assert spec is prime and spec.literal() == f"GF({p})", literal
+        assert FieldSpec(p, 1, (a, 1)) is prime
+        assert spec.one + prime.one is prime.element(2)
 
 
 def test_one_object_per_field():
