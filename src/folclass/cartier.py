@@ -3,17 +3,20 @@
 On monomials the Cartier operator keeps x^i y^j with i = j = p-1 (mod p),
 takes the p-th root of the coefficient and maps the exponents to
 ((i-p+1)/p, (j-p+1)/p); everything else dies.  Its e-fold iterate equals a
-one-shot extraction mod p^e, which doubles as an internal cross-check.  The
-trace along the fixed quadric G with a simple pole is realized by
-p^e-linearity:  f/G = G^(p^e-1) f / G^(p^e), so  f |-> C^e(G^(p^e-1) f)/G.
+one-shot extraction mod p^e.  The trace along the fixed quadric G with a
+simple pole is  f/G = G^(p^e-1) f / G^(p^e)  |->  C^e(G^(p^e-1) f)/G.
 
-The factor G^(p^e-1) is built one step per e from
-G^(p^e-1) = G^(p-1) * (G^(p^(e-1)-1))^p, with the p-th power taken term by
-term: c x^i y^j |-> c^p x^(pi) y^(pj).  That is exact because both
-coefficient rings have characteristic p, where (a + b)^p = a^p + b^p (the
-binomial coefficients C(p, k), 0 < k < p, vanish), so e steps replace the
-p^e - 2 products of repeated multiplication and feed the same polynomial
-to the Cartier operator.
+The operator is p^-1-linear, C(g^p h) = g C(h), and
+G^(p^e-1) = G^(p-1) * (G^(p^(e-1)-1))^p, so the image is iterated as
+h <- C(G^(p-1) h), e times from h = f: each step multiplies by G^(p-1)
+alone and keeps h to a few terms.  G^(p^e-1) itself feeds only the one-shot
+cross-check, which extracts C^e from G^(p^e-1) f at once and must agree
+with the iterate.  trace_factor builds it one step per e from the same
+identity, with the p-th power taken term by term:
+c x^i y^j |-> c^p x^(pi) y^(pj).  That is exact because both coefficient
+rings have characteristic p, where (a + b)^p = a^p + b^p (the binomial
+coefficients C(p, k), 0 < k < p, vanish).  The iterate runs no Frobenius
+and the one-shot side no cartier_once, so the two sides share neither.
 
 Coefficients are either finite-field elements or elements of a symbolic
 ring: GF(2)-combinations of monomials s^α t^β, where s and t are formal
@@ -232,7 +235,10 @@ class Quadric:
         return cls(BiPoly({(2, 0): s, (0, 2): t, (0, 0): one}), s.spec.p)
 
     def trace_factor(self, e: int) -> BiPoly:
-        """G^(p^e - 1), as G^(p-1) * (G^(p^(k-1) - 1))^p for k = 2..e."""
+        """G^(p^e - 1), as G^(p-1) * (G^(p^(k-1) - 1))^p for k = 2..e.
+
+        The trace's one-shot cross-check multiplies f by it; the iterated
+        image needs only G^(p-1)."""
         if e < 1:
             raise ValueError("iteration count e must be >= 1")
         base = self.G ** (self.p - 1)
@@ -269,12 +275,24 @@ class TraceOperator:
         self.p = quadric.p
 
     def trace_with_pole(self, f: BiPoly, e: int) -> TopForm:
-        """Image of (f/G) dx^dy under the e-iterated trace.
+        """Image of (f/G) dx^dy under the e-iterated trace, C^e(G^(p^e - 1) f)/G.
 
-        Computed as C^e(G^(p^e - 1) * f)/G; for f = 0 the image is 0."""
+        The image is iterated by p^-1-linearity, h <- C(G^(p-1) h) e times
+        from h = f, so every step multiplies by G^(p-1) alone.  The one-shot
+        extraction of G^(p^e - 1) f (trace_factor, then cartier_extract)
+        must agree with it, or ConsistencyError is raised.  e < 1 raises
+        ValueError; for f = 0 the image is 0."""
+        if e < 1:
+            raise ValueError("iteration count e must be >= 1")
         if f.is_zero():
             return TopForm(f, 1, self.quadric)
-        image = cartier_iter(self.quadric.trace_factor(e) * f, self.p, e)
+        p = self.p
+        step = self.quadric.G ** (p - 1)
+        image = f
+        for _ in range(e):
+            image = cartier_once(step * image, p)
+        if image != cartier_extract(self.quadric.trace_factor(e) * f, p, e):
+            raise ConsistencyError("e-fold Cartier composition disagrees with one-shot extraction")
         return TopForm(image, 1, self.quadric)
 
     def canonical_input(self, e: int) -> BiPoly:

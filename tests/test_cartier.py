@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from folclass import cartier
 from folclass.cartier import (
     SCALE,
     SCALE_BITS,
@@ -243,6 +244,10 @@ def test_trace_with_pole_p3_matches_closed_form():
     assert zero_form.is_zero()
     with pytest.raises(ValueError):
         op.trace_with_pole(BiPoly.monomial(2, 2, F3.one), 0)
+    # e is checked before the zero shortcut: f = 0 is refused alike
+    for e in (0, -1):
+        with pytest.raises(ValueError, match="e must be >= 1"):
+            op.trace_with_pole(BiPoly({}), e)
 
 
 def _quadrics():
@@ -263,6 +268,71 @@ def test_trace_factor_matches_repeated_product(quadric, e_max):
     p = quadric.p
     for e in range(1, e_max + 1):
         assert quadric.trace_factor(e) == quadric.G ** (p**e - 1), e
+
+
+def _coeff_pool(quadric):
+    """Nonzero coefficients from the quadric's own ring."""
+    one = quadric.G.constant_term()
+    if isinstance(one, SymbolicCoeff):
+        return _coeff_pools()[(2, "symbolic")]
+    return [x for x in one.spec.elements() if x]
+
+
+@pytest.mark.parametrize("quadric, e_max", _quadrics())
+def test_trace_matches_brute_force_extraction(quadric, e_max):
+    # the p^-1-linear iterate against cartier_iter on the whole G^(p^e-1) f
+    rng = random.Random(59)
+    p, pool = quadric.p, _coeff_pool(quadric)
+    op = TraceOperator(quadric)
+    for e in range(1, e_max + 1):
+        factor = quadric.trace_factor(e)
+        nonzero = 0
+        for _ in range(50):
+            f = rand_bipoly(rng, pool, max_exp=2 * p**e)
+            image = op.trace_with_pole(f, e).numerator
+            assert image == cartier_iter(factor * f, p, e), (e, str(f))
+            nonzero += bool(image)
+        assert nonzero >= 5, e  # not only images that vanish on both sides
+
+
+def _drop_largest_term(h):
+    terms = dict(h.terms)
+    del terms[max(terms, key=lambda k: (k[0] + k[1], k[1]))]
+    return BiPoly(terms)
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_seeded_frobenius_defect_is_caught(e, monkeypatch, capsys):
+    # trace_factor's term-by-term p-th power feeds only the one-shot side
+    real = cartier._frobenius
+    monkeypatch.setattr(cartier, "_frobenius", lambda h, p: _drop_largest_term(real(h, p)))
+    op = TraceOperator(Quadric.symbolic())
+    with pytest.raises(ConsistencyError, match="one-shot extraction"):
+        op.trace_with_pole(op.canonical_input(e), e)
+    assert main(["cartier", "--G", "s,t", "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "one-shot extraction" in captured.err
+
+
+def _cartier_once_without_root(h, p):
+    out = {}
+    for (i, j), c in h.terms.items():
+        if i % p == p - 1 and j % p == p - 1:
+            out[((i - p + 1) // p, (j - p + 1) // p)] = c
+    return BiPoly(out)
+
+
+@pytest.mark.parametrize(
+    "quadric, _e_max", [q for q in _quadrics() if q.id in ("symbolic", "GF(8)")]
+)
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_seeded_cartier_once_defect_is_caught(quadric, _e_max, e, monkeypatch):
+    # the iterate's step keeps a surviving coefficient without its p-th root
+    monkeypatch.setattr(cartier, "cartier_once", _cartier_once_without_root)
+    op = TraceOperator(quadric)
+    with pytest.raises(ConsistencyError, match="one-shot extraction"):
+        op.trace_with_pole(op.canonical_input(e), e)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 4])
