@@ -6,8 +6,10 @@ _FAMILIES holds one row per family, and instantiate and classify read only
 the row: the parameter names, the constraints (factors that must be nonzero,
 each with its clause), the triple with denominators cleared and that
 denominator (a product of constraint factors), the degree signatures
-(deg a, deg b, deg c) of the instances, and the inverse map from the
-coefficients of (a, b, c) to the parameters alone.
+(deg a, deg b, deg c) of the instances, the inverse map from the
+coefficients of (a, b, c) to the parameters alone, and, for IV-iii and
+IV-iv, the torus weights under which the triple is invariant (the
+soundness sweep builds one tuple per orbit).
 
 Families are rigid in a fixed (alpha, beta) frame: the parameters are
 rational in a triple's coefficients, so classify solves for them, takes the
@@ -56,6 +58,10 @@ class FamilyId(enum.Enum):
     def param_names(self):
         return _FAMILIES[self].names
 
+    @property
+    def torus_weights(self):
+        return _FAMILIES[self].weights
+
     def __str__(self):
         return self.value
 
@@ -71,13 +77,20 @@ def families_of_case(case: LieCase):
 class _Family(NamedTuple):
     """One family.  The three functions take their arguments positionally:
     constraints and cleared the parameters in names order, inverse the
-    components a, b, c of a triple whose signature is in signatures."""
+    components a, b, c of a triple whose signature is in signatures.
+
+    weights, when set, is a torus action on the parameters: lam in F*
+    scales the parameter of weight w by lam^w and keeps both the triple and
+    the constraints.  The first weight is 1 and the first parameter must be
+    nonzero, so the accepted tuples fall into orbits of q - 1, each with one
+    tuple whose first parameter is 1."""
 
     names: tuple
     constraints: object  # params -> ((factor, clause), ...), each factor nonzero
     cleared: object  # params -> (den, a, b, c); the family's triple is (a, b, c)/den
     signatures: frozenset  # the (deg a, deg b, deg c) the instances take
     inverse: object  # (a, b, c) -> params, for any scalar multiple of an instance
+    weights: tuple = None  # the torus weights of the parameters, in names order
 
 
 def _t(*roots):  # (t - r1)...(t - rn), = (t + r1)...(t + rn) in char 2
@@ -196,8 +209,10 @@ _FAMILIES = {
             _t(s1 * r2, s1 * r2, s1 * r2).scale(s1 * s2 * s1 * s2),
         ),
         frozenset({(1, 0, 3)}),
-        # only s1*s2 enters the triple: s1 is reported as 1
+        # the triple reads s1*s2 and s1*r2, which (lam*s1, s2/lam, r2/lam)
+        # keeps: the inverse reports that orbit's (1, s1*s2, s1*r2)
         lambda a, b, c: (a.spec.one, a.leading / b.coeff(0), _root(a)),
+        (1, -1, -1),
     ),
     FamilyId.IV_IV: _Family(
         ("s1", "s2", "t1", "t2"),
@@ -211,8 +226,10 @@ _FAMILIES = {
             _t(t1, t1, t1).scale(s1 * s2 * s1 * s2 * (t1 + t2)),
         ),
         frozenset({(1, 1, 3)}),
-        # only s1*s2 enters the triple: s1 is reported as 1
+        # the triple reads s1 and s2 only through s1*s2, which
+        # (lam*s1, s2/lam) keeps: the inverse reports the orbit's s1 = 1
         lambda a, b, c: (a.spec.one, c.leading / a.leading, _root(a), _root(b)),
+        (1, -1, 0, 0),
     ),
 }
 
@@ -229,6 +246,18 @@ class FamilyMatch:
             "params": {k: str(self.params[k]) for k in self.family.param_names},
             "lambda": str(self.lam),
         }
+
+
+def _build(family: FamilyId, vals):
+    """The family's triple at vals, FieldElements of one field of
+    characteristic 2 in param_names order, or None when a constraint fails."""
+    row = _FAMILIES[family]
+    for factor, _clause in row.constraints(*vals):
+        if not factor:
+            return None
+    den, a, b, c = row.cleared(*vals)
+    inv = den.inverse().index
+    return DerivationTriple(_CASES[family], a._scaled(inv), b._scaled(inv), c._scaled(inv))
 
 
 def instantiate(family: FamilyId, params, spec) -> DerivationTriple:
@@ -249,12 +278,11 @@ def instantiate(family: FamilyId, params, spec) -> DerivationTriple:
         if not (isinstance(v, FieldElement) and v.spec is spec):
             v = parse_element(v, spec) if isinstance(v, str) else spec.element(v)
         vals.append(v)
-    for factor, clause in row.constraints(*vals):
-        if not factor:
-            raise InvalidParameterError(family.value, clause)
-    den, a, b, c = row.cleared(*vals)
-    inv = den.inverse().index
-    return DerivationTriple(_CASES[family], a._scaled(inv), b._scaled(inv), c._scaled(inv))
+    triple = _build(family, vals)
+    if triple is None:
+        clause = next(clause for factor, clause in row.constraints(*vals) if not factor)
+        raise InvalidParameterError(family.value, clause)
+    return triple
 
 
 def classify(d: DerivationTriple):

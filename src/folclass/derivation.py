@@ -37,21 +37,48 @@ class LieCase(enum.Enum):
             raise ValueError(f"unknown Lie case {name!r}; expected I, II, III or IV") from None
 
 
-@dataclass(frozen=True)
 class DerivationTriple:
-    case: LieCase
-    a: Poly
-    b: Poly
-    c: Poly
+    """delta = a*alpha + b*beta + c*d/dt in one Lie case, over one field.
 
-    def __post_init__(self):
-        spec = self.a.spec
-        if self.b.spec is not spec or self.c.spec is not spec:
+    A value: two are equal when their case and components are, and
+    assigning an attribute raises.  It keeps plain slots, set once through
+    their descriptors, because every enumerated candidate, family instance
+    and scalar class builds one."""
+
+    __slots__ = ("case", "a", "b", "c", "__weakref__")
+
+    def __init__(self, case: LieCase, a: Poly, b: Poly, c: Poly):
+        spec = a.spec
+        if b.spec is not spec or c.spec is not spec:
             raise FieldMismatchError("triple components must share one field")
         if spec.p != 2:
             raise ValueError("derivation triples are specific to characteristic 2")
-        if not (self.a or self.b or self.c):
+        if not (a._idx or b._idx or c._idx):
             raise ValueError("the zero triple does not generate a rank-one subsheaf")
+        _set_case(self, case)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: DerivationTriple is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: DerivationTriple is immutable")
+
+    def __reduce__(self):  # copy rebuilds through __init__, as assignment raises
+        return DerivationTriple, (self.case, self.a, self.b, self.c)
+
+    def __eq__(self, other):
+        if other.__class__ is not DerivationTriple:
+            return NotImplemented
+        return (self.case, self.a, self.b, self.c) == (other.case, other.a, other.b, other.c)
+
+    def __hash__(self):
+        return hash((self.case, self.a, self.b, self.c))
+
+    def __repr__(self):
+        return f"DerivationTriple(case={self.case!r}, a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     @property
     def spec(self):
@@ -71,6 +98,10 @@ class DerivationTriple:
 
     def __str__(self):
         return f"[case {self.case.name}] a={self.a}, b={self.b}, c={self.c} over {self.spec.literal()}"
+
+
+# the slots' own setters, which bypass the __setattr__ that refuses assignment
+_set_case, _set_a, _set_b, _set_c = (DerivationTriple.__dict__[n].__set__ for n in ("case", "a", "b", "c"))
 
 
 class SquaredDerivation:

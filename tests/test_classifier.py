@@ -1,9 +1,12 @@
+import itertools
 import json
 
 import pytest
 
 from folclass.classifier import (
     _FAMILIES,
+    _build,
+    _t,
     FamilyId,
     classify,
     families_of_case,
@@ -11,10 +14,11 @@ from folclass.classifier import (
 )
 from folclass.derivation import DerivationTriple, LieCase, is_valid_foliation, scale
 from folclass.cli import main
-from folclass.enumerator import iter_family_instances, verify_completeness, verify_soundness
+from folclass.enumerator import verify_completeness, verify_soundness
 from folclass.errors import InvalidParameterError, NotAFoliationError
 from folclass.finite_field import GF, embed, parse_field
 from folclass.polynomial import Poly, parse_poly
+from soundness_reference import iter_family_instances, per_tuple_soundness
 
 
 def triple(case, a, b, c, spec):
@@ -166,6 +170,69 @@ def test_iv_iii_r2_zero_is_iv_ii_with_t2_zero(F4):
             ]
 
 
+def _torus_violations(spec, family):
+    """Each (tuple, lam) whose image under lam builds another triple than
+    the tuple, None (a refused tuple) included, and each (tuple, None) with
+    s1 = 0 that the constraints accept."""
+    weights = family.torus_weights
+    units = [x for x in spec.elements() if x]
+    out = []
+    for vals in itertools.product(spec.elements(), repeat=len(weights)):
+        d = _build(family, vals)
+        if not vals[0] and d is not None:
+            out.append((vals, None))
+        for lam in units:
+            if _build(family, [x * lam**w for x, w in zip(vals, weights)]) != d:
+                out.append((vals, lam))
+    return out
+
+
+@pytest.mark.parametrize("field", ["GF(4)", "GF(8;mod=x3+x+1)", "GF(8;mod=x3+x2+1)"])
+def test_torus_weights_keep_triple_and_constraints(field):
+    # the soundness sweep builds a weighted family only at s1 = 1 and counts
+    # each accepted tuple q - 1 times: every orbit must give one triple,
+    # pass or fail the constraints as one, and s1 = 0 must be refused
+    spec = parse_field(field)
+    weighted = [f for f in FamilyId if f.torus_weights]
+    assert weighted == [FamilyId.IV_III, FamilyId.IV_IV]
+    assert [f.torus_weights for f in weighted] == [(1, -1, -1), (1, -1, 0, 0)]
+    for family in weighted:
+        assert _torus_violations(spec, family) == [], family
+
+
+def _iv_iv_reading_s1_squared(s1, s2, t1, t2):
+    sigma = s1 * s1 * s2  # s1*s2 in the real row
+    return (
+        sigma * (t1 + t2),
+        _t(t1).scale(sigma * (t1 + t2)),
+        _t(t2),
+        _t(t1, t1, t1).scale(sigma * sigma * (t1 + t2)),
+    )
+
+
+def _iv_iii_without_s1_in_root(s1, s2, r2):
+    return (
+        s1 * s2,
+        _t(r2).scale(s1 * s2),  # _t(s1 * r2) in the real row
+        Poly.one(s1.spec),
+        _t(r2, r2, r2).scale(s1 * s2 * s1 * s2),
+    )
+
+
+@pytest.mark.parametrize("family, cleared", [
+    (FamilyId.IV_IV, _iv_iv_reading_s1_squared),
+    (FamilyId.IV_III, _iv_iii_without_s1_in_root),
+], ids=["IV-iv-s1-squared", "IV-iii-root-without-s1"])
+def test_seeded_row_off_its_torus_fails_the_torus_test(F4, monkeypatch, family, cleared):
+    # a row that reads s1 other than through its weights: the orbits of
+    # s1 = 1 no longer stand for their q - 1 tuples, and the torus test
+    # finds tuples whose image builds another triple
+    monkeypatch.setitem(_FAMILIES, family, _FAMILIES[family]._replace(cleared=cleared))
+    violations = _torus_violations(F4, family)
+    assert violations
+    assert all(lam is not None for _vals, lam in violations)
+
+
 def test_classification_commutes_with_embedding(F2, F8, F16, gf4_reports):
     # classify(embed(d)) == embed(classify(d)) on every scalar class of every
     # case over GF(2) (into GF(8)) and GF(4) (into GF(16)): a match over an
@@ -252,6 +319,7 @@ def test_seeded_iv_iv_defect_fails_the_soundness_sweep(F4, monkeypatch, capsys):
     assert not report.passed
     assert {f["family"] for f in report.failures} == {"IV-iv"}
     assert len(report.failures) == report.instances["IV-iv"] == 108
+    assert report.to_json_dict() == per_tuple_soundness(F4, LieCase.IV).to_json_dict()
     assert main(["verify-families", "--field", "GF(4)", "--case", "IV", "--no-timing"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"] == 108

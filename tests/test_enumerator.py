@@ -17,7 +17,6 @@ from folclass.derivation import (
 )
 from folclass.enumerator import (
     enumerate_triples,
-    iter_family_instances,
     total_triple_count,
     verify_completeness,
     verify_soundness,
@@ -28,8 +27,9 @@ from folclass.enumerator import (
     _solve2,
 )
 from folclass.errors import ConsistencyError
-from folclass.finite_field import GF
+from folclass.finite_field import GF, parse_field
 from folclass.polynomial import Poly, parse_poly
+from soundness_reference import iter_family_instances, per_tuple_soundness
 
 
 def triple(case, a, b, c, spec):
@@ -372,18 +372,26 @@ def test_soundness_reports(q):
 
 @pytest.mark.parametrize("q, tuples, distinct", [(4, 375, 264), (8, 5103, 2352)])
 def test_soundness_decides_each_distinct_triple_once(q, tuples, distinct, monkeypatch):
-    # IV-iii and IV-iv read only s1*s2, and families of one case share
-    # triples (every IV-iii triple is a IV-iv triple), so a case's tuples
-    # give fewer distinct triples; each is decided once, every tuple counted
+    # IV-iii and IV-iv keep their triples under a torus action, and families
+    # of one case share triples (IV-ii's of degrees (1, 1, 3) are IV-iv's), so
+    # a case's tuples give fewer distinct triples; each is decided once and
+    # every accepted tuple counted.  Those two families are built only at
+    # s1 = 1: q^(n-1) tuples each instead of q^n (7,104 at GF(8) without it)
     spec = GF(q)
     seen = []
-    real = enumerator.is_valid_foliation
+    builds = []
+    real_valid, real_build = enumerator.is_valid_foliation, enumerator._build
 
     def counting(d):
         seen.append(d)
-        return real(d)
+        return real_valid(d)
+
+    def counting_build(family, vals):
+        builds.append(family)
+        return real_build(family, vals)
 
     monkeypatch.setattr(enumerator, "is_valid_foliation", counting)
+    monkeypatch.setattr(enumerator, "_build", counting_build)
     instances = 0
     for case in LieCase:
         before = len(seen)
@@ -392,15 +400,26 @@ def test_soundness_decides_each_distinct_triple_once(q, tuples, distinct, monkey
         assert len(seen) - before == len(set(seen[before:])) == len(triples)
         assert set(seen[before:]) == triples
     assert instances == tuples
+    built = {4: 448, 8: 3072}[q]
+    assert len(builds) == built
+    assert sum(q ** len(f.param_names) for f in FamilyId) - built == (q - 1) * (q**2 + q**3)
     assert len(seen) == distinct
 
 
+@pytest.mark.parametrize("field", ["GF(4)", "GF(8;mod=x3+x+1)", "GF(8;mod=x3+x2+1)"])
+def test_torus_sweep_matches_per_tuple_reference(field):
+    spec = parse_field(field)
+    for case in LieCase:
+        assert verify_soundness(spec, case).to_json_dict() == per_tuple_soundness(spec, case).to_json_dict()
+
+
 def test_soundness_reports_every_tuple_of_a_refused_triple(F4, monkeypatch):
-    # refuse every IV-iv triple: each of the q(q-1)^3 IV-iv tuples is
-    # reported, and so is each tuple of another family with such a triple,
-    # in the order of a loop that checks every tuple
+    # refuse every IV-iii and IV-iv triple: each of their (q-1)^3 and
+    # q(q-1)^3 tuples is reported, though only the s1 = 1 slices are built
+    # at first, and so is each tuple of another family with such a triple
+    # (IV-ii's with t2 != 0), in the order of a loop that checks every tuple
     q = F4.order
-    refused = {d for _params, d in iter_family_instances(F4, FamilyId.IV_IV)}
+    refused = {d for family in (FamilyId.IV_III, FamilyId.IV_IV) for _params, d in iter_family_instances(F4, family)}
     monkeypatch.setattr(enumerator, "is_valid_foliation", lambda d: d not in refused)
     expected = [
         {
@@ -415,7 +434,10 @@ def test_soundness_reports_every_tuple_of_a_refused_triple(F4, monkeypatch):
     report = verify_soundness(F4, LieCase.IV)
     assert report.failures == expected
     assert sum(f["family"] == "IV-iv" for f in report.failures) == q * (q - 1) ** 3 == 108
+    assert sum(f["family"] == "IV-iii" for f in report.failures) == (q - 1) ** 3 == 27
+    assert sum(f["family"] == "IV-ii" for f in report.failures) == (q - 1) ** 2 == 9
     assert not report.passed
+    assert report.to_json_dict() == per_tuple_soundness(F4, LieCase.IV).to_json_dict()
 
 
 def test_family_instances_respect_constraints(F4):
