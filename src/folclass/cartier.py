@@ -148,19 +148,11 @@ def _check_characteristic(c, p):
         raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
-def _coeff_pth_root(c, p):
-    _check_characteristic(c, p)
-    return c.pth_root()
-
-
-def _coeff_frobenius(c, p):
-    _check_characteristic(c, p)
-    return c.frobenius()
-
-
 def _frobenius(h: BiPoly, p: int) -> BiPoly:
-    """h^p, taken term by term (exact in characteristic p)."""
-    return BiPoly({(p * i, p * j): _coeff_frobenius(c, p) for (i, j), c in h.terms.items()})
+    """h^p, taken term by term (exact in characteristic p).  Only
+    trace_factor calls it, on powers of a Quadric's G, whose coefficients
+    Quadric checks once against p."""
+    return BiPoly({(p * i, p * j): c.frobenius() for (i, j), c in h.terms.items()})
 
 
 def cartier_once(h: BiPoly, p: int) -> BiPoly:
@@ -168,7 +160,8 @@ def cartier_once(h: BiPoly, p: int) -> BiPoly:
     out = {}
     for (i, j), c in h.terms.items():
         if i % p == p - 1 and j % p == p - 1:
-            out[((i - p + 1) // p, (j - p + 1) // p)] = _coeff_pth_root(c, p)
+            _check_characteristic(c, p)
+            out[((i - p + 1) // p, (j - p + 1) // p)] = c.pth_root()
     return BiPoly(out)
 
 
@@ -200,7 +193,8 @@ def cartier_iter(h: BiPoly, p: int, e: int) -> BiPoly:
 
 @dataclass(frozen=True)
 class Quadric:
-    """The dehomogenized conic G(x, y, 1); the constant term must be a unit."""
+    """The dehomogenized conic G(x, y, 1); the constant term must be a unit,
+    and every coefficient must lie in a ring of characteristic p."""
 
     G: BiPoly
     p: int
@@ -208,6 +202,8 @@ class Quadric:
     def __post_init__(self):
         if not self.G.constant_term():
             raise ValueError("quadric must satisfy G(0, 0) != 0")
+        for c in self.G.terms.values():
+            _check_characteristic(c, self.p)
 
     @classmethod
     def symbolic(cls):

@@ -115,6 +115,9 @@ def _check_writable(path):
 def _emit(args, payload, started=None, csv_rows=None):
     """Write the summary (csv_rows under --format csv, else the payload).
 
+    csv_rows is a nonempty list of dicts with the same keys in the same
+    order, one per row; the header is the first row's keys.
+
     The one owner of the timing block, added last: the runtime since
     `started` and, for the commands that take it, the --jobs value, unless
     --no-timing.
@@ -125,10 +128,8 @@ def _emit(args, payload, started=None, csv_rows=None):
             timing["jobs"] = args.jobs
         payload["timing"] = timing
     if args.format == "csv" and csv_rows is not None:
-        header, rows = csv_rows
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(v) for v in row))
+        lines = [",".join(csv_rows[0])]
+        lines += [",".join(str(v) for v in row.values()) for row in csv_rows]
         content = "\n".join(lines) + "\n"
     else:
         content = json.dumps(payload, indent=2) + "\n"
@@ -280,48 +281,25 @@ def cmd_enumerate(args):
         "results": results,
         "findings": unmatched,
     }
-    _emit(args, payload, started, _completeness_csv(results))
+    _emit(args, payload, started, [_completeness_row(r) for r in results])
     return 2 if unmatched else 0
 
 
-def _completeness_csv(results, soundness_failures=None):
-    """CSV rows of the completeness reports; verify-theorem passes each
-    case's soundness failure count, which becomes the last column."""
-    header = [
-        "field",
-        "case",
-        "total_triples",
-        "valid_count",
-        "scalar_classes",
-        "matched",
-        "unmatched",
-        "overlaps",
-        "complete",
-        "version",
-        "runtime_seconds",
-    ]
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r["field"],
-                r["case"],
-                r["total_triples"],
-                r["valid_count"],
-                r["scalar_classes"],
-                r["matched"],
-                len(r["unmatched"]),
-                len(r["overlaps"]),
-                r["complete"],
-                __version__,
-                r.get("runtime_seconds", ""),
-            ]
-        )
-    if soundness_failures is not None:
-        header.append("soundness_failures")
-        for row, count in zip(rows, soundness_failures):
-            row.append(count)
-    return header, rows
+def _completeness_row(r):
+    """The CSV row of one completeness report, keyed by column name."""
+    return {
+        "field": r["field"],
+        "case": r["case"],
+        "total_triples": r["total_triples"],
+        "valid_count": r["valid_count"],
+        "scalar_classes": r["scalar_classes"],
+        "matched": r["matched"],
+        "unmatched": len(r["unmatched"]),
+        "overlaps": len(r["overlaps"]),
+        "complete": r["complete"],
+        "version": __version__,
+        "runtime_seconds": r.get("runtime_seconds", ""),
+    }
 
 
 def cmd_verify_families(args):
@@ -334,17 +312,22 @@ def cmd_verify_families(args):
         failures += len(report["failures"])
         for family, count in report["instances"].items():
             fam_failures = sum(1 for f in report["failures"] if f["family"] == family)
-            csv_rows.append(
-                [report["field"], report["case"], family, count, fam_failures,
-                 fam_failures == 0, __version__]
-            )
+            row = {
+                "field": report["field"],
+                "case": report["case"],
+                "family": family,
+                "instances": count,
+                "failures": fam_failures,
+                "passed": fam_failures == 0,
+                "version": __version__,
+            }
+            csv_rows.append(row)
     payload = {
         "manifest": _manifest("verify-families", args, **scope),
         "results": results,
         "findings": failures,
     }
-    header = ["field", "case", "family", "instances", "failures", "passed", "version"]
-    _emit(args, payload, started, (header, csv_rows))
+    _emit(args, payload, started, csv_rows)
     return 2 if failures else 0
 
 
@@ -370,10 +353,10 @@ def cmd_verify_theorem(args):
         "results": results,
         "findings": findings,
     }
-    csv_rows = _completeness_csv(
-        [r["completeness"] for r in results],
-        [len(r["soundness"]["failures"]) for r in results],
-    )
+    csv_rows = [
+        {**_completeness_row(r["completeness"]), "soundness_failures": len(r["soundness"]["failures"])}
+        for r in results
+    ]
     _emit(args, payload, started, csv_rows)
     return 2 if findings else 0
 

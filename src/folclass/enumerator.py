@@ -155,11 +155,17 @@ def _scan_block(a, bs, case, q, mul, inv):
     triple has P = 0" is part of what the scan verifies.
     The candidates, in increasing key order, then need C2 and C1.
 
-    In case I (S_A = S_B = 0) that emptiness has a short proof.  P = 0 makes
-    a and b multiples of one l.  If l is linear, (lc)' = 0 makes lc a square,
-    so l divides c and C1 fails.  If l is constant, c' = 0 makes c even, so
-    deg c <= 2 and, with a and b constant, C2 fails.  If a = b = 0, C1 asks
-    for a constant c, which C2 refuses.
+    That emptiness has one proof for all four cases.  If a = b = 0, C1 asks
+    for a constant c, which C2 refuses.  Otherwise P = 0 makes a = alpha*l
+    and b = beta*l for one l = l0 + l1*t, so S_A and S_B, sums of
+    alpha^2*l^2 and beta^2*l^2, are multiples of l^2.  If K != 0, minor 1
+    reads c*P + K = K != 0 for every c.  If K = 0 and l is constant, so are
+    a, b, S_A and S_B, and M*(c2, c3) = (S_A2, S_B2) reads a0*c3 = b0*c3 = 0:
+    c3 = 0, and C2 fails.  If K = 0 and l is linear with root r, a solution
+    c has alpha*(lc)' = S_A and beta*(lc)' = S_B with alpha or beta nonzero,
+    so (lc)' = l1*c + l*c' is a multiple of l.  Then c(r) = 0, l divides c
+    and C1 fails.  In particular c = 0 fails C1 (l linear) or C2 (l
+    constant).
 
     Scaling by lam != 0 keeps C1-C3, as (lam*delta)^2 = lam^2*delta^2, so a scalar
     class has q - 1 valid keys.  As (a, b) != 0 (C1, C2 above), its least key is the

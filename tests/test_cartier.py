@@ -427,6 +427,16 @@ def test_quadric_guards():
         Quadric.concrete(F4.one, F2.one)
 
 
+def test_quadric_refuses_coefficient_ring_of_other_characteristic():
+    # checked once where G enters, not first by the trace's cartier_once
+    u = GF(4).generator
+    G = BiPoly({(2, 0): u, (0, 2): u + GF(4).one, (0, 0): GF(4).one})
+    with pytest.raises(ValueError, match=r"p = 3 does not match GF\(4\) \(characteristic 2\)"):
+        Quadric(G, 3)
+    with pytest.raises(ValueError, match="symbolic coefficient ring only supports p = 2"):
+        Quadric(Quadric.symbolic().G, 3)
+
+
 @pytest.mark.parametrize("q", [4, 3])
 def test_concrete_quadric_refuses_s_t_zero(q):
     # G = 1 has no curve to trace along; only s = t = 0 is refused

@@ -320,6 +320,61 @@ def test_is_primitive_matches_c1_where_p_vanishes_gf4(F4):
     assert checked == (q**3 + q**2 - q) * q**4 - 1 == 19455
 
 
+@pytest.mark.parametrize("q, mod", [(4, None), (8, "x3+x+1"), (8, "x3+x2+1")])
+def test_p_zero_pairs_follow_the_emptiness_argument(q, mod, monkeypatch):
+    # every P = 0 pair that the class scan visits, sorted into the three
+    # kinds of _scan_block's argument, each with its conclusion checked on
+    # _solve2's solutions: K != 0 leaves no c, K = 0 with l constant forces
+    # c3 = 0 (C2 fails), K = 0 with l linear forces c(r) = 0 (C1 fails)
+    spec = GF(q, mod)
+    _q, _add, mul, inv = spec.tables()
+    elements = spec.elements()
+    real = enumerator._scan_block
+    visited = []
+
+    def recording(a, bs, *args):
+        visited.extend((a, b) for b in bs)
+        return real(a, bs, *args)
+
+    monkeypatch.setattr(enumerator, "_scan_block", recording)
+    for case in LieCase:
+        visited.clear()
+        _scalar_classes(spec, case)
+        kinds = {"K != 0": 0, "l constant": 0, "l linear": 0}
+        for (a1, a0), (b1, b0) in visited:
+            if mul[a1 * q + b0] != mul[a0 * q + b1]:
+                continue
+            m = (a1, a0, b1, b0)
+            d = _key_to_triple(m + (0, 0, 0, 0), spec, case)
+            a, b, _c = d.components()
+            s_a, s_b, _ = delta_squared(d).components()  # c = 0 leaves S_A, S_B
+            low = _solve2(m, (s_a.coeff(0).index, s_b.coeff(0).index), q, mul, inv)
+            high = _solve2(m, (s_a.coeff(2).index, s_b.coeff(2).index), q, mul, inv)
+            solutions = [(c3, c2, c1, c0) for c2, c3 in high for c0, c1 in low]
+            if s_a * b + s_b * a:
+                kind = "K != 0"
+                assert solutions == [], d
+            elif not (a1 or b1):
+                kind = "l constant"
+                assert all(c3 == 0 for c3, _c2, _c1, _c0 in solutions), d
+            else:
+                kind = "l linear"
+                l1, l0 = (a1, a0) if a1 or a0 else (b1, b0)
+                r = elements[l0] / elements[l1]
+                for c in solutions:
+                    value = spec.zero
+                    for ci in c:
+                        value = value * r + elements[ci]
+                    assert not value, (d, c)
+            kinds[kind] += 1
+            assert real((a1, a0), [(b1, b0)], case, q, mul, inv) == [], d
+        k_nonzero = {"I": 0, "II": (q + 1) * (q - 2), "III": (q + 1) * (q - 1), "IV": q * (q + 1)}
+        l_constant = {"I": q + 1, "II": 3, "III": 2, "IV": 1}
+        assert kinds["K != 0"] == k_nonzero[case.name], case
+        assert kinds["l constant"] == l_constant[case.name], case
+        assert sum(kinds.values()) == (q + 1) ** 2, case
+
+
 @pytest.mark.parametrize("q", [4, 8])
 def test_scan_pairs_biject_with_gl2(q, request):
     # (a, b) -> M = [[a1, a0], [b1, b0]]: the valid (a, b) pairs are exactly
