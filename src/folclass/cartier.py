@@ -30,8 +30,8 @@ frobenius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .finite_field import FieldElement
@@ -191,19 +191,19 @@ def cartier_iter(h: BiPoly, p: int, e: int) -> BiPoly:
     return out
 
 
-@dataclass(frozen=True)
 class Quadric:
     """The dehomogenized conic G(x, y, 1); the constant term must be a unit,
     and every coefficient must lie in a ring of characteristic p."""
 
-    G: BiPoly
-    p: int
+    __slots__ = ("G", "p")
 
-    def __post_init__(self):
-        if not self.G.constant_term():
+    def __init__(self, G: BiPoly, p: int):
+        if not G.constant_term():
             raise ValueError("quadric must satisfy G(0, 0) != 0")
-        for c in self.G.terms.values():
-            _check_characteristic(c, self.p)
+        for c in G.terms.values():
+            _check_characteristic(c, p)
+        self.G = G
+        self.p = p
 
     @classmethod
     def symbolic(cls):
@@ -244,8 +244,7 @@ class Quadric:
         return out
 
 
-@dataclass(frozen=True)
-class TopForm:
+class TopForm(NamedTuple):
     """numerator / G^pole_power * dx^dy for the session's fixed quadric."""
 
     numerator: BiPoly

@@ -24,7 +24,6 @@ overlap is reported, not suppressed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .derivation import DerivationTriple, LieCase, failed_conditions
@@ -234,8 +233,7 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyMatch:
+class FamilyMatch(NamedTuple):
     family: FamilyId
     params: dict
     lam: object  # nonzero FieldElement

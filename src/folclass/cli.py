@@ -31,7 +31,7 @@ from .enumerator import (
     verify_soundness,
 )
 from .errors import FolclassError, ParseError
-from .finite_field import _MAX_DIGITS, format_modulus, parse_element, parse_field
+from .finite_field import _MAX_DIGITS, _read_element, format_modulus, parse_field
 from .polynomial import MAX_EXPONENT, parse_poly
 
 _ALL_CASES = tuple(LieCase)
@@ -362,16 +362,21 @@ def cmd_verify_theorem(args):
 
 
 def _parse_quadric(text):
-    """--G literal: `s,t` (symbolic) or `<elem>,<elem>@GF(q)` (concrete)."""
-    text = text.strip()
-    if "@" in text:
-        coeffs, field_lit = text.rsplit("@", 1)
-        spec = parse_field(field_lit)
-        parts = coeffs.split(",")
-        if len(parts) != 2:
-            raise ParseError("expected two quadric coefficients", text, 0)
-        s = parse_element(parts[0], spec)
-        t = parse_element(parts[1], spec)
+    """--G literal: `s,t` (symbolic) or `<elem>,<elem>@GF(q)` (concrete).
+
+    Every ParseError names the literal as typed and a position in it."""
+    at = text.rfind("@")
+    if at >= 0:
+        try:
+            spec = parse_field(text[at + 1 :])
+        except ParseError as exc:
+            raise ParseError(exc.message, text, at + 1 + exc.position) from None
+        comma = text.find(",", 0, at)
+        extra = text.find(",", comma + 1, at)
+        if comma < 0 or extra >= 0:
+            raise ParseError("expected two quadric coefficients", text, max(extra, 0))
+        s = _read_element(text, spec, 0, comma)
+        t = _read_element(text, spec, comma + 1, at)
         return Quadric.concrete(s, t)
     if text.replace(" ", "") == "s,t":
         return Quadric.symbolic()

@@ -11,7 +11,7 @@ the three 2x2 minors of delta^2 = (A, B, C) against (a, b, c) vanish.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError, FieldMismatchError
 from .polynomial import Poly, _addmul, _euclid
@@ -40,10 +40,10 @@ class LieCase(enum.Enum):
 class DerivationTriple:
     """delta = a*alpha + b*beta + c*d/dt in one Lie case, over one field.
 
-    A value: two are equal when their case and components are, and
-    assigning an attribute raises.  It keeps plain slots, set once through
-    their descriptors, because every enumerated candidate, family instance
-    and scalar class builds one."""
+    A value: two are equal when their case and components are, and like
+    Poly it is never changed after it is built.  It keeps plain slots
+    because every enumerated candidate, family instance and scalar class
+    builds one."""
 
     __slots__ = ("case", "a", "b", "c", "__weakref__")
 
@@ -55,19 +55,10 @@ class DerivationTriple:
             raise ValueError("derivation triples are specific to characteristic 2")
         if not (a._idx or b._idx or c._idx):
             raise ValueError("the zero triple does not generate a rank-one subsheaf")
-        _set_case(self, case)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_c(self, c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: DerivationTriple is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: DerivationTriple is immutable")
-
-    def __reduce__(self):  # copy rebuilds through __init__, as assignment raises
-        return DerivationTriple, (self.case, self.a, self.b, self.c)
+        self.case = case
+        self.a = a
+        self.b = b
+        self.c = c
 
     def __eq__(self, other):
         if other.__class__ is not DerivationTriple:
@@ -100,40 +91,18 @@ class DerivationTriple:
         return f"[case {self.case.name}] a={self.a}, b={self.b}, c={self.c} over {self.spec.literal()}"
 
 
-# the slots' own setters, which bypass the __setattr__ that refuses assignment
-_set_case, _set_a, _set_b, _set_c = (DerivationTriple.__dict__[n].__set__ for n in ("case", "a", "b", "c"))
+class SquaredDerivation(NamedTuple):
+    """The alpha, beta, d/dt components of delta squared."""
 
-
-class SquaredDerivation:
-    """The alpha, beta, d/dt components of delta squared.
-
-    A value: two are equal when their components are, and nothing changes
-    the components once it is built.  It keeps plain slots because two are
-    built per triple when the formula is checked against the oracle."""
-
-    __slots__ = ("A", "B", "C")
-
-    def __init__(self, A: Poly, B: Poly, C: Poly):
-        self.A = A
-        self.B = B
-        self.C = C
+    A: Poly
+    B: Poly
+    C: Poly
 
     def components(self):
-        return (self.A, self.B, self.C)
+        return self
 
     def is_zero(self):
         return not (self.A or self.B or self.C)
-
-    def __eq__(self, other):
-        if not isinstance(other, SquaredDerivation):
-            return NotImplemented
-        return self.A == other.A and self.B == other.B and self.C == other.C
-
-    def __hash__(self):
-        return hash((self.A, self.B, self.C))
-
-    def __repr__(self):
-        return f"SquaredDerivation(A={self.A!r}, B={self.B!r}, C={self.C!r})"
 
 
 # The last (triple, delta^2) pair, rebound as one tuple.  It is looked up by
@@ -339,8 +308,7 @@ def failed_conditions(d: DerivationTriple):
     return failed
 
 
-@dataclass(frozen=True)
-class ChartAtInfinity:
+class ChartAtInfinity(NamedTuple):
     """The triple rewritten in the coordinate s = 1/t at infinity.
 
     The components transform as s*a(1/s), s*b(1/s), s^3*c(1/s) (the d/dt

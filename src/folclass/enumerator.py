@@ -23,7 +23,7 @@ and times each task.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # instantiate is not called here; the per-layer benchmark tracer
 # (perfbench/tracer.py) wraps it as an attribute of this module.
@@ -232,12 +232,12 @@ def _scalar_classes(spec, case):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SoundnessReport:
-    field: str
-    case: str
-    instances: dict = field(default_factory=dict)  # family tag -> instance count
-    failures: list = field(default_factory=list)  # [{family, params, triple}]
+    def __init__(self, field: str, case: str):
+        self.field = field
+        self.case = case
+        self.instances = {}  # family tag -> instance count
+        self.failures = []  # [{family, params, triple}]
 
     @property
     def passed(self):
@@ -312,8 +312,7 @@ def verify_soundness(spec, case):
     return report
 
 
-@dataclass
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     field: str
     case: str
     total_triples: int

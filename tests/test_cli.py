@@ -622,8 +622,8 @@ def test_cartier_e_max_above_exponent_bound_exits_one(argv, monkeypatch, capsys)
      "prime field GF(2) at position 0: 'u'"),
     (["classify", "--field", "GF(2)", "--case", "I", "--a", "1", "--b", "t", "--c", "t^3+u*t"],
      "prime field GF(2) at position 4: 't^3+u*t'"),
-    (["cartier", "--G", "u,1@GF(2)"], "prime field GF(2) at position 0: 'u'"),
-    (["cartier", "--G", "1,2*u@GF(3)"], "prime field GF(3) at position 2: '2*u'"),
+    (["cartier", "--G", "u,1@GF(2)"], "prime field GF(2) at position 0: 'u,1@GF(2)'"),
+    (["cartier", "--G", "1,2*u@GF(3)"], "prime field GF(3) at position 4: '1,2*u@GF(3)'"),
 ])
 def test_generator_in_prime_field_exits_one(argv, reason, capsys):
     # u is refused where it stands instead of being read as 0
@@ -631,6 +631,22 @@ def test_generator_in_prime_field_exits_one(argv, reason, capsys):
     assert code == 1
     assert out == ""
     assert f"generator u is not defined in the {reason}" in err
+
+
+@pytest.mark.parametrize("literal, reason", [
+    ("1, u+v@GF(4)", "expected a coefficient or u at position 5"),
+    ("1,1@GF(4", "field literal must look like GF(q) or GF(q;mod=...) at position 4"),
+    ("1,1,1@GF(4)", "expected two quadric coefficients at position 3"),
+    ("11@GF(4)", "expected two quadric coefficients at position 0"),
+])
+def test_quadric_parse_error_indexes_the_literal_as_typed(literal, reason, capsys):
+    # a position inside a coefficient or the field is counted from the
+    # start of the whole --G literal, which the message quotes;
+    # 1,2*u@GF(3) is a row of test_generator_in_prime_field_exits_one
+    code, out, err = run_cli(["cartier", "--G", literal], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"{reason}: {literal!r}" in err
 
 
 def test_enumerate_odd_characteristic_exits_one(capsys):
@@ -645,6 +661,21 @@ def test_field_above_table_limit_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "field order 1099511627776 is above the supported limit 256" in err
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # every CLI run, pool worker and benchmark repetition imports the package;
+    # its records are NamedTuples and plain classes, so dataclasses (and what
+    # it imports) is not paid for
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, folclass; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_entry_point():

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import random
@@ -50,6 +51,14 @@ def test_triple_construction_guards(F4, F8):
     with pytest.raises(ValueError):
         F9 = GF(9)
         DerivationTriple(LieCase.I, Poly.one(F9), Poly.one(F9), Poly.zero(F9))
+
+
+def test_triple_copy_is_a_distinct_equal_triple(F4):
+    d = triple("II", "1", "t", "t^2+t", F4)
+    c = copy.copy(d)
+    assert c is not d
+    assert c == d and hash(c) == hash(d)
+    assert c.components() == d.components()
 
 
 def test_delta_squared_case_ii_idempotent(F4):
