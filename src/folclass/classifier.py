@@ -7,9 +7,9 @@ the row: the parameter names, the constraints (factors that must be nonzero,
 each with its clause), the triple with denominators cleared and that
 denominator (a product of constraint factors), the degree signatures
 (deg a, deg b, deg c) of the instances, the inverse map from the
-coefficients of (a, b, c) to the parameters alone, and, for IV-iii and
-IV-iv, the torus weights under which the triple is invariant (the
-soundness sweep builds one tuple per orbit).
+coefficients of (a, b, c) to the parameters alone, and the weights of the
+torus that acts on the parameters (the soundness sweep builds one tuple per
+orbit).
 
 Families are rigid in a fixed (alpha, beta) frame: the parameters are
 rational in a triple's coefficients, so classify solves for them, takes the
@@ -59,7 +59,14 @@ class FamilyId(enum.Enum):
 
     @property
     def torus_weights(self):
-        return _FAMILIES[self].weights
+        """The weights that keep the triple (IV-iii and IV-iv), else None."""
+        kept = _FAMILIES[self].weights[:-1]
+        return kept[0] if kept else None
+
+    @property
+    def scaling_weights(self):
+        """The weights of t -> alpha*t on the parameters."""
+        return _FAMILIES[self].weights[-1]
 
     def __str__(self):
         return self.value
@@ -78,18 +85,23 @@ class _Family(NamedTuple):
     constraints and cleared the parameters in names order, inverse the
     components a, b, c of a triple whose signature is in signatures.
 
-    weights, when set, is a torus action on the parameters: lam in F*
-    scales the parameter of weight w by lam^w and keeps both the triple and
-    the constraints.  The first weight is 1 and the first parameter must be
-    nonzero, so the accepted tuples fall into orbits of q - 1, each with one
-    tuple whose first parameter is 1."""
+    weights holds weight vectors in echelon form, each in {-1, 0, 1} per
+    parameter: lam in F* scales the parameter of weight w by lam^w.  The last
+    vector is the substitution t -> alpha*t.  It maps an admissible
+    a*alpha_L + b*beta_L + c*d/dt to (a(alpha*t), b(alpha*t), c(alpha*t)/alpha),
+    admissible too: in the coordinate s = t/alpha, d/dt = alpha^-1 * d/ds,
+    and C1-C3 do not depend on the coordinate.  Under its weights the image
+    of a tuple builds a unit multiple of that image of the tuple's triple,
+    and both tuples pass or fail the constraints as one.  IV-iii and IV-iv
+    put first a vector that keeps the triple itself, with weight 1 on s1,
+    which must be nonzero; the scaling vector has weight 0 on s1."""
 
     names: tuple
     constraints: object  # params -> ((factor, clause), ...), each factor nonzero
     cleared: object  # params -> (den, a, b, c); the family's triple is (a, b, c)/den
     signatures: frozenset  # the (deg a, deg b, deg c) the instances take
     inverse: object  # (a, b, c) -> params, for any scalar multiple of an instance
-    weights: tuple = None  # the torus weights of the parameters, in names order
+    weights: tuple  # the torus weight vectors, each in names order
 
 
 def _t(*roots):  # (t - r1)...(t - rn), = (t + r1)...(t + rn) in char 2
@@ -114,6 +126,7 @@ _FAMILIES = {
         lambda s, t1, t2: (s.spec.one, Poly(s.spec, (t2, s)), _t(t1), Poly.zero(s.spec)),
         frozenset({(0, 1, NEG_INF), (1, 1, NEG_INF)}),
         lambda a, b, c: (a.coeff(1) / b.leading, _root(b), a.coeff(0) / b.leading),
+        ((0, -1, -1),),
     ),
     FamilyId.I_B: _Family(
         ("s", "t1", "t2"),
@@ -121,6 +134,7 @@ _FAMILIES = {
         lambda s, t1, t2: (s.spec.one, _t(t1), Poly(s.spec, (t2, s)), Poly.zero(s.spec)),
         frozenset({(1, 0, NEG_INF), (1, 1, NEG_INF)}),
         lambda a, b, c: (b.coeff(1) / a.leading, _root(a), b.coeff(0) / a.leading),
+        ((0, -1, -1),),
     ),
     FamilyId.II_I: _Family(
         ("t1", "t2"),
@@ -128,6 +142,7 @@ _FAMILIES = {
         lambda t1, t2: (t1 + t2, Poly.constant(t1 + t2), _t(t1), _t(t1, t2)),
         frozenset({(0, 1, 2)}),
         lambda a, b, c: (_root(b), _root(b) + c.coeff(1) / c.leading),
+        ((-1, -1),),
     ),
     FamilyId.II_II: _Family(
         ("t1", "t2"),
@@ -135,6 +150,7 @@ _FAMILIES = {
         lambda t1, t2: (t1 + t2, _t(t2), Poly.constant(t1 + t2), _t(t1, t2)),
         frozenset({(1, 0, 2)}),
         lambda a, b, c: (_root(a) + c.coeff(1) / c.leading, _root(a)),
+        ((-1, -1),),
     ),
     FamilyId.II_III: _Family(
         ("t1", "t2"),
@@ -142,6 +158,7 @@ _FAMILIES = {
         lambda t1, t2: (t1.spec.one, _t(t2), _t(t1), _t(t1, t2)),
         frozenset({(1, 1, 2)}),
         lambda a, b, c: (_root(b), _root(a)),
+        ((-1, -1),),
     ),
     FamilyId.II_IV: _Family(
         ("t0", "t1", "t2"),
@@ -152,6 +169,7 @@ _FAMILIES = {
         frozenset({(1, 1, 3)}),
         # c is proportional to (t + t0)(t + t1)(t + t2), so c2/c3 = t0 + t1 + t2
         lambda a, b, c: (c.coeff(2) / c.leading + _root(b) + _root(a), _root(b), _root(a)),
+        ((-1, -1, -1),),
     ),
     FamilyId.III_I: _Family(
         ("s", "t1"),
@@ -159,6 +177,7 @@ _FAMILIES = {
         lambda s, t1: (s.spec.one, _t(t1).scale(s), Poly.one(s.spec), _t(t1, t1).scale(s)),
         frozenset({(1, 0, 2)}),
         lambda a, b, c: (a.leading / b.coeff(0), _root(a)),
+        ((1, -1),),
     ),
     FamilyId.III_II: _Family(
         ("s", "t1"),
@@ -166,6 +185,7 @@ _FAMILIES = {
         lambda s, t1: (s, Poly.constant(s), _t(t1), _t(t1).scale(s)),
         frozenset({(0, 1, 1)}),
         lambda a, b, c: (a.coeff(0) / b.leading, _root(c)),
+        ((-1, -1),),
     ),
     FamilyId.III_III: _Family(
         ("s", "t1", "t2"),
@@ -173,6 +193,7 @@ _FAMILIES = {
         lambda s, t1, t2: (s, _t(t2).scale(s * (t1 + t2)), _t(t1), _t(t1, t2, t2).scale(s)),
         frozenset({(1, 1, 3)}),
         lambda a, b, c: (c.leading / b.leading, _root(b), _root(a)),
+        ((1, -1, -1),),
     ),
     FamilyId.IV_I: _Family(
         ("s1", "t2"),
@@ -180,6 +201,7 @@ _FAMILIES = {
         lambda s1, t2: (s1, Poly.constant(s1), _t(s1 * t2), Poly.constant(s1 * s1)),
         frozenset({(0, 1, 0)}),
         lambda a, b, c: (a.coeff(0) / b.leading, b.coeff(0) / a.coeff(0)),
+        ((-1, 0),),
     ),
     FamilyId.IV_II: _Family(
         ("s1", "t2"),
@@ -192,6 +214,7 @@ _FAMILIES = {
         ),
         frozenset({(1, 0, 3), (1, 1, 3)}),
         lambda a, b, c: (c.leading / a.leading, b.coeff(1) / a.leading),
+        ((1, 0),),
     ),
     # r2 != 0 is not needed for admissibility: P = (ab)' = s1*s2 on the
     # cleared triple.  It only separates IV-iii from IV-ii, whose t2 = 0
@@ -211,7 +234,7 @@ _FAMILIES = {
         # the triple reads s1*s2 and s1*r2, which (lam*s1, s2/lam, r2/lam)
         # keeps: the inverse reports that orbit's (1, s1*s2, s1*r2)
         lambda a, b, c: (a.spec.one, a.leading / b.coeff(0), _root(a)),
-        (1, -1, -1),
+        ((1, -1, -1), (0, 1, -1)),
     ),
     FamilyId.IV_IV: _Family(
         ("s1", "s2", "t1", "t2"),
@@ -228,7 +251,7 @@ _FAMILIES = {
         # the triple reads s1 and s2 only through s1*s2, which
         # (lam*s1, s2/lam) keeps: the inverse reports the orbit's s1 = 1
         lambda a, b, c: (a.spec.one, c.leading / a.leading, _root(a), _root(b)),
-        (1, -1, 0, 0),
+        ((1, -1, 0, 0), (0, 1, -1, -1)),
     ),
 }
 

@@ -254,17 +254,18 @@ class SoundnessReport:
 
 
 def _sweep(family, tuples, verdicts):
-    """(accepted count, failures) over the parameter tuples, in order.
+    """(accepted count, failures) over the (parameter tuple, orbit size)
+    pairs, in order; an accepted tuple counts its orbit's size.
 
     verdicts maps each triple decided so far to is_valid_foliation's
     verdict, and gains the triples decided here."""
     count = 0
     failures = []
-    for vals in tuples:
+    for vals, size in tuples:
         triple = _build(family, vals)
         if triple is None:
             continue
-        count += 1
+        count += size
         valid = verdicts.get(triple)
         if valid is None:
             valid = verdicts[triple] = is_valid_foliation(triple)
@@ -279,34 +280,61 @@ def _sweep(family, tuples, verdicts):
     return count, failures
 
 
+def _orbit_slice(family, spec):
+    """One (parameter tuple, orbit size) per torus orbit of the family's
+    accepted tuples, in increasing tuple order.
+
+    The family's weight vectors are taken in turn, each on the tuples that
+    the ones before it kept.  A vector keeps a tuple whose first nonzero
+    parameter of nonzero weight is 1, one of an orbit of q - 1, and a tuple
+    whose weighted parameters are all 0, an orbit of its own.  IV-iii's and
+    IV-iv's first vector has weight 1 on s1, which the constraints keep
+    nonzero, so on the accepted tuples it keeps s1 = 1 alone; the scaling
+    vector after it has weight 0 on s1."""
+    units = spec.order - 1
+    elements = spec.elements()
+    kept, scaling = family.torus_weights, family.scaling_weights
+    pivot = None if kept is None else kept.index(1)  # s1
+    tuples = [((), False)]  # (values so far, whether a scaling-weighted value is nonzero)
+    for i, w in enumerate(scaling):
+        tuples = [
+            (vals + (x,), led or bool(w and x))
+            for vals, led in tuples
+            for x in ((spec.one,) if i == pivot else (spec.zero, spec.one) if w and not led else elements)
+        ]
+    size = 1 if kept is None else units
+    return [(vals, size * units if led else size) for vals, led in tuples]
+
+
 def verify_soundness(spec, case):
     """Check that every instance of every family of the case, over all
     base-field parameters, is admissible; failures are returned as data,
     never raised.
 
     Every accepted tuple is counted and, when its triple is refused,
-    reported in order.  A family with torus weights (IV-iii: (1, -1, -1),
-    IV-iv: (1, -1, 0, 0)) keeps its triple and its constraints when lam in
-    F* scales each parameter by lam^weight, and its accepted tuples fall
-    into orbits of q - 1 with one tuple at s1 = 1.  So only that slice is
-    instantiated and each accepted tuple of it counts q - 1 times; a refused
-    triple in the slice sends the family through every tuple, so its
-    failures are listed as if every tuple had been tried.  Distinct tuples
-    can still give one triple (families of one case share triples), so
-    validity is decided once per distinct triple of the call and the verdict
-    is reused for the others.
+    reported in order.  The sweep builds one tuple per orbit of the family's
+    torus (_orbit_slice) and counts each accepted one by its orbit's size.
+    The substitution t -> alpha*t maps an admissible a*alpha_L + b*beta_L +
+    c*d/dt to (a(alpha*t), b(alpha*t), c(alpha*t)/alpha): in the coordinate
+    s = t/alpha, d/dt = alpha^-1 * d/ds, and C1-C3 do not depend on the
+    coordinate.  Under the scaling weights a tuple's image builds a unit
+    multiple of that image of its triple, so validity is constant on an
+    orbit; IV-iii's and IV-iv's first vector keeps the triple itself.  A
+    verdict that is not invariant under t -> alpha*t is outside this
+    contract: it could refuse a triple off the slice and go unseen.  A
+    refused triple in the slice sends the family through every tuple, so
+    its failures are listed as if every tuple had been tried.  Distinct
+    tuples can still give one triple (families of one case share triples),
+    so validity is decided once per distinct triple of the call and the
+    verdict is reused for the others.
     """
     report = SoundnessReport(field=spec.literal(), case=case.name)
     verdicts = {}  # triple -> is_valid_foliation(triple), for this call only
-    elements = spec.elements()
     for family in families_of_case(case):
-        n = len(family.param_names)
-        if family.torus_weights:
-            count, failures = _sweep(family, itertools.product([spec.one], *[elements] * (n - 1)), verdicts)
-            if not failures:
-                report.instances[family.value] = count * (spec.order - 1)
-                continue
-        count, failures = _sweep(family, itertools.product(elements, repeat=n), verdicts)
+        count, failures = _sweep(family, _orbit_slice(family, spec), verdicts)
+        if failures:
+            every = itertools.product(spec.elements(), repeat=len(family.param_names))
+            count, failures = _sweep(family, ((vals, 1) for vals in every), verdicts)
         report.instances[family.value] = count
         report.failures += failures
     return report

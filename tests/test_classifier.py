@@ -233,6 +233,71 @@ def test_seeded_row_off_its_torus_fails_the_torus_test(F4, monkeypatch, family, 
     assert all(lam is not None for _vals, lam in violations)
 
 
+def _substituted(d, alpha):
+    """g_alpha(d) = (a(alpha*t), b(alpha*t), c(alpha*t)/alpha)."""
+    a, b, c = (Poly(d.spec, [x * alpha**i for i, x in enumerate(f.coeffs)]) for f in d.components())
+    return DerivationTriple(d.case, a, b, c.scale(alpha.inverse()))
+
+
+def _scaling_violations(spec, family):
+    """Each (tuple, alpha) whose image under the scaling weights is accepted
+    or refused unlike the tuple, or builds no unit multiple of g_alpha of the
+    tuple's triple."""
+    weights = family.scaling_weights
+    units = [x for x in spec.elements() if x]
+    out = []
+    for vals in itertools.product(spec.elements(), repeat=len(weights)):
+        d = _build(family, vals)
+        for alpha in units:
+            image = _build(family, [x * alpha**w for x, w in zip(vals, weights)])
+            if (d is None) != (image is None):
+                out.append((vals, alpha))
+            elif d is not None:
+                g = _substituted(d, alpha)
+                pairs = zip(image.components(), g.components())
+                lam = next((x.leading / y.leading for x, y in pairs if x and y), None)
+                if lam is None or scale(lam, g) != image:
+                    out.append((vals, alpha))
+    return out
+
+
+@pytest.mark.parametrize("field", ["GF(4)", "GF(8;mod=x3+x+1)", "GF(8;mod=x3+x2+1)"])
+def test_scaling_weights_are_equivariant(field):
+    # the soundness sweep builds one tuple per orbit of t -> alpha*t and
+    # counts each accepted one q - 1 times: every tuple and its image must
+    # pass or fail the constraints as one, and the image must build a unit
+    # multiple of g_alpha of the tuple's triple, which is admissible exactly
+    # when the triple is
+    spec = parse_field(field)
+    assert [f.scaling_weights for f in FamilyId] == [
+        (0, -1, -1), (0, -1, -1),
+        (-1, -1), (-1, -1), (-1, -1), (-1, -1, -1),
+        (1, -1), (-1, -1), (1, -1, -1),
+        (-1, 0), (1, 0), (0, 1, -1), (0, 1, -1, -1),
+    ]
+    for family in FamilyId:
+        assert _scaling_violations(spec, family) == [], family
+
+
+def _ii_i_reading_a_root_off_its_weight(t1, t2):
+    return t1 + t2, Poly.constant(t1 + t2), _t(t1), _t(t1 * t1, t2)  # _t(t1, t2) in the real row
+
+
+@pytest.mark.parametrize("q, missed", [(4, 6), (8, 42)])
+def test_seeded_row_off_its_scaling_weights_fails_the_equivariance_test(monkeypatch, q, missed):
+    # c's root t1^2 scales by alpha^-2 where its weights say alpha^-1, so the
+    # row's images are no longer its triples' t -> alpha*t images.  The
+    # sweep decides one tuple per orbit and finds nothing, while the
+    # per-tuple reference finds the inadmissible instances: the equivariance
+    # test, not the sweep, guards the slice
+    spec = GF(q)
+    row = _FAMILIES[FamilyId.II_I]
+    monkeypatch.setitem(_FAMILIES, FamilyId.II_I, row._replace(cleared=_ii_i_reading_a_root_off_its_weight))
+    assert _scaling_violations(spec, FamilyId.II_I)
+    assert verify_soundness(spec, LieCase.II).failures == []
+    assert len(per_tuple_soundness(spec, LieCase.II).failures) == missed
+
+
 def test_classification_commutes_with_embedding(F2, F8, F16, gf4_reports):
     # classify(embed(d)) == embed(classify(d)) on every scalar class of every
     # case over GF(2) (into GF(8)) and GF(4) (into GF(16)): a match over an

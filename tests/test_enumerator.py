@@ -425,13 +425,14 @@ def test_soundness_reports(q):
         assert js["passed"] is True and js["failures"] == []
 
 
-@pytest.mark.parametrize("q, tuples, distinct", [(4, 375, 264), (8, 5103, 2352)])
-def test_soundness_decides_each_distinct_triple_once(q, tuples, distinct, monkeypatch):
-    # IV-iii and IV-iv keep their triples under a torus action, and families
-    # of one case share triples (IV-ii's of degrees (1, 1, 3) are IV-iv's), so
-    # a case's tuples give fewer distinct triples; each is decided once and
-    # every accepted tuple counted.  Those two families are built only at
-    # s1 = 1: q^(n-1) tuples each instead of q^n (7,104 at GF(8) without it)
+@pytest.mark.parametrize("q, tuples, built, distinct", [(4, 375, 166, 90), (8, 5103, 474, 342)])
+def test_soundness_decides_each_distinct_triple_once(q, tuples, built, distinct, monkeypatch):
+    # every family is built one tuple per torus orbit and counts each
+    # accepted tuple by its orbit's size: 5q^2 + 17q + 18 builds in all
+    # (7,104 at GF(8) with every tuple).  Families of one case share triples
+    # (IV-ii's of degrees (1, 1, 3) are IV-iv's), so each triple the slice
+    # gives is decided once, and every accepted tuple lies in the orbit of a
+    # built and accepted one
     spec = GF(q)
     seen = []
     builds = []
@@ -442,7 +443,7 @@ def test_soundness_decides_each_distinct_triple_once(q, tuples, distinct, monkey
         return real_valid(d)
 
     def counting_build(family, vals):
-        builds.append(family)
+        builds.append((family, tuple(vals)))
         return real_build(family, vals)
 
     monkeypatch.setattr(enumerator, "is_valid_foliation", counting)
@@ -451,21 +452,50 @@ def test_soundness_decides_each_distinct_triple_once(q, tuples, distinct, monkey
     for case in LieCase:
         before = len(seen)
         instances += sum(verify_soundness(spec, case).instances.values())
-        triples = {d for family in families_of_case(case) for _params, d in iter_family_instances(spec, family)}
-        assert len(seen) - before == len(set(seen[before:])) == len(triples)
-        assert set(seen[before:]) == triples
+        assert len(seen) - before == len(set(seen[before:]))
     assert instances == tuples
-    built = {4: 448, 8: 3072}[q]
-    assert len(builds) == built
-    assert sum(q ** len(f.param_names) for f in FamilyId) - built == (q - 1) * (q**2 + q**3)
+    assert len(builds) == built == 5 * q**2 + 17 * q + 18
     assert len(seen) == distinct
+    decided = {(family, vals): real_build(family, vals) for family, vals in builds}
+    decided = {key: d for key, d in decided.items() if d is not None}
+    assert set(seen) == set(decided.values())
+    units = [x for x in spec.elements() if x]
+    for family in FamilyId:
+        kept = family.torus_weights or (0,) * len(family.param_names)
+        torus = [
+            [lam**k * alpha**w for k, w in zip(kept, family.scaling_weights)]
+            for lam in (units if family.torus_weights else [spec.one])
+            for alpha in units
+        ]
+        for params, _d in iter_family_instances(spec, family):
+            orbit = {tuple(x * g for x, g in zip(params.values(), factors)) for factors in torus}
+            assert any((family, vals) in decided for vals in orbit), (family, params)
 
 
-@pytest.mark.parametrize("field", ["GF(4)", "GF(8;mod=x3+x+1)", "GF(8;mod=x3+x2+1)"])
+@pytest.mark.parametrize("field", ["GF(2)", "GF(4)", "GF(8;mod=x3+x+1)", "GF(8;mod=x3+x2+1)"])
 def test_torus_sweep_matches_per_tuple_reference(field):
+    # GF(2) has q - 1 = 1: every orbit is a single tuple
     spec = parse_field(field)
     for case in LieCase:
         assert verify_soundness(spec, case).to_json_dict() == per_tuple_soundness(spec, case).to_json_dict()
+
+
+@pytest.mark.parametrize("field", ["GF(4)", "GF(8;mod=x3+x+1)", "GF(8;mod=x3+x2+1)"])
+def test_scan_valid_set_is_invariant_under_substitution(field):
+    # g_alpha(a, b, c) = (a(alpha*t), b(alpha*t), c(alpha*t)/alpha) scales
+    # each key entry by a unit, so it permutes the candidates; mapping the
+    # valid keys onto themselves shows that validity is constant on its
+    # orbits, which the soundness sweep's orbit slice rests on
+    spec = parse_field(field)
+    q, _add, mul, _inv = spec.tables()
+    units = [x for x in spec.elements() if x]
+    for case in LieCase:
+        valid = set(_scan(spec, case))
+        for alpha in units:
+            # key (a1, a0, b1, b0, c3, c2, c1, c0)
+            factors = [f.index for f in (alpha, spec.one, alpha, spec.one, alpha**2, alpha, spec.one, alpha.inverse())]
+            image = {tuple(mul[k * q + f] for k, f in zip(key, factors)) for key in valid}
+            assert image == valid, (case, alpha)
 
 
 def test_soundness_reports_every_tuple_of_a_refused_triple(F4, monkeypatch):
@@ -493,6 +523,19 @@ def test_soundness_reports_every_tuple_of_a_refused_triple(F4, monkeypatch):
     assert sum(f["family"] == "IV-ii" for f in report.failures) == (q - 1) ** 2 == 9
     assert not report.passed
     assert report.to_json_dict() == per_tuple_soundness(F4, LieCase.IV).to_json_dict()
+
+
+def test_refused_ii_iv_orbit_falls_back_to_every_tuple_gf8(F8, monkeypatch):
+    # refuse every II-iv triple, a verdict constant on II-iv's orbits: the
+    # slice meets a refused triple, so II-iv is swept over every tuple and
+    # its failures are the per-tuple reference's, in the same order
+    refused = {d for _params, d in iter_family_instances(F8, FamilyId.II_IV)}
+    monkeypatch.setattr(enumerator, "is_valid_foliation", lambda d: d not in refused)
+    report = verify_soundness(F8, LieCase.II)
+    reference = per_tuple_soundness(F8, LieCase.II)
+    assert report.failures == reference.failures
+    assert len(report.failures) == report.instances["II-iv"] == 336
+    assert report.to_json_dict() == reference.to_json_dict()
 
 
 def test_family_instances_respect_constraints(F4):
