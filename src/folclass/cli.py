@@ -153,10 +153,9 @@ def cmd_fields(args):
         "elements": [str(x) for x in spec.elements()],
     }
     if args.tables:
-        q, add, mul, inv = spec.tables()
-        info["add_table"] = [list(add[i * q : (i + 1) * q]) for i in range(q)]
-        info["mul_table"] = [list(mul[i * q : (i + 1) * q]) for i in range(q)]
-        info["inv_table"] = list(inv)
+        info["add_table"] = [list(r) for r in spec.add]
+        info["mul_table"] = [list(r) for r in spec.mul]
+        info["inv_table"] = list(spec.inv)
     payload = {"manifest": _manifest("fields", args, field=spec.literal()), "field": info}
     _emit(args, payload)
     return 0

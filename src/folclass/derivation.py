@@ -137,19 +137,19 @@ def _formula(d):
     d.case on every call."""
     a, b, c = d.a, d.b, d.c
     spec, fa, fb, fc = a.spec, a._idx, b._idx, c._idx
-    q, add, mul, frob = spec.order, spec.add, spec.mul, spec.frob
+    add, mul, frob = spec.add, spec.mul, spec.frob
     n = 2 * max(len(fa), len(fb), len(fc)) - 1
     A, B, C = [0] * n, [0] * n, [0] * n
-    _addmul(q, add, mul, A, fc, a.formal_derivative()._idx)
-    _addmul(q, add, mul, B, fc, b.formal_derivative()._idx)
-    _addmul(q, add, mul, C, fc, c.formal_derivative()._idx)
+    _addmul(add, mul, A, fc, a.formal_derivative()._idx)
+    _addmul(add, mul, B, fc, b.formal_derivative()._idx)
+    _addmul(add, mul, C, fc, c.formal_derivative()._idx)
     case = d.case
     for f, slot in ((fa, case.alpha_sq), (fb, case.beta_sq)):
         if slot != "zero":
             out = A if slot == "alpha" else B
             k = 0
             for fi in f:
-                out[k] = add[out[k] * q + frob[fi]]
+                out[k] = add[out[k]][frob[fi]]
                 k += 2
     return SquaredDerivation(Poly._make(spec, A), Poly._make(spec, B), Poly._make(spec, C))
 
@@ -200,15 +200,15 @@ def _compose_engine(case, a, b, c):
     them.  Returns these untrimmed lists, indexed as _WORDS.
     """
     spec = a.spec
-    q, add, mul = spec.order, spec.add, spec.mul
+    add, mul = spec.add, spec.mul
     coeff = fa, fb, fc = a._idx, b._idx, c._idx
     n = 2 * max(len(fa), len(fb), len(fc)) - 1
     slots = [[0] * n for _ in _WORDS]
     for x, y, target in _REWRITES[case]:
-        _addmul(q, add, mul, slots[target], coeff[x], coeff[y])
-    _addmul(q, add, mul, slots[0], fc, a.formal_derivative()._idx)
-    _addmul(q, add, mul, slots[1], fc, b.formal_derivative()._idx)
-    _addmul(q, add, mul, slots[2], fc, c.formal_derivative()._idx)
+        _addmul(add, mul, slots[target], coeff[x], coeff[y])
+    _addmul(add, mul, slots[0], fc, a.formal_derivative()._idx)
+    _addmul(add, mul, slots[1], fc, b.formal_derivative()._idx)
+    _addmul(add, mul, slots[2], fc, c.formal_derivative()._idx)
     return slots
 
 
@@ -220,12 +220,13 @@ def oracle_delta_squared(d: DerivationTriple) -> SquaredDerivation:
     of transcribing the closed formula, and it squares a and b by
     convolution where the formula squares them by Frobenius.  Any residue
     on irreducible length-2 words or on the identity word signals a bug.
-    It never reads delta_squared's cache.  Both sides share Poly's table
-    arithmetic, the derivative that each Poly keeps and the kernel
-    _addmul, into which each adds its products c*a', c*b' and c*c', so the
-    check rests on the two expansions being different algorithms, and on
-    the tests that check that arithmetic: test_tables_match_direct_arithmetic
-    (the field tables against coefficient-vector arithmetic),
+    It never reads delta_squared's cache.  Both sides share the field's
+    add/mul row tables, the derivative that each Poly keeps and the kernel
+    _addmul, into which each adds its products c*a', c*b' and c*c' one row
+    mul[f_i] at a time, so the check rests on the two expansions being
+    different algorithms, and on the tests that check that arithmetic:
+    test_tables_match_direct_arithmetic (every entry of the row tables, and
+    their shape, against coefficient-vector arithmetic),
     test_arithmetic_matches_schoolbook_reference (Poly, and _addmul on its
     own over lists of products, against coefficient loops on
     FieldElements), test_frobenius_square_matches_convolution (the
@@ -273,13 +274,13 @@ def _minors_vanish(d: DerivationTriple, sq: SquaredDerivation) -> bool:
     Each minor's two products are added by _addmul into one index list,
     which is tested for zero before the next minor is formed."""
     spec = d.spec
-    q, add, mul = spec.order, spec.add, spec.mul
+    add, mul = spec.add, spec.mul
     A, B, C = sq.A._idx, sq.B._idx, sq.C._idx
     a, b, c = d.a._idx, d.b._idx, d.c._idx
     for x, y, u, v in ((A, b, B, a), (A, c, C, a), (B, c, C, b)):
         out = [0] * (max(len(x) + len(y), len(u) + len(v)) - 1)
-        _addmul(q, add, mul, out, x, y)
-        _addmul(q, add, mul, out, u, v)
+        _addmul(add, mul, out, x, y)
+        _addmul(add, mul, out, u, v)
         if any(out):
             return False
     return True
@@ -293,7 +294,17 @@ def satisfies_C3(d: DerivationTriple) -> bool:
 
 
 def is_valid_foliation(d: DerivationTriple) -> bool:
-    return satisfies_C2(d) and satisfies_C1(d) and satisfies_C3(d)
+    """C1 and C2 and C3, decided in the order C2, C3, C1.
+
+    The order is by selectivity per unit of cost.  C2 reads three degrees.
+    C3 forms delta^2 (or reuses the one just computed) and stops at the
+    first nonzero minor; C1 runs Euclid on every triple that reaches it.
+    Over GF(4) in case II, 64,512 of the 65,535 triples pass C2; C3 refuses
+    all but 984 of them, while C1 refuses only 4,032.  So Euclid runs 984
+    times rather than 64,512, and the minors 64,512 times rather than
+    60,480.  The verdict is the same in either order; failed_conditions
+    keeps the order C1, C2, C3 for its messages."""
+    return satisfies_C2(d) and satisfies_C3(d) and satisfies_C1(d)
 
 
 def failed_conditions(d: DerivationTriple):

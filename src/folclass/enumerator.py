@@ -5,19 +5,19 @@ admissibility conditions, and check the family taxonomy both ways
 scalar class is matched).
 
 The scan works on coefficient keys (a1, a0, b1, b0, c3, c2, c1, c0), tuples
-of element indices that sort in enumeration order, with flat field tables;
-in characteristic 2 index addition is XOR.  It never loops over c: for each
-(a, b) pair, p-closedness with c != 0 is two 2x2 linear systems in the
-coefficients of c whose matrix has determinant P(a,b) (the scalar of the
-first minor), and c = 0 is p-closed exactly when K(a,b) = 0 (see
-_scan_block).  Cramer's rule solves the systems when P != 0; a singular
-system lists the q points on the line of one nonzero equation and filters
-them by the other, so P = 0 pairs are decided, never skipped.  C1 is
-decided without a gcd (_is_primitive).  A block of the scan is one a with a
-list of b: _scalar_classes visits one normalised pair per scalar class,
-_scan every pair.  The verifications run in one process and measure no
-time: the command line spreads whole (stage, case) tasks over its workers
-and times each task.
+of element indices that sort in enumeration order, with the field's row
+tables (mul[x][y]); in characteristic 2 index addition is XOR.  It never
+loops over c: for each (a, b) pair, p-closedness with c != 0 is two 2x2
+linear systems in the coefficients of c whose matrix has determinant P(a,b)
+(the scalar of the first minor), and c = 0 is p-closed exactly when
+K(a,b) = 0 (see _scan_block).  Cramer's rule solves the systems when
+P != 0; a singular system lists the q points on the line of one nonzero
+equation and filters them by the other, so P = 0 pairs are decided, never
+skipped.  C1 is decided without a gcd (_is_primitive).  A block of the scan
+is one a with a list of b: _scalar_classes visits one normalised pair per
+scalar class, _scan every pair.  The verifications run in one process and
+measure no time: the command line spreads whole (stage, case) tasks over
+its workers and times each task.
 """
 
 from __future__ import annotations
@@ -83,10 +83,11 @@ def _solve2(m, rhs, q, mul, inv):
     """
     m00, m01, m10, m11 = m
     r0, r1 = rhs
-    det = mul[m00 * q + m11] ^ mul[m01 * q + m10]
+    det = mul[m00][m11] ^ mul[m01][m10]
     if det:
-        x = mul[(mul[r0 * q + m11] ^ mul[m01 * q + r1]) * q + inv[det]]
-        y = mul[(mul[m00 * q + r1] ^ mul[m10 * q + r0]) * q + inv[det]]
+        by_inv = mul[inv[det]]
+        x = by_inv[mul[r0][m11] ^ mul[m01][r1]]
+        y = by_inv[mul[m00][r1] ^ mul[m10][r0]]
         return [(x, y)]
     if m00 or m01:
         u, v, r = m00, m01, r0
@@ -96,18 +97,18 @@ def _solve2(m, rhs, q, mul, inv):
         return [(x, y) for y in range(q) for x in range(q)] if not (r0 or r1) else []
     # the q points of the row u*x + v*y = r, in increasing (y, x) order
     if u:
-        iu = inv[u]
-        line = [(mul[(r ^ mul[v * q + y]) * q + iu], y) for y in range(q)]
+        by_iu, by_v = mul[inv[u]], mul[v]
+        line = [(by_iu[r ^ by_v[y]], y) for y in range(q)]
     else:
-        y = mul[r * q + inv[v]]
+        y = mul[r][inv[v]]
         line = [(x, y) for x in range(q)]
     return [
         (x, y) for x, y in line
-        if mul[m00 * q + x] ^ mul[m01 * q + y] == r0 and mul[m10 * q + x] ^ mul[m11 * q + y] == r1
+        if mul[m00][x] ^ mul[m01][y] == r0 and mul[m10][x] ^ mul[m11][y] == r1
     ]
 
 
-def _is_primitive(key, q, mul, inv):
+def _is_primitive(key, mul, inv):
     """C1 for the key (a1, a0, b1, b0, c3, c2, c1, c0).
 
     If P = a1*b0 + a0*b1 != 0, a and b span the polynomials of degree <= 1,
@@ -117,17 +118,17 @@ def _is_primitive(key, q, mul, inv):
     """
     a1, a0, b1, b0 = key[:4]
     c = key[4:]
-    if mul[a1 * q + b0] ^ mul[a0 * q + b1]:
+    if mul[a1][b0] ^ mul[a0][b1]:
         return True
     l1, l0 = (a1, a0) if a1 or a0 else (b1, b0)
     if not (l0 or l1):
         return bool(c[3]) and not any(c[:3])
     if not l1:
         return True
-    root = mul[l0 * q + inv[l1]]
+    by_root = mul[mul[l0][inv[l1]]]
     value = 0
     for ci in c:
-        value = mul[value * q + root] ^ ci
+        value = by_root[value] ^ ci
     return value != 0
 
 
@@ -177,25 +178,25 @@ def _scan_block(a, bs, case, q, mul, inv):
         # squares routed as in delta_squared; f^2 = f0^2 + f1^2*t^2 in char 2
         routed = {"alpha": [0, 0], "beta": [0, 0], "zero": [0, 0]}
         for f0, f1, slot in ((a0, a1, case.alpha_sq), (b0, b1, case.beta_sq)):
-            routed[slot][0] ^= mul[f0 * q + f0]
-            routed[slot][1] ^= mul[f1 * q + f1]
+            routed[slot][0] ^= mul[f0][f0]
+            routed[slot][1] ^= mul[f1][f1]
         (sa0, sa2), (sb0, sb2) = routed["alpha"], routed["beta"]
         m = (a1, a0, b1, b0)
         low = _solve2(m, (sa0, sb0), q, mul, inv)
         high = _solve2(m, (sa2, sb2), q, mul, inv)
         # c = 0 is p-closed iff K = S_A*b + S_B*a vanishes
         k_zero = not (
-            mul[sa0 * q + b0] ^ mul[sb0 * q + a0]
-            or mul[sa0 * q + b1] ^ mul[sb0 * q + a1]
-            or mul[sa2 * q + b0] ^ mul[sb2 * q + a0]
-            or mul[sa2 * q + b1] ^ mul[sb2 * q + a1]
+            mul[sa0][b0] ^ mul[sb0][a0]
+            or mul[sa0][b1] ^ mul[sb0][a1]
+            or mul[sa2][b0] ^ mul[sb2][a0]
+            or mul[sa2][b1] ^ mul[sb2][a1]
         )
         # c is keyed (c3, c2, c1, c0), so high before low keeps this increasing
         candidates = [(0, 0, 0, 0)] if k_zero else []
         candidates += [(c3, c2, c1, c0) for c2, c3 in high for c0, c1 in low if c0 or c1 or c2 or c3]
         for c in candidates:
             key = m + c
-            if (a1 or b1 or c[0]) and _is_primitive(key, q, mul, inv):
+            if (a1 or b1 or c[0]) and _is_primitive(key, mul, inv):
                 out.append(key)
     return out
 

@@ -12,10 +12,11 @@ There is one FieldSpec object per field: FieldSpec(p, k, modulus),
 parse_field, GF and extension_field all return the object interned under the
 key (p, k, modulus), the modulus being the canonical one when none is given;
 every monic degree-1 modulus names GF(p) itself.  A field is validated and
-fully built when it is first made: its flat add/mul/neg/inv/frob/root tables
-and its q FieldElements, one per index.  Every constructor and every
-operation returns those shared elements, so all arithmetic is a table
-lookup, and fields and elements compare by identity.  Fields of order above
+fully built when it is first made: its add and mul row tables (q rows of q
+indices, read add[i][j]), its neg/inv/frob/root tables and its q
+FieldElements, one per index.  Every constructor and every operation
+returns those shared elements, so all arithmetic is a table lookup, and
+fields and elements compare by identity.  Fields of order above
 _TABLE_LIMIT (256) are refused before anything is built.
 
 Element literals (in the generator u, integer coefficients), polynomial
@@ -46,22 +47,22 @@ _TABLE_LIMIT = 256
 _MAX_DIGITS = 4300
 
 
-def _addmul(q, add, mul, out, f, g):
+def _addmul(add, mul, out, f, g):
     """Add the product of the index tuples f and g into the index list out.
 
-    q, add and mul are the order and the flat add/mul tables of the field
-    whose indices f, g and out hold; a caller that adds many products loads
-    them once.  out must hold at least len(f) + len(g) - 1 entries; the
-    entries beyond the product are left as they are.  A zero coefficient of
-    f is skipped; no other branch reads a coefficient's value.
+    add and mul are the row tables of the field whose indices f, g and out
+    hold (add[x][y], mul[x][y]); a caller that adds many products loads them
+    once.  out must hold at least len(f) + len(g) - 1 entries; the entries
+    beyond the product are left as they are.  A zero coefficient of f is
+    skipped; no other branch reads a coefficient's value.
     """
     i = 0
     for fi in f:
         if fi:
-            row = fi * q
+            row = mul[fi]
             k = i
-            for gj in g:  # a zero gj adds mul[row] = 0
-                out[k] = add[out[k] * q + mul[row + gj]]
+            for gj in g:  # a zero gj adds row[0] = 0
+                out[k] = add[out[k]][row[gj]]
                 k += 1
         i += 1
 
@@ -75,20 +76,20 @@ def _reduce_into(spec, rem, g, quot):
     d = len(g) - 1
     n = len(rem)
     if n > d:
-        q, add, mul, neg = spec.order, spec.add, spec.mul, spec.neg
-        lead_inv = spec.inv[g[-1]]
+        add, mul, neg = spec.add, spec.mul, spec.neg
+        by_lead_inv = mul[spec.inv[g[-1]]]
         # subtract c * (g / lead) at each step; the leading term cancels by
         # construction, so only the d lower coefficients are updated
-        lower = [mul[lead_inv * q + gj] for gj in g[:-1]]
+        lower = [by_lead_inv[gj] for gj in g[:-1]]
         for i in range(n - 1, d - 1, -1):
             c = rem[i]
             if quot is not None:
-                quot.append(mul[c * q + lead_inv])
+                quot.append(by_lead_inv[c])
             if c:
-                row = neg[c] * q
+                row = mul[neg[c]]
                 base = i - d
                 for j, gj in enumerate(lower):
-                    rem[base + j] = add[rem[base + j] * q + mul[row + gj]]
+                    rem[base + j] = add[rem[base + j]][row[gj]]
         if quot is not None:
             quot.reverse()
         n = d
@@ -151,13 +152,14 @@ class FieldSpec:
     There is one object per key (p, k, modulus): FieldSpec(p, k) returns the
     field with the canonical modulus, and asking again for the same key
     returns the same object.  It is built when it is made and never changes
-    afterwards: q is `order`, the flat tables `add`, `mul` (entry i*q + j
-    for elements of index i and j), `neg`, `inv` (inv[0] = 0), `frob` (the
-    index of x^p) and `root` (the index of the p-th root) are tuples of
-    indices, and `zero`, `one`, `generator` and elements() are its
-    interned FieldElements.  Specs and elements compare by identity, so
-    elements of distinct fields never compare equal, and all arithmetic
-    refuses to mix them.
+    afterwards: q is `order`; the row tables `add` and `mul` are tuples of
+    q rows, each a tuple of q indices, and add[i][j], mul[i][j] index the
+    sum and product of the elements of index i and j; `neg`, `inv`
+    (inv[0] = 0), `frob` (the index of x^p) and `root` (the index of the
+    p-th root) are tuples of indices; and `zero`, `one`, `generator` and
+    elements() are its interned FieldElements.  Specs and elements compare
+    by identity, so elements of distinct fields never compare equal, and all
+    arithmetic refuses to mix them.
     """
 
     def __new__(cls, p, k, modulus=None):
@@ -205,28 +207,28 @@ class FieldSpec:
         by_idx = [_coeffs_of(i, p, k) for i in range(q)]
         if k == 1:
             # an element's index is its residue
-            add = [(i + j) % p for i in range(q) for j in range(q)]
-            mul = [i * j % p for i in range(q) for j in range(q)]
+            add = [[(i + j) % p for j in range(q)] for i in range(q)]
+            mul = [[i * j % p for j in range(q)] for i in range(q)]
         else:
             # sums digit by digit, products by _addmul reduced by _reduce_into
             prime = FieldSpec(p, 1)
             padd, pmul = prime.add, prime.mul
-            add, mul = [0] * (q * q), [0] * (q * q)
+            add, mul = [[0] * q for _ in range(q)], [[0] * q for _ in range(q)]
             for i, x in enumerate(by_idx):
                 for j, y in enumerate(by_idx[i:], i):
                     prod = [0] * (2 * k - 1)
-                    _addmul(p, padd, pmul, prod, x, y)
+                    _addmul(padd, pmul, prod, x, y)
                     del prod[_reduce_into(prime, prod, self.modulus, None) :]
-                    add[i * q + j] = add[j * q + i] = _index_of([padd[a * p + b] for a, b in zip(x, y)], p)
-                    mul[i * q + j] = mul[j * q + i] = _index_of(prod, p)
-        self.add = tuple(add)
-        self.mul = tuple(mul)
-        self.neg = tuple(add[i * q : (i + 1) * q].index(0) for i in range(q))
-        self.inv = (0,) + tuple(mul[i * q : (i + 1) * q].index(1) for i in range(1, q))
+                    add[i][j] = add[j][i] = _index_of([padd[a][b] for a, b in zip(x, y)], p)
+                    mul[i][j] = mul[j][i] = _index_of(prod, p)
+        self.add = tuple(map(tuple, add))
+        self.mul = tuple(map(tuple, mul))
+        self.neg = tuple(row.index(0) for row in add)
+        self.inv = (0,) + tuple(row.index(1) for row in mul[1:])
         # Frobenius x -> x^p is a permutation of the field; root is its inverse
         frob = list(range(q))
         for _ in range(p - 1):
-            frob = [mul[f * q + i] for i, f in enumerate(frob)]
+            frob = [mul[f][i] for i, f in enumerate(frob)]
         root = [0] * q
         for i, f in enumerate(frob):
             root[f] = i
@@ -238,7 +240,8 @@ class FieldSpec:
         self.generator = self._elements[p] if self.k > 1 else self.zero
 
     def tables(self):
-        """(q, add, mul, inv) flat tables for bulk index arithmetic."""
+        """(q, add, mul, inv): the order and the row tables for bulk index
+        arithmetic."""
         return self.order, self.add, self.mul, self.inv
 
     # -- constructors -------------------------------------------------------
@@ -288,12 +291,12 @@ class FieldElement:
     def __add__(self, other):
         self._check(other)
         spec = self.spec
-        return spec._elements[spec.add[self.index * spec.order + other.index]]
+        return spec._elements[spec.add[self.index][other.index]]
 
     def __sub__(self, other):
         self._check(other)
         spec = self.spec
-        return spec._elements[spec.add[self.index * spec.order + spec.neg[other.index]]]
+        return spec._elements[spec.add[self.index][spec.neg[other.index]]]
 
     def __neg__(self):
         spec = self.spec
@@ -302,7 +305,7 @@ class FieldElement:
     def __mul__(self, other):
         self._check(other)
         spec = self.spec
-        return spec._elements[spec.mul[self.index * spec.order + other.index]]
+        return spec._elements[spec.mul[self.index][other.index]]
 
     def inverse(self):
         if not self:
@@ -315,7 +318,7 @@ class FieldElement:
         if not other.index:
             raise ZeroDivisionError("inverse of zero field element")
         spec = self.spec
-        return spec._elements[spec.mul[self.index * spec.order + spec.inv[other.index]]]
+        return spec._elements[spec.mul[self.index][spec.inv[other.index]]]
 
     def __pow__(self, n):
         if n < 0:

@@ -7,17 +7,17 @@ coefficients); the zero polynomial has an empty coefficient tuple and degree
 NEG_INF, a sentinel that compares below every integer so degree-bound checks
 treat zero uniformly.  A univariate Poly stores its coefficients as element
 indices of its FieldSpec and does all of its arithmetic by lookups in the
-spec's flat add/mul/neg/inv tables; this is the only univariate arithmetic
-path, shared by the closed delta^2 formula, the rewrite oracle and the
-conditions C1-C3.  Its one convolution loop is _addmul(q, add, mul, out,
-f, g), which adds the product of f and g into the index list out in place,
-reading the field's order and flat add/mul tables that the caller passes,
-and its one reduction loop is _reduce_into.  Both live in finite_field,
-which builds every field's tables by them over GF(p), and are imported
-here: Poly's * passes its own spec's tables to _addmul and runs it into a
-fresh list, and the delta^2 formula, the rewrite oracle and the C3 minors
-load the tables once per expansion and run it into one list per slot, so
-they build no Poly per product.  Its one Euclid loop is _euclid, on index
+spec's add/mul row tables (add[x][y]) and its neg/inv tables; this is the
+only univariate arithmetic path, shared by the closed delta^2 formula, the
+rewrite oracle and the conditions C1-C3.  Its one convolution loop is
+_addmul(add, mul, out, f, g), which adds the product of f and g into the
+index list out in place, reading the row tables that the caller passes, one
+row mul[f_i] per nonzero coefficient of f, and its one reduction loop is
+_reduce_into.  Both live in finite_field, which builds every field's tables
+by them over GF(p), and are imported here: Poly's * passes its own spec's
+tables to _addmul and runs it into a fresh list, and the delta^2 formula,
+the rewrite oracle and the C3 minors load the tables once per expansion and
+run it into one list per slot, so they build no Poly per product.  Its one Euclid loop is _euclid, on index
 lists reduced in place by _reduce_into: poly_gcd makes its result monic and
 wraps it, and the derivation's C1 reads only its length.
 
@@ -43,7 +43,7 @@ class Poly:
     The coefficients are a trimmed tuple of element indices, constant term
     first.  Sums, negations, derivatives and remainders trim their result;
     a product or a scale by a unit keeps its leading coefficient nonzero, so
-    it needs no trim.  Every operation is a lookup in the spec's flat
+    it needs no trim.  Every operation is a lookup in the spec's row
     tables, so no FieldElement arithmetic runs here; coeff(), leading and
     coeffs hand back the spec's interned FieldElements.  Operands from
     another field raise FieldMismatchError, the zero polynomial included.
@@ -144,12 +144,12 @@ class Poly:
             return self
         if not f:
             return other
-        q, add = spec.order, spec.add
+        add = spec.add
         if len(f) < len(g):
             f, g = g, f
         out = list(f)
         for i, gi in enumerate(g):
-            out[i] = add[out[i] * q + gi]
+            out[i] = add[out[i]][gi]
         return Poly._make(spec, out)
 
     def __sub__(self, other):
@@ -168,7 +168,7 @@ class Poly:
         if not f or not g:
             return _wrap(spec, ())
         out = [0] * (len(f) + len(g) - 1)
-        _addmul(spec.order, spec.add, spec.mul, out, f, g)
+        _addmul(spec.add, spec.mul, out, f, g)
         # no trim: a field has no zero divisors, so the product of the two
         # nonzero leading coefficients leaves the top coefficient nonzero
         return _wrap(spec, tuple(out))
@@ -181,8 +181,8 @@ class Poly:
         spec = self.spec
         if not lam:
             return _wrap(spec, ())
-        mul, row = spec.mul, lam * spec.order
-        return _wrap(spec, tuple([mul[row + i] for i in self._idx]))
+        row = spec.mul[lam]
+        return _wrap(spec, tuple([row[i] for i in self._idx]))
 
     def scale(self, c):
         """Multiply by the field constant c."""
@@ -208,10 +208,10 @@ class Poly:
 
     def eval(self, x):
         spec = self._spec_with(x)
-        q, add, mul = spec.order, spec.add, spec.mul
+        add, by_x = spec.add, spec.mul[x.index]
         acc = 0
         for c in reversed(self._idx):
-            acc = add[mul[acc * q + x.index] * q + c]
+            acc = add[by_x[acc]][c]
         return spec.elements()[acc]
 
     def formal_derivative(self):
@@ -222,9 +222,9 @@ class Poly:
         deriv = self._deriv
         if deriv is None:
             spec = self.spec
-            q, mul, p = spec.order, spec.mul, spec.p
+            mul, p = spec.mul, spec.p
             f = self._idx
-            deriv = Poly._make(spec, [mul[f[e] * q + e % p] for e in range(1, len(f))])
+            deriv = Poly._make(spec, [mul[f[e]][e % p] for e in range(1, len(f))])
             self._deriv = deriv
         return deriv
 
@@ -267,8 +267,8 @@ def poly_gcd(f, g):
     spec = f._spec_with(g)
     # only the monic gcd is wrapped as a Poly
     f = _euclid(spec, list(f._idx), list(g._idx))
-    mul, row = spec.mul, spec.inv[f[-1]] * spec.order
-    return _wrap(spec, tuple([mul[row + i] for i in f]))
+    row = spec.mul[spec.inv[f[-1]]]
+    return _wrap(spec, tuple([row[i] for i in f]))
 
 
 # -- literals ----------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_criterion_5_scaling_invariance(F4, gf4_reports):
     for case in LieCase:
         valid = set(_scan(F4, case))
         for lam in range(1, q):
-            scaled = {tuple(mul[x * q + lam] for x in key) for key in valid}
+            scaled = {tuple(mul[x][lam] for x in key) for key in valid}
             if scaled != valid:
                 exceptions += 1
     # classification outcomes: same families and parameters, scalar follows

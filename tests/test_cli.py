@@ -6,6 +6,7 @@ import signal
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -194,12 +195,20 @@ def test_errors_survive_pickle():
         assert vars(back) == vars(exc)
 
 
+# How long the parent of a failing worker may take to exit, in seconds.
+_WORKER_ERROR_TIMEOUT = 60
+
 # Runs the CLI with one stage patched to raise; the patch sits at module level
-# so that a worker started by any method applies it too.
+# so that a worker started by any method applies it too.  A run still going
+# 5 s before the timeout writes the stack of every thread of the parent to
+# stderr, so a hang shows where the parent waits.
 _FAILING_STAGE = """
+import faulthandler
 import sys
 from folclass import cli, enumerator
 from folclass.errors import ConsistencyError, InvalidParameterError
+
+faulthandler.dump_traceback_later({dump_after})
 
 
 def fail(*_args):
@@ -223,8 +232,9 @@ def test_worker_error_exits_one(target, error, message, tmp_path):
     # in a child process with a timeout, so that a parent waiting forever
     # on a lost error fails the test instead of hanging the suite
     script = tmp_path / "failing_stage.py"
-    script.write_text(_FAILING_STAGE.format(target=target, error=error))
+    script.write_text(_FAILING_STAGE.format(target=target, error=error, dump_after=_WORKER_ERROR_TIMEOUT - 5))
     src = os.path.dirname(os.path.dirname(cli.__file__))
+    started = time.monotonic()
     proc = subprocess.Popen(
         [sys.executable, str(script), "verify-theorem", "--field", "GF(2)", "--jobs", "2"],
         cwd=tmp_path,
@@ -235,11 +245,14 @@ def test_worker_error_exits_one(target, error, message, tmp_path):
         start_new_session=True,
     )
     try:
-        out, err = proc.communicate(timeout=60)
+        out, err = proc.communicate(timeout=_WORKER_ERROR_TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("the parent hung on an error raised in a worker")
+        out, err = proc.communicate()  # keeps what was read before the timeout
+        pytest.fail(
+            f"the parent hung on an error raised in a worker: killed after "
+            f"{time.monotonic() - started:.1f} s\n--- stdout ---\n{out}--- stderr ---\n{err}"
+        )
     assert proc.returncode == 1
     assert out == ""
     assert err.strip() == message

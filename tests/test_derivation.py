@@ -143,7 +143,7 @@ def test_frobenius_square_matches_convolution(field):
         if not f:
             continue
         out = [0] * (2 * len(f._idx) - 1)
-        _addmul(q, spec.add, spec.mul, out, f._idx, f._idx)
+        _addmul(spec.add, spec.mul, out, f._idx, f._idx)
         sq = derivation._formula(DerivationTriple(LieCase.II, f, f, zero))
         assert sq.A._idx == sq.B._idx == tuple(out) == (f * f)._idx, f
         assert not sq.C
@@ -240,6 +240,35 @@ def test_formula_evaluated_once_per_triple(F4, monkeypatch):
         seen += 1
         assert len(calls) == seen and calls[-1] is d
     assert seen == 4**8 - 1
+    assert valid == (16 - 1) * (16 - 4)  # |GL2(4)|
+
+
+def test_validity_decides_c3_before_c1(F4, monkeypatch):
+    # is_valid_foliation decides C2, then C3, then C1.  Every GF(4) case-II
+    # triple is judged twice, with its delta^2 cached and on an equal copy
+    # that is not, against C1 and C2 and C3 each decided on its own.  C3
+    # refuses all but 984 of the 64,512 triples that pass C2, so C1 runs 984
+    # times per pass; before C3 it would run on all 64,512.
+    calls = 0
+
+    def counted(d):
+        nonlocal calls
+        calls += 1
+        return satisfies_C1(d)
+
+    monkeypatch.setattr(derivation, "satisfies_C1", counted)
+    c1_calls = {"cached": 0, "uncached": 0}
+    valid = 0
+    for d in enumerate_triples(F4, LieCase.II):
+        delta_squared(d)
+        expected = satisfies_C1(d) and satisfies_C2(d) and satisfies_C3(d)
+        for mode, e in (("cached", d), ("uncached", DerivationTriple(d.case, d.a, d.b, d.c))):
+            assert (derivation._last_square[0] is e) == (mode == "cached")
+            before = calls
+            assert is_valid_foliation(e) == expected, (mode, d)
+            c1_calls[mode] += calls - before
+        valid += expected
+    assert c1_calls == {"cached": 984, "uncached": 984}
     assert valid == (16 - 1) * (16 - 4)  # |GL2(4)|
 
 

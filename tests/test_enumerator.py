@@ -236,7 +236,7 @@ def test_class_scan_matches_brute_force_scan(q, mod):
     _q, _add, mul, _inv = spec.tables()
     for case in LieCase:
         valid_count, keys = _scalar_classes(spec, case)
-        orbits = [sorted(tuple(mul[x * q + lam] for x in key) for lam in range(1, q)) for key in keys]
+        orbits = [sorted(tuple(mul[x][lam] for x in key) for lam in range(1, q)) for key in keys]
         assert sorted(k for orbit in orbits for k in orbit) == _scan(spec, case), case
         for key, orbit in zip(keys, orbits):
             assert next(x for x in key if x) == 1
@@ -274,7 +274,7 @@ def pair_filter(m, rhs, q, mul):
         (x, y)
         for y in range(q)
         for x in range(q)
-        if mul[m00 * q + x] ^ mul[m01 * q + y] == r0 and mul[m10 * q + x] ^ mul[m11 * q + y] == r1
+        if mul[m00][x] ^ mul[m01][y] == r0 and mul[m10][x] ^ mul[m11][y] == r1
     ]
 
 
@@ -284,7 +284,7 @@ def test_solve2_matches_pair_filter_gf4(F4):
     nonsingular = 0
     for m00, m01, m10, m11, r0, r1 in itertools.product(range(q), repeat=6):
         m, rhs = (m00, m01, m10, m11), (r0, r1)
-        nonsingular += mul[m00 * q + m11] != mul[m01 * q + m10]
+        nonsingular += mul[m00][m11] != mul[m01][m10]
         assert _solve2(m, rhs, q, mul, inv) == pair_filter(m, rhs, q, mul)
     assert nonsingular == (q * q - 1) * (q * q - q) * q * q
 
@@ -295,7 +295,7 @@ def test_solve2_singular_systems_match_pair_filter_gf8(F8):
     q, _add, mul, inv = F8.tables()
     singular = 0
     for m00, m01, m10, m11 in itertools.product(range(q), repeat=4):
-        if mul[m00 * q + m11] != mul[m01 * q + m10]:
+        if mul[m00][m11] != mul[m01][m10]:
             continue
         m = (m00, m01, m10, m11)
         for rhs in itertools.product(range(q), repeat=2):
@@ -312,10 +312,10 @@ def test_is_primitive_matches_c1_where_p_vanishes_gf4(F4):
     checked = 0
     for key in all_keys(q):
         a1, a0, b1, b0 = key[:4]
-        if mul[a1 * q + b0] != mul[a0 * q + b1]:
+        if mul[a1][b0] != mul[a0][b1]:
             continue
         d = _key_to_triple(key, F4, LieCase.I)
-        assert _is_primitive(key, q, mul, inv) == satisfies_C1(d), d
+        assert _is_primitive(key, mul, inv) == satisfies_C1(d), d
         checked += 1
     assert checked == (q**3 + q**2 - q) * q**4 - 1 == 19455
 
@@ -342,7 +342,7 @@ def test_p_zero_pairs_follow_the_emptiness_argument(q, mod, monkeypatch):
         _scalar_classes(spec, case)
         kinds = {"K != 0": 0, "l constant": 0, "l linear": 0}
         for (a1, a0), (b1, b0) in visited:
-            if mul[a1 * q + b0] != mul[a0 * q + b1]:
+            if mul[a1][b0] != mul[a0][b1]:
                 continue
             m = (a1, a0, b1, b0)
             d = _key_to_triple(m + (0, 0, 0, 0), spec, case)
@@ -384,7 +384,7 @@ def test_scan_pairs_biject_with_gl2(q, request):
     invertible = {
         (a1, a0, b1, b0)
         for a1, a0, b1, b0 in itertools.product(range(q), repeat=4)
-        if mul[a1 * q + b0] != mul[a0 * q + b1]
+        if mul[a1][b0] != mul[a0][b1]
     }
     for case in LieCase:
         valid = _scan(spec, case)
@@ -494,7 +494,7 @@ def test_scan_valid_set_is_invariant_under_substitution(field):
         for alpha in units:
             # key (a1, a0, b1, b0, c3, c2, c1, c0)
             factors = [f.index for f in (alpha, spec.one, alpha, spec.one, alpha**2, alpha, spec.one, alpha.inverse())]
-            image = {tuple(mul[k * q + f] for k, f in zip(key, factors)) for key in valid}
+            image = {tuple(mul[k][f] for k, f in zip(key, factors)) for key in valid}
             assert image == valid, (case, alpha)
 
 

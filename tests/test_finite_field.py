@@ -344,15 +344,19 @@ def test_tables_match_direct_arithmetic(q):
     vs = [vector(i) for i in range(q)]
     xs = spec.elements()
     assert spec.tables() == (q, spec.add, spec.mul, spec.inv) and len(xs) == q
+    # row tables: q rows of q indices each, read table[i][j]
+    for table in (spec.add, spec.mul):
+        assert type(table) is tuple and len(table) == q
+        assert all(type(row) is tuple and len(row) == q for row in table)
     for i, x in enumerate(vs):
         assert spec.element(i) is xs[i] and xs[i].index == i and list(xs[i].coeffs) == x
         assert spec.neg[i] == index([-a % p for a in x])
         for j in range(i, q):
             y = vs[j]
-            assert spec.add[i * q + j] == spec.add[j * q + i] == index([(a + b) % p for a, b in zip(x, y)])
-            assert spec.mul[i * q + j] == spec.mul[j * q + i] == index(times(x, y))
+            assert spec.add[i][j] == spec.add[j][i] == index([(a + b) % p for a, b in zip(x, y)])
+            assert spec.mul[i][j] == spec.mul[j][i] == index(times(x, y))
             assert (xs[i] - xs[j]).coeffs == tuple((a - b) % p for a, b in zip(x, y))
-            assert xs[i] * xs[j] is xs[spec.mul[i * q + j]]
+            assert xs[i] * xs[j] is xs[spec.mul[i][j]]
         if i:
             assert times(x, vs[spec.inv[i]]) == vs[1]
         power = x
@@ -366,7 +370,8 @@ def test_tables_match_direct_arithmetic(q):
 # sha256 of repr((modulus, add, mul, neg, inv, frob, root)) for every
 # supported field with its canonical modulus, and for GF(8)'s other modulus,
 # computed at commit 84aa301, whose tables came from finite_field's own
-# coefficient arithmetic, before products ran through _addmul and _reduce_into
+# coefficient arithmetic, before products ran through _addmul and _reduce_into;
+# add and mul were then flat, entry i*q + j, so their rows are joined in order
 TABLE_DIGESTS = {
     "GF(2)": "d80a2ba738226c39183bab9133a1071935a2271588680cb9ac0f0a209d3786eb",
     "GF(4)": "0b8fa159aabd273d58dcafc19cb531ad6a8f46a2875169b86834dbe044d5c6d2",
@@ -394,7 +399,8 @@ def test_every_supported_field_is_pinned():
     assert len(supported) == 16 and supported == set(TABLE_DIGESTS) - {"GF(8;mod=x3+x2+1)"}
     for literal, digest in TABLE_DIGESTS.items():
         spec = parse_field(literal)
-        tables = (spec.modulus, spec.add, spec.mul, spec.neg, spec.inv, spec.frob, spec.root)
+        add, mul = (tuple(itertools.chain.from_iterable(t)) for t in (spec.add, spec.mul))
+        tables = (spec.modulus, add, mul, spec.neg, spec.inv, spec.frob, spec.root)
         assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest, literal
 
 

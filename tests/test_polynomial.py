@@ -231,7 +231,7 @@ def test_arithmetic_matches_schoolbook_reference(q):
         out = [rng.randrange(q) for _ in range(n)]
         acc = [spec.elements()[i] for i in out]
         for f, g in pairs:
-            _addmul(spec.order, spec.add, spec.mul, out, f._idx, g._idx)
+            _addmul(spec.add, spec.mul, out, f._idx, g._idx)
             for i, x in enumerate(f.coeffs):
                 for j, y in enumerate(g.coeffs):
                     acc[i + j] = acc[i + j] + x * y
