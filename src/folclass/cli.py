@@ -181,11 +181,11 @@ def cmd_classify(args):
     return 0
 
 
-def _detail_lines(report):
+def _detail_lines(classes):
     # one scalar class per line; _run_cases puts the case's manifest head first
     return [
         json.dumps({"triple": triple.to_json_dict(), "matches": [m.to_json_dict() for m in matches]})
-        for triple, matches in report.class_matches
+        for triple, matches in classes
     ]
 
 
@@ -194,26 +194,26 @@ def _run_task(task):
 
     A task is (stage, field literal, case name, detail).  It carries the
     literal, not the FieldSpec: parse_field returns the field's one interned
-    spec in the parent and in a worker alike.  A soundness task's data is its
-    report's JSON dict; a completeness task's is {"report": ...,
-    "corollaries": ... (cases I and II), "detail": [lines] (only when detail
-    is set)}.
+    spec in the parent and in a worker alike.  A soundness task's data is
+    verify_soundness's report; a completeness task's is {"report": the report
+    of verify_completeness, "corollaries": ... (cases I and II), "detail":
+    [lines] (only when detail is set)}, the last two read from its classes.
     """
     started = time.monotonic()
     stage, literal, case_name, detail = task
     spec, case = parse_field(literal), LieCase[case_name]
     if stage == "soundness":
-        return verify_soundness(spec, case).to_json_dict(), time.monotonic() - started
-    report = verify_completeness(spec, case)
-    out = {"report": report.to_json_dict()}
+        return verify_soundness(spec, case), time.monotonic() - started
+    report, classes = verify_completeness(spec, case)
+    out = {"report": report}
     if case in (LieCase.I, LieCase.II):
-        all_zero, all_nonzero = case_c_corollaries([t for t, _m in report.class_matches])
+        all_zero, all_nonzero = case_c_corollaries([t for t, _m in classes])
         out["corollaries"] = {
             "all_valid_have_c_zero": all_zero,
             "all_valid_have_c_nonzero": all_nonzero,
         }
     if detail:
-        out["detail"] = _detail_lines(report)
+        out["detail"] = _detail_lines(classes)
     return out, time.monotonic() - started
 
 

@@ -2,7 +2,8 @@
 triple (deg a, b <= 1, deg c <= 3) up to scalars, filter by the
 admissibility conditions, and check the family taxonomy both ways
 (soundness: every instance is admissible; completeness: every admissible
-scalar class is matched).
+scalar class is matched).  Both verifications return their report as the
+JSON-ready dict that the command line writes.
 
 The scan works on coefficient keys (a1, a0, b1, b0, c3, c2, c1, c0), tuples
 of element indices that sort in enumeration order, with the field's row
@@ -23,7 +24,6 @@ its workers and times each task.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 # instantiate is not called here; the per-layer benchmark tracer
 # (perfbench/tracer.py) wraps it as an attribute of this module.
@@ -233,27 +233,6 @@ def _scalar_classes(spec, case):
 # ---------------------------------------------------------------------------
 
 
-class SoundnessReport:
-    def __init__(self, field: str, case: str):
-        self.field = field
-        self.case = case
-        self.instances = {}  # family tag -> instance count
-        self.failures = []  # [{family, params, triple}]
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def to_json_dict(self):
-        return {
-            "field": self.field,
-            "case": self.case,
-            "instances": dict(self.instances),
-            "failures": list(self.failures),
-            "passed": self.passed,
-        }
-
-
 def _sweep(family, tuples, verdicts):
     """(accepted count, failures) over the (parameter tuple, orbit size)
     pairs, in order; an accepted tuple counts its orbit's size.
@@ -310,7 +289,8 @@ def _orbit_slice(family, spec):
 def verify_soundness(spec, case):
     """Check that every instance of every family of the case, over all
     base-field parameters, is admissible; failures are returned as data,
-    never raised.
+    never raised.  The report is {field, case, instances (family tag ->
+    count), failures ([{family, params, triple}]), passed}.
 
     Every accepted tuple is counted and, when its triple is refused,
     reported in order.  The sweep builds one tuple per orbit of the family's
@@ -329,78 +309,53 @@ def verify_soundness(spec, case):
     so validity is decided once per distinct triple of the call and the
     verdict is reused for the others.
     """
-    report = SoundnessReport(field=spec.literal(), case=case.name)
+    instances, failures = {}, []
     verdicts = {}  # triple -> is_valid_foliation(triple), for this call only
     for family in families_of_case(case):
-        count, failures = _sweep(family, _orbit_slice(family, spec), verdicts)
-        if failures:
+        count, found = _sweep(family, _orbit_slice(family, spec), verdicts)
+        if found:
             every = itertools.product(spec.elements(), repeat=len(family.param_names))
-            count, failures = _sweep(family, ((vals, 1) for vals in every), verdicts)
-        report.instances[family.value] = count
-        report.failures += failures
-    return report
-
-
-class EnumerationReport(NamedTuple):
-    field: str
-    case: str
-    total_triples: int
-    valid_count: int
-    class_matches: list  # [(triple, [FamilyMatch...])], one per scalar class
-
-    @property
-    def scalar_classes(self):
-        return len(self.class_matches)
-
-    @property
-    def matched(self):
-        return sum(1 for _triple, matches in self.class_matches if matches)
-
-    @property
-    def unmatched(self):
-        return [triple.to_json_dict() for triple, matches in self.class_matches if not matches]
-
-    @property
-    def overlaps(self):
-        out = []
-        for triple, matches in self.class_matches:
-            families = sorted({m.family.value for m in matches})
-            if len(families) > 1:
-                out.append({"triple": triple.to_json_dict(), "families": families})
-        return out
-
-    @property
-    def complete(self):
-        return all(matches for _triple, matches in self.class_matches)
-
-    def to_json_dict(self):
-        return {
-            "field": self.field,
-            "case": self.case,
-            "total_triples": self.total_triples,
-            "valid_count": self.valid_count,
-            "scalar_classes": self.scalar_classes,
-            "matched": self.matched,
-            "unmatched": self.unmatched,
-            "overlaps": self.overlaps,
-            "complete": self.complete,
-        }
+            count, found = _sweep(family, ((vals, 1) for vals in every), verdicts)
+        instances[family.value] = count
+        failures += found
+    return {
+        "field": spec.literal(),
+        "case": case.name,
+        "instances": instances,
+        "failures": failures,
+        "passed": not failures,
+    }
 
 
 def verify_completeness(spec, case):
-    """Classify every valid scalar class; unmatched classes are report data."""
+    """Classify every valid scalar class; unmatched classes are report data.
+
+    Returns (report, classes): report is the JSON-ready summary, and classes
+    is the key-ordered list of (triple, matches), one per scalar class, that
+    the per-class detail and the case I/II corollaries read."""
     valid_count, keys = _scalar_classes(spec, case)
-    class_matches = []
+    classes = []
     for key in keys:
         triple = _key_to_triple(key, spec, case)
-        class_matches.append((triple, classify(triple)))
-    return EnumerationReport(
-        field=spec.literal(),
-        case=case.name,
-        total_triples=total_triple_count(spec),
-        valid_count=valid_count,
-        class_matches=class_matches,
-    )
+        classes.append((triple, classify(triple)))
+    overlaps = []
+    for triple, matches in classes:
+        families = sorted({m.family.value for m in matches})
+        if len(families) > 1:
+            overlaps.append({"triple": triple.to_json_dict(), "families": families})
+    unmatched = [triple.to_json_dict() for triple, matches in classes if not matches]
+    report = {
+        "field": spec.literal(),
+        "case": case.name,
+        "total_triples": total_triple_count(spec),
+        "valid_count": valid_count,
+        "scalar_classes": len(classes),
+        "matched": len(classes) - len(unmatched),
+        "unmatched": unmatched,
+        "overlaps": overlaps,
+        "complete": not unmatched,
+    }
+    return report, classes
 
 
 def case_c_corollaries(reps):

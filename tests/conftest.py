@@ -30,6 +30,7 @@ def F9():
     return GF(9)
 
 
+# case -> verify_completeness's (report, classes) pair
 @pytest.fixture(scope="session")
 def gf4_reports(F4):
     return {case: verify_completeness(F4, case) for case in LieCase}

@@ -7,7 +7,6 @@ import itertools
 
 from folclass import enumerator
 from folclass.classifier import families_of_case, instantiate
-from folclass.enumerator import SoundnessReport
 from folclass.errors import InvalidParameterError
 
 
@@ -26,18 +25,24 @@ def iter_family_instances(spec, family):
 def per_tuple_soundness(spec, case):
     """verify_soundness's report, from every tuple; a verdict patched into
     the enumerator module is the one used here too."""
-    report = SoundnessReport(field=spec.literal(), case=case.name)
+    instances, failures = {}, []
     for family in families_of_case(case):
         count = 0
         for params, triple in iter_family_instances(spec, family):
             count += 1
             if not enumerator.is_valid_foliation(triple):
-                report.failures.append(
+                failures.append(
                     {
                         "family": family.value,
                         "params": {k: str(v) for k, v in params.items()},
                         "triple": triple.to_json_dict(),
                     }
                 )
-        report.instances[family.value] = count
-    return report
+        instances[family.value] = count
+    return {
+        "field": spec.literal(),
+        "case": case.name,
+        "instances": instances,
+        "failures": failures,
+        "passed": not failures,
+    }

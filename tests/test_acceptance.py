@@ -75,8 +75,8 @@ def test_criterion_2_family_soundness(F4, F8):
     for spec in (F4, F8):
         for case in LieCase:
             report = verify_soundness(spec, case)
-            failures += len(report.failures)
-            instances += sum(report.instances.values())
+            failures += len(report["failures"])
+            instances += sum(report["instances"].values())
     elapsed = time.monotonic() - start
     _report(
         2,
@@ -91,9 +91,9 @@ def test_criterion_3_completeness_desk_scale(gf4_reports, gf8_reports):
     unmatched = []
     classes = 0
     for reports in (gf4_reports, gf8_reports):
-        for case, report in reports.items():
-            unmatched.extend(report.unmatched)
-            classes += report.scalar_classes
+        for report, _classes in reports.values():
+            unmatched.extend(report["unmatched"])
+            classes += report["scalar_classes"]
     elapsed = time.monotonic() - start
     for um in unmatched:
         print(f"[acceptance] UNMATCHED: {json.dumps(um)}")
@@ -108,10 +108,10 @@ def test_criterion_3_completeness_desk_scale(gf4_reports, gf8_reports):
 def test_criterion_4_proof_branch_corollaries(gf4_reports, gf8_reports):
     exceptions = 0
     for reports in (gf4_reports, gf8_reports):
-        for triple, _matches in reports[LieCase.I].class_matches:
+        for triple, _matches in reports[LieCase.I][1]:
             if triple.c:
                 exceptions += 1
-        for triple, _matches in reports[LieCase.II].class_matches:
+        for triple, _matches in reports[LieCase.II][1]:
             if not triple.c:
                 exceptions += 1
     _report(
@@ -135,8 +135,8 @@ def test_criterion_5_scaling_invariance(F4, gf4_reports):
                 exceptions += 1
     # classification outcomes: same families and parameters, scalar follows
     nonzero = [x for x in F4.elements() if x]
-    for case, report in gf4_reports.items():
-        for triple, matches in report.class_matches:
+    for _summary, classes in gf4_reports.values():
+        for triple, matches in classes:
             base = [(m.family, tuple(sorted((k, str(v)) for k, v in m.params.items()))) for m in matches]
             base_lams = [m.lam for m in matches]
             for lam in nonzero:

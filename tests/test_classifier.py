@@ -294,8 +294,8 @@ def test_seeded_row_off_its_scaling_weights_fails_the_equivariance_test(monkeypa
     row = _FAMILIES[FamilyId.II_I]
     monkeypatch.setitem(_FAMILIES, FamilyId.II_I, row._replace(cleared=_ii_i_reading_a_root_off_its_weight))
     assert _scaling_violations(spec, FamilyId.II_I)
-    assert verify_soundness(spec, LieCase.II).failures == []
-    assert len(per_tuple_soundness(spec, LieCase.II).failures) == missed
+    assert verify_soundness(spec, LieCase.II)["failures"] == []
+    assert len(per_tuple_soundness(spec, LieCase.II)["failures"]) == missed
 
 
 def test_classification_commutes_with_embedding(F2, F8, F16, gf4_reports):
@@ -303,8 +303,8 @@ def test_classification_commutes_with_embedding(F2, F8, F16, gf4_reports):
     # case over GF(2) (into GF(8)) and GF(4) (into GF(16)): a match over an
     # extension is the image of one over the base field, which is why
     # classify never searches extensions
-    classes = [(d, F8) for case in LieCase for d, _m in verify_completeness(F2, case).class_matches]
-    classes += [(d, F16) for report in gf4_reports.values() for d, _m in report.class_matches]
+    classes = [(d, F8) for case in LieCase for d, _m in verify_completeness(F2, case)[1]]
+    classes += [(d, F16) for _report, pairs in gf4_reports.values() for d, _m in pairs]
     assert len(classes) == 4 * (6 + 60)
     for d, F in classes:
         lifted = DerivationTriple(
@@ -361,9 +361,9 @@ def test_coefficientwise_lambda_test_agrees_with_scale(field):
     # instance, in the same order, with the same parameters and lambda
     spec = parse_field(field)
     for case in LieCase:
-        report = verify_completeness(spec, case)
-        assert len(report.class_matches) == spec.order**3 - spec.order
-        for d, matches in report.class_matches:
+        _report, classes = verify_completeness(spec, case)
+        assert len(classes) == spec.order**3 - spec.order
+        for d, matches in classes:
             assert matches
             assert [(m.family, m.params, m.lam) for m in matches] == _matches_through_scale(d), d
 
@@ -381,10 +381,10 @@ def test_seeded_iv_iv_defect_fails_the_soundness_sweep(F4, monkeypatch, capsys):
 
     monkeypatch.setitem(_FAMILIES, FamilyId.IV_IV, row._replace(cleared=cleared))
     report = verify_soundness(F4, LieCase.IV)
-    assert not report.passed
-    assert {f["family"] for f in report.failures} == {"IV-iv"}
-    assert len(report.failures) == report.instances["IV-iv"] == 108
-    assert report.to_json_dict() == per_tuple_soundness(F4, LieCase.IV).to_json_dict()
+    assert not report["passed"]
+    assert {f["family"] for f in report["failures"]} == {"IV-iv"}
+    assert len(report["failures"]) == report["instances"]["IV-iv"] == 108
+    assert report == per_tuple_soundness(F4, LieCase.IV)
     assert main(["verify-families", "--field", "GF(4)", "--case", "IV", "--no-timing"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"] == 108
@@ -407,7 +407,7 @@ def test_seeded_b_or_c_defect_unmatches_its_family(F4, gf4_reports, monkeypatch,
 
     before = [
         (d, [(m.family, m.params, m.lam) for m in matches])
-        for d, matches in gf4_reports[LieCase.IV].class_matches
+        for d, matches in gf4_reports[LieCase.IV][1]
         if any(m.family is FamilyId.IV_II for m in matches)
     ]
     assert len(before) == 12

@@ -450,15 +450,9 @@ def test_exit_code_two_on_soundness_findings(monkeypatch, capsys):
     # a counterexample is a finding, not a crash: exit code 2
     import folclass.cli as cli_mod
 
-    class FakeReport:
-        failures = [{"family": "II-i", "params": {}, "triple": {}}]
-        instances = {}
-
-        def to_json_dict(self):
-            return {"field": "GF(2)", "case": "I", "instances": {},
-                    "failures": self.failures, "passed": False}
-
-    monkeypatch.setattr(cli_mod, "verify_soundness", lambda spec, case: FakeReport())
+    report = {"field": "GF(2)", "case": "I", "instances": {},
+              "failures": [{"family": "II-i", "params": {}, "triple": {}}], "passed": False}
+    monkeypatch.setattr(cli_mod, "verify_soundness", lambda spec, case: report)
     code, out, _err = run_cli(
         ["verify-families", "--field", "GF(2)", "--case", "I", "--no-timing"], capsys
     )
@@ -818,8 +812,10 @@ def test_verify_theorem_csv_counts_soundness_failures(monkeypatch, capsys):
     real = cli.verify_soundness
 
     def one_failure(spec, case):
+        # a report is a plain dict: a failure added by hand must clear passed too
         report = real(spec, case)
-        report.failures.append({"family": "IV-iv", "params": {}, "triple": {}})
+        report["failures"].append({"family": "IV-iv", "params": {}, "triple": {}})
+        report["passed"] = False
         return report
 
     monkeypatch.setattr(cli, "verify_soundness", one_failure)

@@ -513,8 +513,8 @@ def test_chart_matches_pointwise_substitution(F4, F8):
 
 def test_multiplier_reproduces_square(F4, gf4_reports):
     # on primitive p-closed triples, delta^2 = h * delta componentwise
-    for case, report in gf4_reports.items():
-        for d, _matches in report.class_matches:
+    for _report, classes in gf4_reports.values():
+        for d, _matches in classes:
             assert satisfies_C1(d) and satisfies_C3(d)
             sq = delta_squared(d)
             h = _multiplier(d, sq)
