@@ -8,17 +8,16 @@ JSON-ready dict that the command line writes.
 The scan works on coefficient keys (a1, a0, b1, b0, c3, c2, c1, c0), tuples
 of element indices that sort in enumeration order, with the field's row
 tables (mul[x][y]); in characteristic 2 index addition is XOR.  It never
-loops over c: for each (a, b) pair, p-closedness with c != 0 is two 2x2
-linear systems in the coefficients of c whose matrix has determinant P(a,b)
-(the scalar of the first minor), and c = 0 is p-closed exactly when
-K(a,b) = 0 (see _scan_block).  Cramer's rule solves the systems when
-P != 0; a singular system lists the q points on the line of one nonzero
-equation and filters them by the other, so P = 0 pairs are decided, never
-skipped.  C1 is decided without a gcd (_is_primitive).  A block of the scan
-is one a with a list of b: _scalar_classes visits one normalised pair per
-scalar class, _scan every pair.  The verifications run in one process and
-measure no time: the command line spreads whole (stage, case) tasks over
-its workers and times each task.
+loops over c: for each (a, b) pair the first minor reads c*P + K = 0 with
+P = (ab)' a scalar and K a cubic (see _scan_block), so a pair with P != 0
+has the one triple c = K/P, admissible as it stands.  A pair with P = 0 is
+decided by solving two 2x2 linear systems in the coefficients of c along
+one row's line, and c = 0 when K = 0; its candidates then meet C2 and C1,
+which needs no gcd (_is_primitive), so these pairs are decided, never
+skipped.  A block of the scan is one a with a list of b: _scalar_classes
+visits one normalised pair per scalar class.  The verifications run in one
+process and measure no time: the command line spreads whole (stage, case)
+tasks over its workers and times each task.
 """
 
 from __future__ import annotations
@@ -75,20 +74,14 @@ def total_triple_count(spec):
 
 def _solve2(m, rhs, q, mul, inv):
     """Solutions (x, y) of m*(x, y) = rhs, m = (m00, m01, m10, m11) row by
-    row, in increasing (y, x) order (char 2).  Cramer's rule gives the one
-    solution when det m != 0.  A singular m != 0 has none or q: every
-    solution lies on the line of one nonzero row, so its q points are listed
-    and filtered by both equations.  m = 0 has all q^2 when rhs = 0, else
-    none.
+    row, in increasing (y, x) order (char 2).  Every solution of an m != 0
+    lies on the line of one nonzero row, so its q points are listed and
+    filtered by both equations: one survives when det m != 0, none or q
+    when m is singular.  m = 0 has all q^2 when rhs = 0, else none.  The
+    scan calls it only for the singular m of P = 0 pairs.
     """
     m00, m01, m10, m11 = m
     r0, r1 = rhs
-    det = mul[m00][m11] ^ mul[m01][m10]
-    if det:
-        by_inv = mul[inv[det]]
-        x = by_inv[mul[r0][m11] ^ mul[m01][r1]]
-        y = by_inv[mul[m00][r1] ^ mul[m10][r0]]
-        return [(x, y)]
     if m00 or m01:
         u, v, r = m00, m01, r0
     elif m10 or m11:
@@ -109,17 +102,17 @@ def _solve2(m, rhs, q, mul, inv):
 
 
 def _is_primitive(key, mul, inv):
-    """C1 for the key (a1, a0, b1, b0, c3, c2, c1, c0).
+    """C1 for the key (a1, a0, b1, b0, c3, c2, c1, c0) of a pair with
+    P = a1*b0 + a0*b1 = 0.
 
-    If P = a1*b0 + a0*b1 != 0, a and b span the polynomials of degree <= 1,
-    so gcd(a, b) = 1.  If P = 0, a and b are multiples of one l = l0 + l1*t:
-    if a = b = 0 the gcd is c, a constant l is a unit, and a linear l divides
-    c exactly when c(l0/l1) = 0.
+    Then a and b are multiples of one l = l0 + l1*t: if a = b = 0 the gcd is
+    c, a constant l is a unit, and a linear l divides c exactly when
+    c(l0/l1) = 0.  A pair with P != 0 is outside it: a and b span the
+    polynomials of degree <= 1, so gcd(a, b) = 1, and the scan keeps its key
+    without asking.
     """
     a1, a0, b1, b0 = key[:4]
     c = key[4:]
-    if mul[a1][b0] ^ mul[a0][b1]:
-        return True
     l1, l0 = (a1, a0) if a1 or a0 else (b1, b0)
     if not (l0 or l1):
         return bool(c[3]) and not any(c[:3])
@@ -149,12 +142,16 @@ def _scan_block(a, bs, case, q, mul, inv):
     sides are even of degree <= 2, so the condition is the two 2x2 systems
     M*(c0, c1) = (S_A0, S_B0) and M*(c2, c3) = (S_A2, S_B2) with
     M = [[a1, a0], [b1, b0]] and det M = P.  For c = 0 the triple is p-closed
-    exactly when K = 0.  When P != 0, Cramer's rule gives one c (and minor 1
-    reads c = K/P).  The q^3 + q^2 - q pairs with P = 0 have no solution, q
-    (the points of one nonzero row's line that solve the other row), or q^2
-    when a = b = 0.  They are decided, never skipped, as "no admissible
-    triple has P = 0" is part of what the scan verifies.
-    The candidates, in increasing key order, then need C2 and C1.
+    exactly when K = 0.  Every p-closed c, zero or not, satisfies minor 1,
+    c*P + K = 0, so when P != 0 the one c is K/P.  P != 0 also makes
+    gcd(a, b) = 1 (a and b span the polynomials of degree <= 1) and a1 or b1
+    nonzero, so C1 and C2 hold: the pair's key is valid as it stands, with
+    no system to solve and no candidate to filter.  The q^3 + q^2 - q pairs
+    with P = 0 have singular systems, which _solve2 solves along one
+    nonzero row's line: no solution, q, or q^2 when a = b = 0.  They are
+    decided, never skipped, as "no admissible triple has P = 0" is part of
+    what the scan verifies.  Their candidates, in increasing key order, then
+    need C2 and C1.
 
     That emptiness has one proof for all four cases.  If a = b = 0, C1 asks
     for a constant c, which C2 refuses.  Otherwise P = 0 makes a = alpha*l
@@ -182,32 +179,27 @@ def _scan_block(a, bs, case, q, mul, inv):
             routed[slot][1] ^= mul[f1][f1]
         (sa0, sa2), (sb0, sb2) = routed["alpha"], routed["beta"]
         m = (a1, a0, b1, b0)
+        # K = S_A*b + S_B*a, keyed (k3, k2, k1, k0) as c is
+        k3 = mul[sa2][b1] ^ mul[sb2][a1]
+        k2 = mul[sa2][b0] ^ mul[sb2][a0]
+        k1 = mul[sa0][b1] ^ mul[sb0][a1]
+        k0 = mul[sa0][b0] ^ mul[sb0][a0]
+        det = mul[a1][b0] ^ mul[a0][b1]  # P
+        if det:
+            by_inv = mul[inv[det]]
+            out.append(m + (by_inv[k3], by_inv[k2], by_inv[k1], by_inv[k0]))
+            continue
         low = _solve2(m, (sa0, sb0), q, mul, inv)
         high = _solve2(m, (sa2, sb2), q, mul, inv)
-        # c = 0 is p-closed iff K = S_A*b + S_B*a vanishes
-        k_zero = not (
-            mul[sa0][b0] ^ mul[sb0][a0]
-            or mul[sa0][b1] ^ mul[sb0][a1]
-            or mul[sa2][b0] ^ mul[sb2][a0]
-            or mul[sa2][b1] ^ mul[sb2][a1]
-        )
-        # c is keyed (c3, c2, c1, c0), so high before low keeps this increasing
-        candidates = [(0, 0, 0, 0)] if k_zero else []
+        # c = 0 is p-closed iff K vanishes; c is keyed (c3, c2, c1, c0), so
+        # high before low keeps this increasing
+        candidates = [] if k3 or k2 or k1 or k0 else [(0, 0, 0, 0)]
         candidates += [(c3, c2, c1, c0) for c2, c3 in high for c0, c1 in low if c0 or c1 or c2 or c3]
         for c in candidates:
             key = m + c
             if (a1 or b1 or c[0]) and _is_primitive(key, mul, inv):
                 out.append(key)
     return out
-
-
-def _scan(spec, case):
-    """All valid keys of the case, in increasing order: every (a, b) pair."""
-    if spec.p != 2:
-        raise ValueError("enumeration is specific to characteristic 2")
-    q, _add, mul, inv = spec.tables()
-    pairs = list(itertools.product(range(q), repeat=2))
-    return [key for a in pairs for key in _scan_block(a, pairs, case, q, mul, inv)]
 
 
 def _scalar_classes(spec, case):

@@ -18,13 +18,10 @@ from folclass.derivation import (
     satisfies_C2,
     scale,
 )
-from folclass.enumerator import (
-    _scan,
-    enumerate_triples,
-    verify_soundness,
-)
+from folclass.enumerator import enumerate_triples, verify_soundness
 from folclass.finite_field import GF
 from folclass.polynomial import BiPoly
+from scan_reference import full_scan
 
 
 def _report(number, description, ok, extra=""):
@@ -128,7 +125,7 @@ def test_criterion_5_scaling_invariance(F4, gf4_reports):
     # validity: the valid keys of each case are stable under every nonzero
     # scalar, which covers all 65535 triples, valid and invalid
     for case in LieCase:
-        valid = set(_scan(F4, case))
+        valid = set(full_scan(F4, case))
         for lam in range(1, q):
             scaled = {tuple(mul[x][lam] for x in key) for key in valid}
             if scaled != valid:

@@ -22,12 +22,12 @@ from folclass.enumerator import (
     _is_primitive,
     _key_to_triple,
     _scalar_classes,
-    _scan,
     _solve2,
 )
 from folclass.errors import ConsistencyError
 from folclass.finite_field import GF, parse_field
 from folclass.polynomial import Poly, parse_poly
+from scan_reference import full_scan
 from soundness_reference import iter_family_instances, per_tuple_soundness
 
 
@@ -108,7 +108,7 @@ def test_scan_agrees_with_object_filter_gf2(F2, monkeypatch, seeded, kept):
     if seeded:
         monkeypatch.setattr(derivation, "satisfies_C2", _c2_without_an_attained_degree)
     for case, count in zip(LieCase, kept):
-        keys = set(_scan(F2, case))
+        keys = set(full_scan(F2, case))
         expected = set()
         for key in all_keys(F2.order):
             d = _key_to_triple(key, F2, case)
@@ -121,7 +121,7 @@ def test_scan_agrees_with_object_filter_gf2(F2, monkeypatch, seeded, kept):
 
 
 def test_scan_agrees_with_object_filter_gf4_case_ii(F4):
-    keys = set(_scan(F4, LieCase.II))
+    keys = set(full_scan(F4, LieCase.II))
     count = 0
     for d in enumerate_triples(F4, LieCase.II):
         ok = is_valid_foliation(d)
@@ -135,7 +135,7 @@ def test_scan_agrees_with_oracle_filter_gf4_sampled(F4):
     rng = random.Random(29)
     q = F4.order
     for case in LieCase:
-        keys = set(_scan(F4, case))
+        keys = set(full_scan(F4, case))
         for _ in range(3000):
             key = tuple(rng.randrange(q) for _ in range(8))
             if not any(key):
@@ -228,8 +228,6 @@ def test_enumeration_rejects_odd_characteristic():
     with pytest.raises(ValueError):
         next(enumerate_triples(GF(9), LieCase.I))
     with pytest.raises(ValueError, match="characteristic 2"):
-        _scan(GF(9), LieCase.I)
-    with pytest.raises(ValueError, match="characteristic 2"):
         _scalar_classes(GF(9), LieCase.I)
 
 
@@ -252,7 +250,7 @@ def test_class_scan_matches_brute_force_scan(q, mod):
     for case in LieCase:
         valid_count, keys = _scalar_classes(spec, case)
         orbits = [sorted(tuple(mul[x][lam] for x in key) for lam in range(1, q)) for key in keys]
-        assert sorted(k for orbit in orbits for k in orbit) == _scan(spec, case), case
+        assert sorted(k for orbit in orbits for k in orbit) == full_scan(spec, case), case
         for key, orbit in zip(keys, orbits):
             assert next(x for x in key if x) == 1
             assert key == orbit[0]
@@ -390,10 +388,34 @@ def test_p_zero_pairs_follow_the_emptiness_argument(q, mod, monkeypatch):
         assert sum(kinds.values()) == (q + 1) ** 2, case
 
 
+@pytest.mark.parametrize("q, mod", [(4, None), (8, "x3+x+1"), (8, "x3+x2+1")])
+def test_only_p_zero_pairs_reach_the_line_solver(q, mod, monkeypatch):
+    # a pair with P != 0 reads its one c = K/P off minor 1, so the class
+    # scan solves the two systems of the (q+1)^2 P = 0 pairs alone, not of
+    # all (q+1)(q^2+1) normalised pairs
+    spec = GF(q, mod)
+    _q, _add, mul, _inv = spec.tables()
+    real = enumerator._solve2
+    singular = []
+
+    def recording(m, *args):
+        m00, m01, m10, m11 = m
+        singular.append(mul[m00][m11] == mul[m01][m10])
+        return real(m, *args)
+
+    monkeypatch.setattr(enumerator, "_solve2", recording)
+    for case in LieCase:
+        singular.clear()
+        _scalar_classes(spec, case)
+        assert len(singular) == 2 * (q + 1) ** 2, case
+        assert all(singular), case
+
+
 @pytest.mark.parametrize("q", [4, 8])
 def test_scan_pairs_biject_with_gl2(q, request):
     # (a, b) -> M = [[a1, a0], [b1, b0]]: the valid (a, b) pairs are exactly
-    # those with P = det M != 0, each with one c, so |GL2(q)| triples
+    # those with P = det M != 0, each with one c, so |GL2(q)| triples; on
+    # the Poly path, from delta_squared, each c solves minor 1: c*P = K
     spec = request.getfixturevalue(f"F{q}")
     _q, _add, mul, _inv = spec.tables()
     invertible = {
@@ -402,12 +424,10 @@ def test_scan_pairs_biject_with_gl2(q, request):
         if mul[a1][b0] != mul[a0][b1]
     }
     for case in LieCase:
-        valid = _scan(spec, case)
+        valid = full_scan(spec, case)
         pairs = [key[:4] for key in valid]
         assert len(pairs) == len(set(pairs)) == (q * q - 1) * (q * q - q)
         assert set(pairs) == invertible
-        if q != 4:
-            continue
         for key in valid:
             d = _key_to_triple(key, spec, case)
             a, b, c = d.components()
@@ -503,7 +523,7 @@ def test_scan_valid_set_is_invariant_under_substitution(field):
     q, _add, mul, _inv = spec.tables()
     units = [x for x in spec.elements() if x]
     for case in LieCase:
-        valid = set(_scan(spec, case))
+        valid = set(full_scan(spec, case))
         for alpha in units:
             # key (a1, a0, b1, b0, c3, c2, c1, c0)
             factors = [f.index for f in (alpha, spec.one, alpha, spec.one, alpha**2, alpha, spec.one, alpha.inverse())]
