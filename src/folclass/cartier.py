@@ -9,9 +9,13 @@ simple pole is  f/G = G^(p^e-1) f / G^(p^e)  |->  C^e(G^(p^e-1) f)/G.
 The operator is p^-1-linear, C(g^p h) = g C(h), and
 G^(p^e-1) = G^(p-1) * (G^(p^(e-1)-1))^p, so the image is iterated as
 h <- C(G^(p-1) h), e times from h = f: each step multiplies by G^(p-1)
-alone and keeps h to a few terms.  G^(p^e-1) itself feeds only the one-shot
-cross-check, which extracts C^e from G^(p^e-1) f at once and must agree
-with the iterate.  trace_factor builds it one step per e from the same
+alone and keeps h to a few terms.  The one-shot cross-check extracts C^e
+mod p^e at once from the same identity read as
+G^(p^e-1) f = (G^(p^(e-1)-1))^p * (G^(p-1) f), and must agree with the
+iterate.  It never forms G^(p^e-1) f: a term of the p-th power is paired
+only with the terms of G^(p-1) f whose exponents complete its own to
+p^e - 1 mod p^e, so only the products the extraction keeps are made
+(_extract_product).  trace_factor builds G^(p^k-1) one step per k from the
 identity, with the p-th power taken term by term:
 c x^i y^j |-> c^p x^(pi) y^(pj).  That is exact because both coefficient
 rings have characteristic p, where (a + b)^p = a^p + b^p (the binomial
@@ -150,8 +154,8 @@ def _check_characteristic(c, p):
 
 def _frobenius(h: BiPoly, p: int) -> BiPoly:
     """h^p, taken term by term (exact in characteristic p).  Only
-    trace_factor calls it, on powers of a Quadric's G, whose coefficients
-    Quadric checks once against p."""
+    trace_factor and the trace's one-shot side call it, on powers of a
+    Quadric's G, whose coefficients Quadric checks once against p."""
     return BiPoly({(p * i, p * j): c.frobenius() for (i, j), c in h.terms.items()})
 
 
@@ -176,6 +180,27 @@ def cartier_extract(h: BiPoly, p: int, e: int) -> BiPoly:
                 c = c.pth_root()
             out[((i - pe + 1) // pe, (j - pe + 1) // pe)] = c
     return BiPoly(out)
+
+
+def _extract_product(h: BiPoly, g: BiPoly, p: int, e: int) -> BiPoly:
+    """cartier_extract(h * g, p, e), forming only the terms it keeps.
+
+    A term of h pairs with the terms of g whose exponents, mod p^e, complete
+    its own to p^e - 1 in both variables: g is indexed by that residue, so
+    no other product is formed.  The survivors are summed (pairs may land
+    on one exponent and cancel) and handed to cartier_extract, which takes
+    the e p-th roots."""
+    pe = p**e
+    by_residue: dict = {}
+    for (i, j), c in g.terms.items():
+        by_residue.setdefault((i % pe, j % pe), []).append((i, j, c))
+    kept: dict = {}
+    for (i1, j1), c1 in h.terms.items():
+        for i2, j2, c2 in by_residue.get(((-1 - i1) % pe, (-1 - j1) % pe), ()):
+            key = (i1 + i2, j1 + j2)
+            c = c1 * c2
+            kept[key] = kept[key] + c if key in kept else c
+    return cartier_extract(BiPoly(kept), p, e)
 
 
 def cartier_iter(h: BiPoly, p: int, e: int) -> BiPoly:
@@ -231,12 +256,17 @@ class Quadric:
         return cls(BiPoly({(2, 0): s, (0, 2): t, (0, 0): one}), s.spec.p)
 
     def trace_factor(self, e: int) -> BiPoly:
-        """G^(p^e - 1), as G^(p-1) * (G^(p^(k-1) - 1))^p for k = 2..e.
+        """G^(p^e - 1): the constant 1 at e = 0, else G^(p-1), then
+        G^(p-1) * (G^(p^(k-1) - 1))^p for k = 2..e.
 
-        The trace's one-shot cross-check multiplies f by it; the iterated
-        image needs only G^(p-1)."""
-        if e < 1:
-            raise ValueError("iteration count e must be >= 1")
+        The trace's one-shot cross-check at e takes the p-th power of
+        trace_factor(e - 1); the iterated image needs only G^(p-1)."""
+        if e < 0:
+            raise ValueError("exponent index e must be >= 0")
+        if e == 0:
+            c0 = self.G.constant_term()
+            one = c0.spec.one if isinstance(c0, FieldElement) else SymbolicCoeff.one()
+            return BiPoly.monomial(0, 0, one)
         base = self.G ** (self.p - 1)
         out = base
         for _ in range(e - 1):
@@ -274,8 +304,10 @@ class TraceOperator:
 
         The image is iterated by p^-1-linearity, h <- C(G^(p-1) h) e times
         from h = f, so every step multiplies by G^(p-1) alone.  The one-shot
-        extraction of G^(p^e - 1) f (trace_factor, then cartier_extract)
-        must agree with it, or ConsistencyError is raised.  e < 1 raises
+        side must agree with it, or ConsistencyError is raised: it extracts
+        C^e mod p^e at once from G^(p^e - 1) f = trace_factor(e - 1)^p *
+        (G^(p-1) f), the p-th power taken by _frobenius, forming only the
+        products whose exponents survive (_extract_product).  e < 1 raises
         ValueError; for f = 0 the image is 0."""
         if e < 1:
             raise ValueError("iteration count e must be >= 1")
@@ -286,7 +318,8 @@ class TraceOperator:
         image = f
         for _ in range(e):
             image = cartier_once(step * image, p)
-        if image != cartier_extract(self.quadric.trace_factor(e) * f, p, e):
+        factor = _frobenius(self.quadric.trace_factor(e - 1), p)
+        if image != _extract_product(factor, step * f, p, e):
             raise ConsistencyError("e-fold Cartier composition disagrees with one-shot extraction")
         return TopForm(image, 1, self.quadric)
 

@@ -386,8 +386,9 @@ def cmd_cartier(args):
     started = time.monotonic()
     quadric = _parse_quadric(args.G)
     e_max = args.e_max if args.e_max is not None else (4 if quadric.p == 2 else 3)
-    # the trace's one-shot cross-check at e multiplies by G^(p^e - 1); keep it
-    # within parse_poly's exponent bound
+    # the trace's one-shot cross-check at e extracts from G^(p^e - 1) f, built
+    # from the p-th power of G^(p^(e-1) - 1); keep p^e - 1 within parse_poly's
+    # exponent bound
     exponent = quadric.p**e_max - 1
     if exponent > MAX_EXPONENT:
         raise ValueError(

@@ -4,8 +4,9 @@ Fields are small enough (desk scale) that every element can be enumerated
 and every check run exhaustively.  GF(p) is tabulated from residues.  GF(p^k)
 holds coefficient vectors over GF(p) modulo a fixed monic irreducible
 modulus, indexed in base p (_coeffs_of, _index_of), and its tables are built
-over GF(p)'s by the package's one convolution loop _addmul and one reduction
-loop _reduce_into, which live here; the irreducibility test is trial
+over GF(p)'s: the products with the basis powers u^m by the package's one
+convolution loop _addmul and one reduction loop _reduce_into, which live
+here, and every other entry by additivity; the irreducibility test is trial
 division by _reduce_into, and the polynomial module imports both loops.
 
 There is one FieldSpec object per field: FieldSpec(p, k, modulus),
@@ -210,17 +211,38 @@ class FieldSpec:
             add = [[(i + j) % p for j in range(q)] for i in range(q)]
             mul = [[i * j % p for j in range(q)] for i in range(q)]
         else:
-            # sums digit by digit, products by _addmul reduced by _reduce_into
+            # x + y and x * y are additive in y.  For j > 0, lead[j] = p^m
+            # is the index of u^m, m being j's leading nonzero digit; j - p^m
+            # then indexes y - u^m, so a row's entry j combines its entries
+            # j - p^m and p^m.  Only the k basis columns are computed
+            # directly: sums digit by digit, products by _addmul reduced by
+            # _reduce_into.
             prime = FieldSpec(p, 1)
             padd, pmul = prime.add, prime.mul
-            add, mul = [[0] * q for _ in range(q)], [[0] * q for _ in range(q)]
-            for i, x in enumerate(by_idx):
-                for j, y in enumerate(by_idx[i:], i):
+            powers = [p**m for m in range(k)]
+            lead = [0] + [pm for pm in powers for _ in range(pm * (p - 1))]
+            plus = {
+                pm: [_index_of([padd[a][b] for a, b in zip(z, by_idx[pm])], p) for z in by_idx]
+                for pm in powers
+            }
+            add, mul = [], []
+            for i in range(q):
+                row = [i] * q
+                for j in range(1, q):
+                    m = lead[j]
+                    row[j] = plus[m][row[j - m]]
+                add.append(row)
+            for x in by_idx:
+                row = [0] * q
+                for pm in powers:
                     prod = [0] * (2 * k - 1)
-                    _addmul(padd, pmul, prod, x, y)
+                    _addmul(padd, pmul, prod, x, by_idx[pm])
                     del prod[_reduce_into(prime, prod, self.modulus, None) :]
-                    add[i][j] = add[j][i] = _index_of([padd[a][b] for a, b in zip(x, y)], p)
-                    mul[i][j] = mul[j][i] = _index_of(prod, p)
+                    row[pm] = _index_of(prod, p)
+                for j in range(1, q):
+                    m = lead[j]
+                    row[j] = add[row[j - m]][row[m]]
+                mul.append(row)
         self.add = tuple(map(tuple, add))
         self.mul = tuple(map(tuple, mul))
         self.neg = tuple(row.index(0) for row in add)

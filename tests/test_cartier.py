@@ -15,9 +15,9 @@ from folclass.cartier import (
     cartier_iter,
     cartier_once,
 )
-from folclass.cli import main
+from folclass.cli import _parse_quadric, main
 from folclass.errors import ConsistencyError
-from folclass.finite_field import GF
+from folclass.finite_field import GF, FieldElement
 from folclass.polynomial import BiPoly
 
 
@@ -333,6 +333,116 @@ def test_seeded_cartier_once_defect_is_caught(quadric, _e_max, e, monkeypatch):
     op = TraceOperator(quadric)
     with pytest.raises(ConsistencyError, match="one-shot extraction"):
         op.trace_with_pole(op.canonical_input(e), e)
+
+
+def _helper_pools():
+    """Nonzero coefficients over the symbolic ring and five fields, by p."""
+    pools = [(2, _coeff_pools()[(2, "symbolic")])]
+    for q in (4, 8, 3, 9, 5):
+        F = GF(q)
+        pools.append((F.p, [x for x in F.elements() if x]))
+    return pools
+
+
+def _rand_residue_pair(rng, pool, pe):
+    """h and g whose exponents come from two residues mod p^e and their
+    complements to p^e - 1, shifted by small multiples of p^e, so that pairs
+    survive, and several often share an exponent; an unrelated term may
+    join either side."""
+    residues = [(rng.randrange(pe), rng.randrange(pe)) for _ in range(2)]
+
+    def draw(complement):
+        terms = {}
+        for _ in range(rng.randrange(1, 5)):
+            i, j = rng.choice(residues)
+            if complement:
+                i, j = (-1 - i) % pe, (-1 - j) % pe
+            terms[(i + pe * rng.randrange(3), j + pe * rng.randrange(3))] = rng.choice(pool)
+        if rng.randrange(3) == 0:
+            terms[(rng.randrange(3 * pe), rng.randrange(3 * pe))] = rng.choice(pool)
+        return BiPoly(terms)
+
+    return draw(False), draw(True)
+
+
+def test_extract_product_matches_extraction_of_product():
+    # the one-shot side's survivor-only product against extracting h * g
+    rng = random.Random(61)
+    empty = cancelled = 0
+    for p, pool in _helper_pools():
+        for e in range(1, 5):
+            pe = p**e
+            for _ in range(40):
+                h, g = _rand_residue_pair(rng, pool, pe)
+                expected = cartier_extract(h * g, p, e)
+                assert cartier._extract_product(h, g, p, e) == expected, (p, e, str(h), str(g))
+                keys = {
+                    (i1 + i2, j1 + j2)
+                    for i1, j1 in h.terms
+                    for i2, j2 in g.terms
+                    if (i1 + i2) % pe == pe - 1 and (j1 + j2) % pe == pe - 1
+                }
+                empty += expected.is_zero()
+                cancelled += len(expected.terms) < len(keys)
+    # 960 products: some images vanish, most do not, and pairs cancel on
+    # some exponents (96 and 30 of them at this seed)
+    assert 10 <= empty <= 480 and cancelled >= 10, (empty, cancelled)
+
+
+@pytest.mark.parametrize("p, pool", _helper_pools())
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_extract_product_cancellation_and_empty_image(p, pool, e):
+    pe = p**e
+    for c in pool[:3]:
+        minus = -c if isinstance(c, FieldElement) else c  # -c = c in characteristic 2
+        # 1 * x^(pe-1) y^(pe-1) and x * (-x^(pe-2) y^(pe-1)) land on one
+        # exponent and cancel; the two other products do not survive
+        h = BiPoly({(0, 0): c, (1, 0): c})
+        g = BiPoly({(pe - 1, pe - 1): c, (pe - 2, pe - 1): minus})
+        assert not (h * g).is_zero()
+        assert cartier._extract_product(h, g, p, e).is_zero()
+        assert cartier_extract(h * g, p, e).is_zero()
+        # no pair survives at all: every exponent of both is 0 mod p^e
+        h0, g0 = BiPoly({(pe, 0): c, (0, 2 * pe): c}), BiPoly({(0, 0): c, (pe, pe): c})
+        assert cartier._extract_product(h0, g0, p, e).is_zero()
+        assert cartier._extract_product(BiPoly({}), g0, p, e).is_zero()
+
+
+@pytest.mark.parametrize("quadric, _e_max", _quadrics())
+def test_trace_factor_at_zero_is_one(quadric, _e_max):
+    one = quadric.trace_factor(0)
+    assert one * quadric.G == quadric.G and len(one.terms) == 1
+    with pytest.raises(ValueError, match="e must be >= 0"):
+        quadric.trace_factor(-1)
+
+
+_real_extract_product = cartier._extract_product
+
+
+def _extract_dropping_lowest_class(h, g, p, e):
+    # the survivor filter loses g's residue class (p^e - 1, p^e - 1)
+    pe = p**e
+    kept = {k: c for k, c in g.terms.items() if (k[0] % pe, k[1] % pe) != (pe - 1, pe - 1)}
+    return _real_extract_product(h, BiPoly(kept), p, e)
+
+
+def _extract_one_root_short(h, g, p, e):
+    # e - 1 p-th roots instead of e: the p-th power of the right image
+    return BiPoly({k: c.frobenius() for k, c in _real_extract_product(h, g, p, e).terms.items()})
+
+
+@pytest.mark.parametrize("defect", [_extract_dropping_lowest_class, _extract_one_root_short])
+@pytest.mark.parametrize("G", ["s,t", "u,u+1@GF(8)"])
+@pytest.mark.parametrize("e", [2, 3])
+def test_seeded_survivor_filter_defect_is_caught(defect, G, e, monkeypatch, capsys):
+    # the one-shot side's helper drops a residue class or a root
+    monkeypatch.setattr(cartier, "_extract_product", defect)
+    op = TraceOperator(_parse_quadric(G))
+    with pytest.raises(ConsistencyError, match="one-shot extraction"):
+        op.trace_with_pole(op.canonical_input(e), e)
+    assert main(["cartier", "--G", G, "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "one-shot extraction" in captured.err
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 4])
