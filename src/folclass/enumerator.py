@@ -10,10 +10,10 @@ of element indices that sort in enumeration order, with the field's row
 tables (mul[x][y]); in characteristic 2 index addition is XOR.  It never
 loops over c: for each (a, b) pair the first minor reads c*P + K = 0 with
 P = (ab)' a scalar and K a cubic (see _scan_block), so a pair with P != 0
-has the one triple c = K/P, admissible as it stands.  A pair with P = 0 is
-decided by solving two 2x2 linear systems in the coefficients of c along
-one row's line, and c = 0 when K = 0; its candidates then meet C2 and C1,
-which needs no gcd (_is_primitive), so these pairs are decided, never
+has the one triple c = K/P, admissible as it stands.  A pair with P = 0 has
+no admissible triple, and the scan checks it in closed form: K != 0 or
+a = b = 0 leaves none, and otherwise one value (_p_zero_value) decides C1
+and C2 on every p-closed c at once, so these pairs are decided, never
 skipped.  A block of the scan is one a with a list of b: _scalar_classes
 visits one normalised pair per scalar class.  The verifications run in one
 process and measure no time: the command line spreads whole (stage, case)
@@ -72,60 +72,23 @@ def total_triple_count(spec):
 # coefficient scan
 # ---------------------------------------------------------------------------
 
-def _solve2(m, rhs, q, mul, inv):
-    """Solutions (x, y) of m*(x, y) = rhs, m = (m00, m01, m10, m11) row by
-    row, in increasing (y, x) order (char 2).  Every solution of an m != 0
-    lies on the line of one nonzero row, so its q points are listed and
-    filtered by both equations: one survives when det m != 0, none or q
-    when m is singular.  m = 0 has all q^2 when rhs = 0, else none.  The
-    scan calls it only for the singular m of P = 0 pairs.
+def _p_zero_value(l1, l0, r0, r2, mul, inv):
+    """The value that decides every p-closed c of a P = 0 pair with K = 0 and
+    l = l0 + l1*t != 0 (see _scan_block): the points of low x high, the
+    lines l1*c0 + l0*c1 = r0 and l1*c2 + l0*c3 = r2.
+
+    If l1 != 0, with root r = l0/l1, c(r) = (c0 + r*c1) + r^2*(c2 + r*c3), so
+    l1*c(r) = r0 + r^2*r2 at every point; C2 holds, and C1 exactly when the
+    value is nonzero.  If l1 = 0, l0*c3 = r2 at every point; C1 holds, and
+    C2 exactly when the value is nonzero.  So one value decides them all.
     """
-    m00, m01, m10, m11 = m
-    r0, r1 = rhs
-    if m00 or m01:
-        u, v, r = m00, m01, r0
-    elif m10 or m11:
-        u, v, r = m10, m11, r1
-    else:
-        return [(x, y) for y in range(q) for x in range(q)] if not (r0 or r1) else []
-    # the q points of the row u*x + v*y = r, in increasing (y, x) order
-    if u:
-        by_iu, by_v = mul[inv[u]], mul[v]
-        line = [(by_iu[r ^ by_v[y]], y) for y in range(q)]
-    else:
-        y = mul[r][inv[v]]
-        line = [(x, y) for x in range(q)]
-    return [
-        (x, y) for x, y in line
-        if mul[m00][x] ^ mul[m01][y] == r0 and mul[m10][x] ^ mul[m11][y] == r1
-    ]
-
-
-def _is_primitive(key, mul, inv):
-    """C1 for the key (a1, a0, b1, b0, c3, c2, c1, c0) of a pair with
-    P = a1*b0 + a0*b1 = 0.
-
-    Then a and b are multiples of one l = l0 + l1*t: if a = b = 0 the gcd is
-    c, a constant l is a unit, and a linear l divides c exactly when
-    c(l0/l1) = 0.  A pair with P != 0 is outside it: a and b span the
-    polynomials of degree <= 1, so gcd(a, b) = 1, and the scan keeps its key
-    without asking.
-    """
-    a1, a0, b1, b0 = key[:4]
-    c = key[4:]
-    l1, l0 = (a1, a0) if a1 or a0 else (b1, b0)
-    if not (l0 or l1):
-        return bool(c[3]) and not any(c[:3])
     if not l1:
-        return True
+        return r2
     by_root = mul[mul[l0][inv[l1]]]
-    value = 0
-    for ci in c:
-        value = by_root[value] ^ ci
-    return value != 0
+    return r0 ^ by_root[by_root[r2]]
 
 
-def _scan_block(a, bs, case, q, mul, inv):
+def _scan_block(a, bs, case, mul, inv):
     """Scan the pairs of one a = (a1, a0) with each b = (b1, b0) of bs; return the valid keys.
 
     p-closedness is linear in c.  Write delta^2 = (A, B, C) as in
@@ -146,24 +109,26 @@ def _scan_block(a, bs, case, q, mul, inv):
     c*P + K = 0, so when P != 0 the one c is K/P.  P != 0 also makes
     gcd(a, b) = 1 (a and b span the polynomials of degree <= 1) and a1 or b1
     nonzero, so C1 and C2 hold: the pair's key is valid as it stands, with
-    no system to solve and no candidate to filter.  The q^3 + q^2 - q pairs
-    with P = 0 have singular systems, which _solve2 solves along one
-    nonzero row's line: no solution, q, or q^2 when a = b = 0.  They are
-    decided, never skipped, as "no admissible triple has P = 0" is part of
-    what the scan verifies.  Their candidates, in increasing key order, then
-    need C2 and C1.
+    no system to solve and no candidate to filter.
 
-    That emptiness has one proof for all four cases.  If a = b = 0, C1 asks
-    for a constant c, which C2 refuses.  Otherwise P = 0 makes a = alpha*l
-    and b = beta*l for one l = l0 + l1*t, so S_A and S_B, sums of
-    alpha^2*l^2 and beta^2*l^2, are multiples of l^2.  If K != 0, minor 1
-    reads c*P + K = K != 0 for every c.  If K = 0 and l is constant, so are
-    a, b, S_A and S_B, and M*(c2, c3) = (S_A2, S_B2) reads a0*c3 = b0*c3 = 0:
-    c3 = 0, and C2 fails.  If K = 0 and l is linear with root r, a solution
-    c has alpha*(lc)' = S_A and beta*(lc)' = S_B with alpha or beta nonzero,
-    so (lc)' = l1*c + l*c' is a multiple of l.  Then c(r) = 0, l divides c
-    and C1 fails.  In particular c = 0 fails C1 (l linear) or C2 (l
-    constant).
+    No admissible triple has P = 0, and the scan checks this for each of the
+    q^3 + q^2 - q such pairs, which are decided, never skipped.  One proof
+    covers all four cases.  If a = b = 0, C1 asks for a constant c, which C2
+    refuses.  Otherwise P = 0 makes a = alpha*l and b = beta*l for one
+    l = l0 + l1*t, so S_A and S_B, sums of alpha^2*l^2 and beta^2*l^2, are
+    multiples of l^2.  If K != 0, minor 1 reads c*P + K = K != 0 for every c.
+    Otherwise K = l*(beta*S_A + alpha*S_B) = 0 is exactly the consistency of
+    the two singular systems.  Take l = a if a != 0, else l = b, and (r0, r2)
+    the right-hand sides of its rows, (S_A0, S_A2) or (S_B0, S_B2): the
+    solutions are the points of low x high, the lines l1*c0 + l0*c1 = r0
+    and l1*c2 + l0*c3 = r2.  If l is constant, so are a, b, S_A and S_B,
+    and the second line reads l0*c3 = r2 = 0: c3 = 0, and C2 fails.  If
+    l is linear with root r, a solution c has alpha*(lc)' = S_A and
+    beta*(lc)' = S_B with alpha or beta nonzero, so (lc)' = l1*c + l*c' is a
+    multiple of l.  Then c(r) = 0, l divides c and C1 fails.  In particular
+    c = 0 fails C1 (l linear) or C2 (l constant).  _p_zero_value gives l1*c(r)
+    or l0*c3 on the whole solution set at once; a nonzero value would make
+    every solution admissible, and raises ConsistencyError.
 
     Scaling by lam != 0 keeps C1-C3, as (lam*delta)^2 = lam^2*delta^2, so a scalar
     class has q - 1 valid keys.  As (a, b) != 0 (C1, C2 above), its least key is the
@@ -188,17 +153,12 @@ def _scan_block(a, bs, case, q, mul, inv):
         if det:
             by_inv = mul[inv[det]]
             out.append(m + (by_inv[k3], by_inv[k2], by_inv[k1], by_inv[k0]))
-            continue
-        low = _solve2(m, (sa0, sb0), q, mul, inv)
-        high = _solve2(m, (sa2, sb2), q, mul, inv)
-        # c = 0 is p-closed iff K vanishes; c is keyed (c3, c2, c1, c0), so
-        # high before low keeps this increasing
-        candidates = [] if k3 or k2 or k1 or k0 else [(0, 0, 0, 0)]
-        candidates += [(c3, c2, c1, c0) for c2, c3 in high for c0, c1 in low if c0 or c1 or c2 or c3]
-        for c in candidates:
-            key = m + c
-            if (a1 or b1 or c[0]) and _is_primitive(key, mul, inv):
-                out.append(key)
+        elif not (k3 or k2 or k1 or k0) and any(m):
+            line = (a1, a0, sa0, sa2) if a1 or a0 else (b1, b0, sb0, sb2)
+            if _p_zero_value(*line, mul, inv):
+                raise ConsistencyError(
+                    f"case {case.name}: every p-closed c of the P = 0 pair "
+                    f"(a1, a0, b1, b0) = {m} would be admissible")
     return out
 
 
@@ -213,7 +173,7 @@ def _scalar_classes(spec, case):
     lines = [(0, 1)] + [(1, x) for x in range(q)]
     pairs = list(itertools.product(range(q), repeat=2))
     blocks = [((0, 0), lines)] + [(a, pairs) for a in lines]
-    classes = [key for a, bs in blocks for key in _scan_block(a, bs, case, q, mul, inv)]
+    classes = [key for a, bs in blocks for key in _scan_block(a, bs, case, mul, inv)]
     if len(classes) != q**3 - q:
         raise ConsistencyError(
             f"{len(classes)} scalar classes over {spec.literal()}, expected q^3 - q = {q**3 - q}")

@@ -19,15 +19,13 @@ from folclass.enumerator import (
     total_triple_count,
     verify_completeness,
     verify_soundness,
-    _is_primitive,
     _key_to_triple,
     _scalar_classes,
-    _solve2,
 )
 from folclass.errors import ConsistencyError
 from folclass.finite_field import GF, parse_field
 from folclass.polynomial import Poly, parse_poly
-from scan_reference import full_scan
+from scan_reference import full_scan, is_primitive, p_zero_candidates, solve2
 from soundness_reference import iter_family_instances, per_tuple_soundness
 
 
@@ -298,12 +296,12 @@ def test_solve2_matches_pair_filter_gf4(F4):
     for m00, m01, m10, m11, r0, r1 in itertools.product(range(q), repeat=6):
         m, rhs = (m00, m01, m10, m11), (r0, r1)
         nonsingular += mul[m00][m11] != mul[m01][m10]
-        assert _solve2(m, rhs, q, mul, inv) == pair_filter(m, rhs, q, mul)
+        assert solve2(m, rhs, q, mul, inv) == pair_filter(m, rhs, q, mul)
     assert nonsingular == (q * q - 1) * (q * q - q) * q * q
 
 
 def test_solve2_singular_systems_match_pair_filter_gf8(F8):
-    # every singular 2x2 system over GF(8), whose solutions _solve2 lists
+    # every singular 2x2 system over GF(8), whose solutions solve2 lists
     # along one row's line, against testing all q^2 pairs, order included
     q, _add, mul, inv = F8.tables()
     singular = 0
@@ -312,15 +310,15 @@ def test_solve2_singular_systems_match_pair_filter_gf8(F8):
             continue
         m = (m00, m01, m10, m11)
         for rhs in itertools.product(range(q), repeat=2):
-            assert _solve2(m, rhs, q, mul, inv) == pair_filter(m, rhs, q, mul), (m, rhs)
+            assert solve2(m, rhs, q, mul, inv) == pair_filter(m, rhs, q, mul), (m, rhs)
             singular += 1
     assert singular == (q**3 + q**2 - q) * q * q == 36352
 
 
 def test_is_primitive_matches_c1_where_p_vanishes_gf4(F4):
-    # the scan's C1 shortcut on every GF(4) triple whose (a, b) has P = 0;
-    # no such triple is admissible, so the scan-vs-object tests cannot see
-    # whether these pairs are decided or skipped
+    # the reference's C1 shortcut on every GF(4) triple whose (a, b) has
+    # P = 0; no such triple is admissible, so the scan-vs-object tests cannot
+    # see whether these pairs are decided or skipped
     q, _add, mul, inv = F4.tables()
     checked = 0
     for key in all_keys(q):
@@ -328,7 +326,7 @@ def test_is_primitive_matches_c1_where_p_vanishes_gf4(F4):
         if mul[a1][b0] != mul[a0][b1]:
             continue
         d = _key_to_triple(key, F4, LieCase.I)
-        assert _is_primitive(key, mul, inv) == satisfies_C1(d), d
+        assert is_primitive(key, mul, inv) == satisfies_C1(d), d
         checked += 1
     assert checked == (q**3 + q**2 - q) * q**4 - 1 == 19455
 
@@ -337,8 +335,8 @@ def test_is_primitive_matches_c1_where_p_vanishes_gf4(F4):
 def test_p_zero_pairs_follow_the_emptiness_argument(q, mod, monkeypatch):
     # every P = 0 pair that the class scan visits, sorted into the three
     # kinds of _scan_block's argument, each with its conclusion checked on
-    # _solve2's solutions: K != 0 leaves no c, K = 0 with l constant forces
-    # c3 = 0 (C2 fails), K = 0 with l linear forces c(r) = 0 (C1 fails)
+    # the reference's candidates: K != 0 leaves no c, K = 0 with l constant
+    # forces c3 = 0 (C2 fails), K = 0 with l linear forces c(r) = 0 (C1 fails)
     spec = GF(q, mod)
     _q, _add, mul, inv = spec.tables()
     elements = spec.elements()
@@ -361,26 +359,25 @@ def test_p_zero_pairs_follow_the_emptiness_argument(q, mod, monkeypatch):
             d = _key_to_triple(m + (0, 0, 0, 0), spec, case)
             a, b, _c = d.components()
             s_a, s_b, _ = delta_squared(d).components()  # c = 0 leaves S_A, S_B
-            low = _solve2(m, (s_a.coeff(0).index, s_b.coeff(0).index), q, mul, inv)
-            high = _solve2(m, (s_a.coeff(2).index, s_b.coeff(2).index), q, mul, inv)
-            solutions = [(c3, c2, c1, c0) for c2, c3 in high for c0, c1 in low]
+            candidates, passing = p_zero_candidates(spec, case, m)
             if s_a * b + s_b * a:
                 kind = "K != 0"
-                assert solutions == [], d
+                assert candidates == [], d
             elif not (a1 or b1):
                 kind = "l constant"
-                assert all(c3 == 0 for c3, _c2, _c1, _c0 in solutions), d
+                assert all(c3 == 0 for c3, _c2, _c1, _c0 in candidates), d
             else:
                 kind = "l linear"
                 l1, l0 = (a1, a0) if a1 or a0 else (b1, b0)
                 r = elements[l0] / elements[l1]
-                for c in solutions:
+                for c in candidates:
                     value = spec.zero
                     for ci in c:
                         value = value * r + elements[ci]
                     assert not value, (d, c)
             kinds[kind] += 1
-            assert real((a1, a0), [(b1, b0)], case, q, mul, inv) == [], d
+            assert passing == [], d
+            assert real((a1, a0), [(b1, b0)], case, mul, inv) == [], d
         k_nonzero = {"I": 0, "II": (q + 1) * (q - 2), "III": (q + 1) * (q - 1), "IV": q * (q + 1)}
         l_constant = {"I": q + 1, "II": 3, "III": 2, "IV": 1}
         assert kinds["K != 0"] == k_nonzero[case.name], case
@@ -389,26 +386,89 @@ def test_p_zero_pairs_follow_the_emptiness_argument(q, mod, monkeypatch):
 
 
 @pytest.mark.parametrize("q, mod", [(4, None), (8, "x3+x+1"), (8, "x3+x2+1")])
-def test_only_p_zero_pairs_reach_the_line_solver(q, mod, monkeypatch):
-    # a pair with P != 0 reads its one c = K/P off minor 1, so the class
-    # scan solves the two systems of the (q+1)^2 P = 0 pairs alone, not of
-    # all (q+1)(q^2+1) normalised pairs
+def test_p_zero_decision_matches_the_candidate_reference(q, mod):
+    # every P = 0 pair of all q^4, a = b = 0 included, in every case: the
+    # closed-form decision keeps no key, and the reference, which lists the
+    # pair's p-closed c one by one, finds none that passes C2 and C1
     spec = GF(q, mod)
-    _q, _add, mul, _inv = spec.tables()
-    real = enumerator._solve2
-    singular = []
-
-    def recording(m, *args):
-        m00, m01, m10, m11 = m
-        singular.append(mul[m00][m11] == mul[m01][m10])
-        return real(m, *args)
-
-    monkeypatch.setattr(enumerator, "_solve2", recording)
+    _q, _add, mul, inv = spec.tables()
+    p_zero = [m for m in itertools.product(range(q), repeat=4) if mul[m[0]][m[3]] == mul[m[1]][m[2]]]
+    assert len(p_zero) == q**3 + q**2 - q
     for case in LieCase:
-        singular.clear()
-        _scalar_classes(spec, case)
-        assert len(singular) == 2 * (q + 1) ** 2, case
-        assert all(singular), case
+        for m in p_zero:
+            assert enumerator._scan_block(m[:2], [m[2:]], case, mul, inv) == [], (case, m)
+            _candidates, passing = p_zero_candidates(spec, case, m)
+            assert passing == [], (case, m)
+
+
+@pytest.mark.parametrize("q, mod", [(4, None), (8, "x3+x+1"), (8, "x3+x2+1")])
+def test_p_zero_value_on_every_line_pair(q, mod):
+    # the deciding value on arbitrary line data, not only on real pairs
+    # (where it is always 0, so only this test tells it from "return 0"):
+    # for every l = l0 + l1*t != 0 and every (r0, r2), at every point of
+    # low x high as the reference solver lists them, it is l1*c(l0/l1), or
+    # l0*c3 when l1 = 0
+    spec = GF(q, mod)
+    _q, _add, mul, inv = spec.tables()
+    for l1, l0 in itertools.product(range(q), repeat=2):
+        if not (l1 or l0):
+            continue
+        by_root = mul[mul[l0][inv[l1]]] if l1 else None
+        for r0, r2 in itertools.product(range(q), repeat=2):
+            value = enumerator._p_zero_value(l1, l0, r0, r2, mul, inv)
+            low = solve2((l1, l0, 0, 0), (r0, 0), q, mul, inv)
+            high = solve2((l1, l0, 0, 0), (r2, 0), q, mul, inv)
+            assert len(low) == len(high) == q
+            for c2, c3 in high:
+                for c0, c1 in low:
+                    if l1:
+                        at_root = 0
+                        for ci in (c3, c2, c1, c0):
+                            at_root = by_root[at_root] ^ ci
+                        expected = mul[l1][at_root]
+                    else:
+                        expected = mul[l0][c3]
+                    assert value == expected, (l1, l0, r0, r2, (c3, c2, c1, c0))
+
+
+def _root_not_its_square(l1, l0, r0, r2, mul, inv):
+    if not l1:
+        return r2
+    return r0 ^ mul[mul[l0][inv[l1]]][r2]
+
+
+def _constant_l_reads_r0(l1, l0, r0, r2, mul, inv):
+    if not l1:
+        return r0
+    by_root = mul[mul[l0][inv[l1]]]
+    return r0 ^ by_root[by_root[r2]]
+
+
+@pytest.mark.parametrize(
+    "seeded, pairs",
+    [(_root_not_its_square, {"II": (0, 0, 1, 2), "III": (1, 2, 0, 0)}),
+     (_constant_l_reads_r0, {"II": (0, 0, 0, 1), "III": (0, 1, 0, 0)})],
+    ids=["root-not-its-square", "constant-l-reads-r0"],
+)
+def test_seeded_p_zero_value_defect_is_caught(F4, monkeypatch, capsys, seeded, pairs):
+    # a wrong deciding value makes some P = 0 pair look admissible at GF(4):
+    # the class scan stops with ConsistencyError naming the pair and the
+    # case, and enumerate exits 1 with that message
+    monkeypatch.setattr(enumerator, "_p_zero_value", seeded)
+    messages = {}
+    for case in LieCase:
+        try:
+            _scalar_classes(F4, case)
+        except ConsistencyError as exc:
+            messages[case.name] = str(exc)
+    assert messages == {
+        name: f"case {name}: every p-closed c of the P = 0 pair (a1, a0, b1, b0) = {m} would be admissible"
+        for name, m in pairs.items()
+    }
+    assert cli.main(["enumerate", "--field", "GF(4)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {messages['II']}\n"
 
 
 @pytest.mark.parametrize("q", [4, 8])
