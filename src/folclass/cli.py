@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
 import sys
 import time
@@ -192,11 +193,12 @@ def _detail_lines(classes):
 def _run_task(task):
     """One stage of one case, as (report-ready data, seconds it took).
 
-    A task is (stage, field literal, case name, detail).  It carries the
-    literal, not the FieldSpec: parse_field returns the field's one interned
-    spec in the parent and in a worker alike.  A soundness task's data is
-    verify_soundness's report; a completeness task's is {"report": the report
-    of verify_completeness, "corollaries": ... (cases I and II), "detail":
+    A task is (stage, field literal, case name, detail).  A worker inherits
+    the task list at the fork and is sent only an index into it, and the
+    pair it sends back must be marshal-able: dicts, lists, strings and
+    numbers, as JSON holds.  A soundness task's data is verify_soundness's
+    report; a completeness task's is {"report": the report of
+    verify_completeness, "corollaries": ... (cases I and II), "detail":
     [lines] (only when detail is set)}, the last two read from its classes.
     """
     started = time.monotonic()
@@ -218,19 +220,118 @@ def _run_task(task):
 
 
 def _run_tasks(tasks, jobs):
-    """The results of the tasks, in task order: in this process at --jobs 1,
-    else in one pool of min(jobs, len(tasks)) workers for the whole run."""
+    """The results of the tasks, in task order.
+
+    At --jobs 1, or with one task, they run in this process.  Else
+    min(jobs, len(tasks)) workers are forked for the whole call, each fed
+    over its own pair of pipes.  Each idle worker is sent the index of the
+    next task, every completeness task before any soundness task, since
+    completeness is the longer stage in every case.  A worker sends back
+    its (data, seconds) marshalled, or its exception pickled, which is
+    raised here; a worker that ends without sending its result raises
+    FolclassError.  Every worker has ended and been reaped when this
+    returns or raises."""
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise FolclassError(f"--jobs {jobs} needs os.fork, which this platform lacks; use --jobs 1")
     jobs = min(jobs, len(tasks))
     if jobs == 1:
         return list(map(_run_task, tasks))
-    # imported here: with socket and pickle it adds about 1 MB to a serial run
-    import multiprocessing
+    import select
 
-    # the platform's default start method: tasks carry only literals, so any
-    # method works, and forked workers (Linux's default before Python 3.14)
-    # skip re-importing the package
-    with multiprocessing.Pool(jobs) as pool:
-        return list(pool.imap(_run_task, tasks))
+    todo = iter(sorted(range(len(tasks)), key=lambda i: tasks[i][0] != "completeness"))
+    results = [None] * len(tasks)
+    workers = {}  # result pipe -> [pid, task pipe, index of the task it runs or None]
+    try:
+        for _ in range(jobs):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    # an earlier worker's task pipe held open here would never end
+                    for fd in (task_w, result_r, *(w[1] for w in workers.values())):
+                        os.close(fd)
+                    for pipe in workers:
+                        pipe.close()
+                    with open(result_w, "wb") as out:
+                        _serve(tasks, task_r, out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(task_r)
+            os.close(result_w)
+            workers[open(result_r, "rb")] = [pid, task_w, None]
+        for worker in workers.values():
+            _assign(worker, next(todo, None))
+        while busy := [pipe for pipe, worker in workers.items() if worker[2] is not None]:
+            for pipe in select.select(busy, [], [])[0]:
+                worker = workers[pipe]
+                size = int.from_bytes(pipe.read(8), "little")
+                reply = pipe.read(size)
+                if not size or len(reply) < size:
+                    raise FolclassError(_lost_worker(pipe, workers.pop(pipe), tasks))
+                kind, body = marshal.loads(reply)
+                if kind == "e":
+                    import pickle
+
+                    raise pickle.loads(body)
+                results[worker[2]] = body
+                _assign(worker, next(todo, None))
+        return results
+    finally:
+        # closing a task pipe ends an idle worker; a busy one is left only
+        # while an error propagates, and is killed
+        for pipe, (pid, task_w, index) in workers.items():
+            pipe.close()
+            os.close(task_w)
+            if index is not None:
+                os.kill(pid, 9)  # SIGKILL
+        for pid, _task_w, _index in workers.values():
+            os.waitpid(pid, 0)
+
+
+def _serve(tasks, task_fd, out):
+    """A worker's loop: run each task whose index arrives on task_fd and
+    write to out ("r", its result) or ("e", its pickled exception),
+    marshalled and after its length, until task_fd ends.  One read takes a
+    whole index, since the next is sent only after this one's result."""
+    while index := os.read(task_fd, 32):
+        try:
+            reply = marshal.dumps(("r", _run_task(tasks[int(index)])))
+        except Exception as exc:
+            import pickle
+
+            reply = marshal.dumps(("e", pickle.dumps(exc)))
+        out.write(len(reply).to_bytes(8, "little") + reply)
+        out.flush()
+
+
+def _assign(worker, index):
+    """Send a worker the index of its next task, or nothing at None."""
+    worker[2] = index
+    if index is not None:
+        try:
+            os.write(worker[1], str(index).encode())
+        except BrokenPipeError:
+            pass  # the worker has ended: its result pipe reports that to select
+
+
+def _lost_worker(pipe, worker, tasks):
+    """Why a worker's result pipe ended before its result: the worker, its
+    task and how it ended.  Its pipes are closed and it is reaped here."""
+    pid, task_w, index = worker
+    pipe.close()
+    os.close(task_w)
+    status = os.waitpid(pid, 0)[1]
+    if os.WIFSIGNALED(status):
+        import signal
+
+        how = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    else:
+        how = f"exited with code {os.waitstatus_to_exitcode(status)}"
+    stage, _literal, case_name, _detail = tasks[index]
+    return f"worker process {pid} {how} before sending the {stage} result of case {case_name}"
 
 
 def _run_cases(args, stages):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import signal
 import stat
 import subprocess
@@ -138,37 +139,44 @@ def test_byte_identical_reports_across_jobs(monkeypatch, tmp_path, capsys):
 
 
 def test_pool_capped_at_task_count(monkeypatch, capsys):
-    # a fake pool records its size and maps serially, so no worker starts
-    import multiprocessing
+    # os.fork is wrapped to count the workers started; each still runs its tasks
+    forks = []
+    real_fork = os.fork
 
-    sizes = []
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     for argv, tasks in (
         (["verify-theorem", "--field", "GF(2)"], 8),  # soundness and completeness of 4 cases
         (["enumerate", "--field", "GF(2)", "--case", "I,III"], 2),
     ):
         serial = run_cli([*argv, "--no-timing"], capsys)
-        assert sizes == []
+        assert forks == []
         assert run_cli([*argv, "--no-timing", "--jobs", "1000000"], capsys) == serial
-        assert sizes == [tasks]
-        sizes.clear()
-    # one task needs no pool
+        assert forks == [os.getpid()] * tasks
+        forks.clear()
+    # one task needs no worker
     run_cli(["enumerate", "--field", "GF(2)", "--case", "II", "--jobs", "2"], capsys)
-    assert sizes == []
+    assert forks == []
+
+
+def test_jobs_above_one_needs_fork(monkeypatch, tmp_path, capsys):
+    # where os.fork is missing, --jobs above 1 is refused before any task
+    # runs, even where one task would need no worker; --jobs 1 runs as before
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.chdir(tmp_path)
+    code, out, _err = run_cli(["verify-theorem", "--field", "GF(2)", "--no-timing"], capsys)
+    assert code == 0 and json.loads(out)["findings"] == 0
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    for argv in (["verify-theorem", "--field", "GF(2)", "--out", "v.json"],
+                 ["enumerate", "--field", "GF(2)", "--case", "II"]):
+        code, out, err = run_cli([*argv, "--jobs", "3"], capsys)
+        assert (code, out, ran) == (1, "", [])
+        assert err == "error: --jobs 3 needs os.fork, which this platform lacks; use --jobs 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _all_subclasses(cls):
@@ -176,8 +184,8 @@ def _all_subclasses(cls):
 
 
 def test_errors_survive_pickle():
-    # a worker's error reaches the parent pickled; one that cannot be rebuilt
-    # there leaves the pool waiting for a result forever
+    # a worker's error reaches the parent pickled, and must be rebuilt there
+    # as the same error with the same message
     samples = [
         errors.FolclassError("cannot write report"),
         errors.FieldMismatchError("operands over GF(2) and GF(4)"),
@@ -198,12 +206,15 @@ def test_errors_survive_pickle():
 # How long the parent of a failing worker may take to exit, in seconds.
 _WORKER_ERROR_TIMEOUT = 60
 
-# Runs the CLI with one stage patched to raise; the patch sits at module level
-# so that a worker started by any method applies it too.  A run still going
-# 5 s before the timeout writes the stack of every thread of the parent to
-# stderr, so a hang shows where the parent waits.
+# Runs the CLI with one stage patched to fail; the patch sits at module level
+# so that a worker started by any method applies it too.  After cli.main
+# returns, the script exits 1 with a message if a child process is left.  A
+# run still going 5 s before the timeout writes the stack of every thread of
+# the parent to stderr, so a hang shows where the parent waits.
 _FAILING_STAGE = """
 import faulthandler
+import os
+import signal
 import sys
 from folclass import cli, enumerator
 from folclass.errors import ConsistencyError, InvalidParameterError
@@ -212,27 +223,35 @@ faulthandler.dump_traceback_later({dump_after})
 
 
 def fail(*_args):
-    raise {error}
+    {action}
 
 
 {target} = fail
 
 if __name__ == "__main__":
-    sys.exit(cli.main(sys.argv[1:]))
+    code = cli.main(sys.argv[1:])
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        sys.exit(code)
+    sys.exit("a child process is left after cli.main returned")
 """
 
 
-@pytest.mark.parametrize("target, error, message", [
-    ("enumerator._scalar_classes", 'ConsistencyError("5 scalar classes over GF(2), expected q^3 - q = 6")',
-     "error: 5 scalar classes over GF(2), expected q^3 - q = 6"),
-    ("cli.verify_soundness", 'InvalidParameterError("IV-iv", "s1 != 0")',
-     "error: invalid parameters for family IV-iv: s1 != 0"),
-], ids=["ConsistencyError", "InvalidParameterError"])
-def test_worker_error_exits_one(target, error, message, tmp_path):
+@pytest.mark.parametrize("target, action, pattern", [
+    ("enumerator._scalar_classes", 'raise ConsistencyError("5 scalar classes over GF(2), expected q^3 - q = 6")',
+     re.escape("error: 5 scalar classes over GF(2), expected q^3 - q = 6")),
+    ("cli.verify_soundness", 'raise InvalidParameterError("IV-iv", "s1 != 0")',
+     re.escape("error: invalid parameters for family IV-iv: s1 != 0")),
+    # completeness tasks go first, so the first soundness task sent kills a worker
+    ("cli.verify_soundness", "os.kill(os.getpid(), signal.SIGKILL)",
+     r"error: worker process \d+ was killed by SIGKILL before sending the soundness result of case (I|II)"),
+], ids=["ConsistencyError", "InvalidParameterError", "SIGKILL"])
+def test_worker_error_exits_one(target, action, pattern, tmp_path):
     # in a child process with a timeout, so that a parent waiting forever
-    # on a lost error fails the test instead of hanging the suite
+    # on a lost error or a lost worker fails the test instead of hanging the suite
     script = tmp_path / "failing_stage.py"
-    script.write_text(_FAILING_STAGE.format(target=target, error=error, dump_after=_WORKER_ERROR_TIMEOUT - 5))
+    script.write_text(_FAILING_STAGE.format(target=target, action=action, dump_after=_WORKER_ERROR_TIMEOUT - 5))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     started = time.monotonic()
     proc = subprocess.Popen(
@@ -255,7 +274,7 @@ def test_worker_error_exits_one(target, error, message, tmp_path):
         )
     assert proc.returncode == 1
     assert out == ""
-    assert err.strip() == message
+    assert re.fullmatch(pattern, err.strip()), err
 
 
 # stdout and D.jsonl digests by field literal; GF(8;mod=x3+x+1) names the
@@ -866,8 +885,8 @@ def test_enumerate_reports_seeded_unmatched_class(monkeypatch, tmp_path, capsys)
     assert [rec["matches"] for rec in lines[1:] if rec["triple"] == unmatched] == [[]]
 
 
-# Records the modules that importing folclass and running a pooled scan and
-# a trace load; the guard keeps a spawned worker from running the commands.
+# Records the modules that importing folclass and running a scan on two
+# workers and a trace load.
 _STDLIB_ONLY = """
 import json
 import sys
@@ -900,10 +919,10 @@ def test_package_stays_stdlib_only(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert "folclass.cli" in loaded and "multiprocessing.pool" in loaded
+    assert "folclass.cli" in loaded
+    assert [name for name in loaded if name.partition(".")[0] == "multiprocessing"] == []
     foreign = [
         name for name in loaded
-        if name.partition(".")[0] not in sys.stdlib_module_names
-        and name.partition(".")[0] != "folclass" and name != "__mp_main__"
+        if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "folclass"
     ]
     assert foreign == []
