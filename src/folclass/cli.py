@@ -487,9 +487,9 @@ def cmd_cartier(args):
     started = time.monotonic()
     quadric = _parse_quadric(args.G)
     e_max = args.e_max if args.e_max is not None else (4 if quadric.p == 2 else 3)
-    # the trace's one-shot cross-check at e extracts from G^(p^e - 1) f, built
-    # from the p-th power of G^(p^(e-1) - 1); keep p^e - 1 within parse_poly's
-    # exponent bound
+    # the trace's one-shot cross-check at e extracts from G^(p^e - 1) f, whose
+    # factor (G^(p^(e-1) - 1))^p is rung e - 1 of a chain that grows by one
+    # rung per e; keep p^e - 1 within parse_poly's exponent bound
     exponent = quadric.p**e_max - 1
     if exponent > MAX_EXPONENT:
         raise ValueError(

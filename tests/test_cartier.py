@@ -270,6 +270,29 @@ def test_trace_factor_matches_repeated_product(quadric, e_max):
         assert quadric.trace_factor(e) == quadric.G ** (p**e - 1), e
 
 
+@pytest.mark.parametrize("labels", [("symbolic", "GF(4)"), ("GF(3)", "GF(9)")])
+def test_kept_rung_follows_quadric_and_e(labels):
+    # trace_factor and trace_with_pole on two quadrics in a seeded order, e
+    # going up and down: the rung kept for one quadric, or for a higher e,
+    # must not stand in for another's
+    quadrics = {q.id: q.values for q in _quadrics()}
+    rng = random.Random(67)
+    cases = []
+    for label in labels:
+        quadric, e_max = quadrics[label]
+        p, pool = quadric.p, _coeff_pool(quadric)
+        for e in range(1, e_max + 1):
+            f = rand_bipoly(rng, pool, max_exp=2 * p**e)
+            fresh = TraceOperator(Quadric(quadric.G, p)).trace_with_pole(f, e)
+            cases.append((quadric, e, f, fresh.numerator))
+    for _ in range(40):
+        quadric, e, f, image = rng.choice(cases)
+        if rng.randrange(2):
+            assert quadric.trace_factor(e) == quadric.G ** (quadric.p**e - 1), e
+        else:
+            assert TraceOperator(quadric).trace_with_pole(f, e).numerator == image, e
+
+
 def _coeff_pool(quadric):
     """Nonzero coefficients from the quadric's own ring."""
     one = quadric.G.constant_term()
@@ -303,9 +326,10 @@ def _drop_largest_term(h):
 
 @pytest.mark.parametrize("e", [2, 3])
 def test_seeded_frobenius_defect_is_caught(e, monkeypatch, capsys):
-    # trace_factor's term-by-term p-th power feeds only the one-shot side
+    # the rungs' term-by-term p-th power feeds only the one-shot side
     real = cartier._frobenius
     monkeypatch.setattr(cartier, "_frobenius", lambda h, p: _drop_largest_term(real(h, p)))
+    # a fresh quadric: a rung kept for a shared one would skip the defect
     op = TraceOperator(Quadric.symbolic())
     with pytest.raises(ConsistencyError, match="one-shot extraction"):
         op.trace_with_pole(op.canonical_input(e), e)
@@ -313,6 +337,18 @@ def test_seeded_frobenius_defect_is_caught(e, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "one-shot extraction" in captured.err
+
+
+def test_run_forms_each_rung_once(monkeypatch, capsys):
+    """cartier at e = 1..8 takes 7 p-th powers, one new rung per e from the
+    kept one (rung 0 is the constant 1).  Rebuilding the chain at every e
+    took e - 1 of them at each e >= 2 and one at e = 1, 29 in all."""
+    real = cartier._frobenius
+    calls = []
+    monkeypatch.setattr(cartier, "_frobenius", lambda h, p: calls.append(p) or real(h, p))
+    assert main(["cartier", "--G", "s,t", "--e-max", "8", "--no-timing"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 7
 
 
 def _cartier_once_without_root(h, p):
