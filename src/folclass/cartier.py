@@ -15,14 +15,17 @@ G^(p^e-1) f = (G^(p^(e-1)-1))^p * (G^(p-1) f), and must agree with the
 iterate.  It never forms G^(p^e-1) f: a term of the p-th power is paired
 only with the terms of G^(p-1) f whose exponents complete its own to
 p^e - 1 mod p^e, so only the products the extraction keeps are made
-(_extract_product).  The p-th powers F_k = (G^(p^k-1))^p are the rungs of
-a chain, F_(k+1) = (G^(p-1) F_k)^p from F_0 = 1; the last rung formed is
-kept (_rung), so a run of e = 1..e_max forms one new rung per e.  The p-th
-power is taken term by term, c x^i y^j |-> c^p x^(pi) y^(pj).  That is
-exact because both coefficient rings have characteristic p, where
-(a + b)^p = a^p + b^p (the binomial coefficients C(p, k), 0 < k < p,
-vanish).  The iterate runs no Frobenius and the one-shot side no
-cartier_once, so the two sides share neither.
+(_extract_product).  The p-th power is taken term by term,
+c x^i y^j |-> c^p x^(pi) y^(pj).  That is exact because both coefficient
+rings have characteristic p, where (a + b)^p = a^p + b^p (the binomial
+coefficients C(p, k), 0 < k < p, vanish), and it makes the term-wise p-th
+power a ring endomorphism.  So with H = G^(p-1) and H^[p^i] its i-fold
+term-wise p-th power, the p-th powers F_k = (G^(p^k-1))^p are the rungs of
+a chain, F_(k+1) = F_k H^[p^(k+1)] from F_0 = 1: each new rung raises only
+the |H|-term twist, never the rung itself.  The last rung and its twist
+are kept (_rung) until release_rung drops them, so a run of e = 1..e_max
+forms one new rung per e.  The iterate runs no Frobenius and the one-shot
+side no cartier_once, so the two sides share neither.
 
 Coefficients are either finite-field elements or elements of a symbolic
 ring: GF(2)-combinations of monomials s^α t^β, where s and t are formal
@@ -156,8 +159,8 @@ def _check_characteristic(c, p):
 
 def _frobenius(h: BiPoly, p: int) -> BiPoly:
     """h^p, taken term by term (exact in characteristic p).  Only _rung
-    calls it, on powers of a Quadric's G, whose coefficients Quadric checks
-    once against p."""
+    calls it, on the twist H^[p^k] of G^(p-1), never on a rung; Quadric
+    checks G's coefficients once against p."""
     return BiPoly({(p * i, p * j): c.frobenius() for (i, j), c in h.terms.items()})
 
 
@@ -278,32 +281,40 @@ class Quadric:
         return self.G ** (self.p - 1) * _rung(self, e - 1)
 
 
-# The last rung of the trace's chain, (quadric, k, trace_factor(k)^p), rebound
-# as one tuple.  It is looked up by identity, never by value, and it holds the
-# quadric, so the id it is compared against cannot be reused by another
-# object while it is kept.
-_last_rung = (None, 0, None)
+# The last rung of the trace's chain and its twist, (quadric, k, F_k,
+# H^[p^k]) with H = G^(p-1), rebound as one tuple.  It is looked up by
+# identity, never by value, and it holds the quadric, so the id it is compared
+# against cannot be reused by another object while it is kept.
+_last_rung = (None, 0, None, None)
+
+
+def release_rung():
+    """Drop the kept rung and twist; the next _rung starts from F_0 = 1."""
+    global _last_rung
+    _last_rung = (None, 0, None, None)
 
 
 def _rung(quadric: Quadric, k: int) -> BiPoly:
     """F_k = trace_factor(k)^p, the trace's one-shot factor at e = k + 1.
 
-    It grows from the kept rung by F_(j+1) = (G^(p-1) F_j)^p, or from
-    F_0 = 1 for another quadric or a k below the kept one, so a run of
-    e = 1..e_max forms each rung once.  Each old rung is dropped before the
-    next p-th power is formed, and only the last is kept."""
+    The term-wise p-th power is a ring endomorphism in characteristic p, so
+    with H = G^(p-1) and H^[p^i] its i-fold term-wise p-th power,
+    F_k = H^[p] H^[p^2] ... H^[p^k].  The rung grows from the kept one by
+    F_(j+1) = F_j H^[p^(j+1)], the twist taking one _frobenius of its |H|
+    terms per step, or from F_0 = 1 and H^[1] = H for another quadric or a
+    k below the kept one, so a run of e = 1..e_max forms each rung once and
+    never raises a rung to the p-th power.  Only the last rung and its
+    twist are kept."""
     global _last_rung
-    held, j, rung = _last_rung
+    held, j, rung, twist = _last_rung
     if held is not quadric or j > k:
-        j, rung = 0, quadric.trace_factor(0)
+        j, rung, twist = 0, quadric.trace_factor(0), quadric.G ** (quadric.p - 1)
     if j < k:
-        _last_rung = (None, 0, None)
-        p = quadric.p
-        step = quadric.G ** (p - 1)
+        release_rung()
         for _ in range(k - j):
-            h, rung = step * rung, None
-            rung, h = _frobenius(h, p), None
-    _last_rung = (quadric, k, rung)
+            twist = _frobenius(twist, quadric.p)
+            rung = rung * twist
+    _last_rung = (quadric, k, rung, twist)
     return rung
 
 
@@ -340,9 +351,10 @@ class TraceOperator:
         side must agree with it, or ConsistencyError is raised: it extracts
         C^e mod p^e at once from G^(p^e - 1) f = trace_factor(e - 1)^p *
         (G^(p-1) f), forming only the products whose exponents survive
-        (_extract_product).  The p-th power is rung e - 1 (_rung): a run
-        of e = 1..e_max forms one new rung per e.  e < 1 raises
-        ValueError; for f = 0 the image is 0."""
+        (_extract_product).  The p-th power is rung e - 1 (_rung),
+        F_(e-1) = F_(e-2) H^[p^(e-1)] with H^[p^i] the i-fold term-wise p-th
+        power of H = G^(p-1): a run of e = 1..e_max forms one new rung per e.
+        e < 1 raises ValueError; for f = 0 the image is 0."""
         if e < 1:
             raise ValueError("iteration count e must be >= 1")
         if f.is_zero():

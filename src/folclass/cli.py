@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .cartier import Quadric, TraceOperator
+from .cartier import Quadric, TraceOperator, release_rung
 from .polynomial import BiPoly
 from .classifier import classify
 from .derivation import DerivationTriple, LieCase
@@ -489,7 +489,8 @@ def cmd_cartier(args):
     e_max = args.e_max if args.e_max is not None else (4 if quadric.p == 2 else 3)
     # the trace's one-shot cross-check at e extracts from G^(p^e - 1) f, whose
     # factor (G^(p^(e-1) - 1))^p is rung e - 1 of a chain that grows by one
-    # rung per e; keep p^e - 1 within parse_poly's exponent bound
+    # rung per e, F_(k+1) = F_k * (G^(p-1))^[p^(k+1)]; keep p^e - 1 within
+    # parse_poly's exponent bound
     exponent = quadric.p**e_max - 1
     if exponent > MAX_EXPONENT:
         raise ValueError(
@@ -499,25 +500,30 @@ def cmd_cartier(args):
     op = TraceOperator(quadric)
     results = []
     vanished = 0
-    for e in range(1, e_max + 1):
-        nonzero, form = op.verify_nonvanishing(e)
-        if not nonzero:
-            vanished += 1
-        one = quadric.G.constant_term()
-        entry = {
-            "e": e,
-            "nonzero": nonzero,
-            "image": str(form),
-            "numerator_degree": form.numerator.total_degree() if nonzero else 0,
-            # whether the image is literally 1/G dx^dy (it is for p = 3; for
-            # p = 2 the computed image is the square root of G over G instead)
-            "image_is_1_over_G": form.numerator == BiPoly.monomial(0, 0, one),
-        }
-        if quadric.p == 2:
-            entry["numerator_squared_equals_G"] = (
-                form.numerator * form.numerator == quadric.G
-            )
-        results.append(entry)
+    try:
+        for e in range(1, e_max + 1):
+            nonzero, form = op.verify_nonvanishing(e)
+            if not nonzero:
+                vanished += 1
+            one = quadric.G.constant_term()
+            entry = {
+                "e": e,
+                "nonzero": nonzero,
+                "image": str(form),
+                "numerator_degree": form.numerator.total_degree() if nonzero else 0,
+                # whether the image is literally 1/G dx^dy (it is for p = 3; for
+                # p = 2 the computed image is the square root of G over G instead)
+                "image_is_1_over_G": form.numerator == BiPoly.monomial(0, 0, one),
+            }
+            if quadric.p == 2:
+                entry["numerator_squared_equals_G"] = (
+                    form.numerator * form.numerator == quadric.G
+                )
+            results.append(entry)
+    finally:
+        # the last rung kept is the run's largest: a long-lived caller
+        # should not hold it once the run ends
+        release_rung()
     payload = {
         "manifest": _manifest("cartier", args, G=args.G, p=quadric.p, e_max=e_max),
         "results": results,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -262,20 +263,71 @@ def _quadrics():
     ]
 
 
-@pytest.mark.parametrize("quadric, e_max", _quadrics())
+def _conic(F, u):
+    """u x^2 + xy + y^2 + u x + y + 1 over F: not diagonal, so the terms of
+    rung * twist collide from rung 2 on, where a diagonal G's never do."""
+    one = F.one
+    terms = {(2, 0): u, (1, 1): one, (0, 2): one, (1, 0): u, (0, 1): one, (0, 0): one}
+    return Quadric(BiPoly(terms), F.p)
+
+
+def _conics():
+    F3, F4, F5 = GF(3), GF(4), GF(5)
+    return [
+        pytest.param(_conic(F4, F4.generator), 5, id="conic-GF(4)"),
+        pytest.param(_conic(F3, F3.one + F3.one), 3, id="conic-GF(3)"),
+        pytest.param(_conic(F5, F5.one + F5.one), 2, id="conic-GF(5)"),
+    ]
+
+
+def _powers(G, exponents):
+    """{n: G^n} for the given n >= 1, by one running product."""
+    out, power = {}, G
+    for n in range(1, max(exponents) + 1):
+        if n > 1:
+            power = power * G
+        if n in exponents:
+            out[n] = power
+    return out
+
+
+@pytest.mark.parametrize("quadric, e_max", _quadrics() + _conics())
 def test_trace_factor_matches_repeated_product(quadric, e_max):
-    # the Frobenius-built G^(p^e-1) against p^e - 2 plain products
+    # the twist-built rungs F_k = G^(p^(k+1)-p) and G^(p^e-1) against plain
+    # products of G
     p = quadric.p
-    for e in range(1, e_max + 1):
-        assert quadric.trace_factor(e) == quadric.G ** (p**e - 1), e
+    rungs = {k: p ** (k + 1) - p for k in range(1, e_max)}
+    factors = {e: p**e - 1 for e in range(1, e_max + 1)}
+    powers = _powers(quadric.G, set(rungs.values()) | set(factors.values()))
+    assert cartier._rung(quadric, 0) == quadric.trace_factor(0)
+    for k, n in rungs.items():
+        assert cartier._rung(quadric, k) == powers[n], k
+    for e, n in factors.items():
+        assert quadric.trace_factor(e) == powers[n], e
 
 
-@pytest.mark.parametrize("labels", [("symbolic", "GF(4)"), ("GF(3)", "GF(9)")])
+@pytest.mark.parametrize(
+    "quadric, e_max", [q for q in _conics() if q.id in ("conic-GF(4)", "conic-GF(3)")]
+)
+def test_conic_rungs_merge_and_cancel(quadric, e_max):
+    # rung * twist lands several products on one exponent (merge) and some
+    # sums vanish (cancel): the paths of BiPoly.__mul__ a diagonal G skips
+    for k in range(2, e_max):
+        previous = cartier._rung(quadric, k - 1)
+        rung = cartier._rung(quadric, k)
+        twist = cartier._last_rung[3]
+        keys = {(i1 + i2, j1 + j2) for i1, j1 in previous.terms for i2, j2 in twist.terms}
+        assert len(rung.terms) < len(keys) < len(previous.terms) * len(twist.terms), k
+
+
+@pytest.mark.parametrize(
+    "labels", [("symbolic", "GF(4)"), ("GF(3)", "GF(9)"), ("conic-GF(4)", "conic-GF(3)")]
+)
 def test_kept_rung_follows_quadric_and_e(labels):
     # trace_factor and trace_with_pole on two quadrics in a seeded order, e
-    # going up and down: the rung kept for one quadric, or for a higher e,
-    # must not stand in for another's
-    quadrics = {q.id: q.values for q in _quadrics()}
+    # going up and down: the rung or twist kept for one quadric, or for a
+    # higher e, must not stand in for another's
+    quadrics = {q.id: q.values for q in _quadrics() + _conics()}
     rng = random.Random(67)
     cases = []
     for label in labels:
@@ -301,7 +353,7 @@ def _coeff_pool(quadric):
     return [x for x in one.spec.elements() if x]
 
 
-@pytest.mark.parametrize("quadric, e_max", _quadrics())
+@pytest.mark.parametrize("quadric, e_max", _quadrics() + _conics())
 def test_trace_matches_brute_force_extraction(quadric, e_max):
     # the p^-1-linear iterate against cartier_iter on the whole G^(p^e-1) f
     rng = random.Random(59)
@@ -340,15 +392,34 @@ def test_seeded_frobenius_defect_is_caught(e, monkeypatch, capsys):
 
 
 def test_run_forms_each_rung_once(monkeypatch, capsys):
-    """cartier at e = 1..8 takes 7 p-th powers, one new rung per e from the
-    kept one (rung 0 is the constant 1).  Rebuilding the chain at every e
-    took e - 1 of them at each e >= 2 and one at e = 1, 29 in all."""
+    """cartier at e = 1..8 takes 7 p-th powers, one per new rung from the
+    kept one (rung 0 is the constant 1), and each raises the twist
+    H^[p^k] of H = G^(p-1) to H^[p^(k+1)], never the rung: no call sees
+    more than |H| terms.  Rebuilding the chain at every e took e - 1 of
+    them at each e >= 2 and one at e = 1, 29 in all."""
     real = cartier._frobenius
-    calls = []
-    monkeypatch.setattr(cartier, "_frobenius", lambda h, p: calls.append(p) or real(h, p))
+    sizes = []
+    monkeypatch.setattr(
+        cartier, "_frobenius", lambda h, p: sizes.append(len(h.terms)) or real(h, p)
+    )
     assert main(["cartier", "--G", "s,t", "--e-max", "8", "--no-timing"]) == 0
     capsys.readouterr()
-    assert len(calls) == 7
+    assert len(sizes) == 7
+    assert max(sizes) <= len(Quadric.symbolic().G.terms)  # |H| = |G| = 3 at p = 2
+
+
+def test_cartier_run_releases_the_kept_rung(capsys):
+    # the run's last rung, 19,683 terms at e = 10, is dropped when it ends
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["cartier", "--G", "s,t", "--e-max", "10", "--no-timing"]) == 0
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert cartier._last_rung == (None, 0, None, None)
+    assert held < 1_000_000, held
 
 
 def _cartier_once_without_root(h, p):
