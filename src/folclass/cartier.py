@@ -22,10 +22,11 @@ coefficients C(p, k), 0 < k < p, vanish), and it makes the term-wise p-th
 power a ring endomorphism.  So with H = G^(p-1) and H^[p^i] its i-fold
 term-wise p-th power, the p-th powers F_k = (G^(p^k-1))^p are the rungs of
 a chain, F_(k+1) = F_k H^[p^(k+1)] from F_0 = 1: each new rung raises only
-the |H|-term twist, never the rung itself.  The last rung and its twist
-are kept (_rung) until release_rung drops them, so a run of e = 1..e_max
-forms one new rung per e.  The iterate runs no Frobenius and the one-shot
-side no cartier_once, so the two sides share neither.
+the |H|-term twist, never the rung itself.  Each TraceOperator keeps its
+last rung and twist (TraceOperator._rung), so a run of e = 1..e_max forms
+one new rung per e, and the chain goes with the operator.  The iterate runs
+no Frobenius and the one-shot side no cartier_once, so the two sides share
+neither.
 
 Coefficients are either finite-field elements or elements of a symbolic
 ring: GF(2)-combinations of monomials s^α t^β, where s and t are formal
@@ -158,9 +159,9 @@ def _check_characteristic(c, p):
 
 
 def _frobenius(h: BiPoly, p: int) -> BiPoly:
-    """h^p, taken term by term (exact in characteristic p).  Only _rung
-    calls it, on the twist H^[p^k] of G^(p-1), never on a rung; Quadric
-    checks G's coefficients once against p."""
+    """h^p, taken term by term (exact in characteristic p).  Only
+    TraceOperator._rung calls it, on the twist H^[p^k] of G^(p-1), never on
+    a rung; Quadric checks G's coefficients once against p."""
     return BiPoly({(p * i, p * j): c.frobenius() for (i, j), c in h.terms.items()})
 
 
@@ -266,57 +267,6 @@ class Quadric:
         one = s.spec.one
         return cls(BiPoly({(2, 0): s, (0, 2): t, (0, 0): one}), s.spec.p)
 
-    def trace_factor(self, e: int) -> BiPoly:
-        """G^(p^e - 1): the constant 1 at e = 0, else G^(p-1) * (rung e - 1),
-        the rung being (G^(p^(e-1) - 1))^p (_rung).
-
-        The trace's one-shot cross-check at e takes rung e - 1 itself; the
-        iterated image needs only G^(p-1)."""
-        if e < 0:
-            raise ValueError("exponent index e must be >= 0")
-        if e == 0:
-            c0 = self.G.constant_term()
-            one = c0.spec.one if isinstance(c0, FieldElement) else SymbolicCoeff.one()
-            return BiPoly.monomial(0, 0, one)
-        return self.G ** (self.p - 1) * _rung(self, e - 1)
-
-
-# The last rung of the trace's chain and its twist, (quadric, k, F_k,
-# H^[p^k]) with H = G^(p-1), rebound as one tuple.  It is looked up by
-# identity, never by value, and it holds the quadric, so the id it is compared
-# against cannot be reused by another object while it is kept.
-_last_rung = (None, 0, None, None)
-
-
-def release_rung():
-    """Drop the kept rung and twist; the next _rung starts from F_0 = 1."""
-    global _last_rung
-    _last_rung = (None, 0, None, None)
-
-
-def _rung(quadric: Quadric, k: int) -> BiPoly:
-    """F_k = trace_factor(k)^p, the trace's one-shot factor at e = k + 1.
-
-    The term-wise p-th power is a ring endomorphism in characteristic p, so
-    with H = G^(p-1) and H^[p^i] its i-fold term-wise p-th power,
-    F_k = H^[p] H^[p^2] ... H^[p^k].  The rung grows from the kept one by
-    F_(j+1) = F_j H^[p^(j+1)], the twist taking one _frobenius of its |H|
-    terms per step, or from F_0 = 1 and H^[1] = H for another quadric or a
-    k below the kept one, so a run of e = 1..e_max forms each rung once and
-    never raises a rung to the p-th power.  Only the last rung and its
-    twist are kept."""
-    global _last_rung
-    held, j, rung, twist = _last_rung
-    if held is not quadric or j > k:
-        j, rung, twist = 0, quadric.trace_factor(0), quadric.G ** (quadric.p - 1)
-    if j < k:
-        release_rung()
-        for _ in range(k - j):
-            twist = _frobenius(twist, quadric.p)
-            rung = rung * twist
-    _last_rung = (quadric, k, rung, twist)
-    return rung
-
 
 class TopForm(NamedTuple):
     """numerator / G^pole_power * dx^dy for the session's fixed quadric."""
@@ -337,35 +287,58 @@ class TopForm(NamedTuple):
 
 
 class TraceOperator:
-    """The p^e-iterated trace along the quadric, with a simple pole."""
+    """The p^e-iterated trace along the quadric, with a simple pole.
+
+    It forms H = G^(p-1) once, and keeps the last rung of its one-shot
+    chain with the rung's twist, (k, F_k, H^[p^k]) from (0, 1, H)."""
 
     def __init__(self, quadric: Quadric):
         self.quadric = quadric
         self.p = quadric.p
+        self.step = quadric.G ** (quadric.p - 1)
+        c0 = quadric.G.constant_term()
+        one = c0.spec.one if isinstance(c0, FieldElement) else SymbolicCoeff.one()
+        self._first = (0, BiPoly.monomial(0, 0, one), self.step)
+        self._chain = self._first
+
+    def _rung(self, k: int) -> BiPoly:
+        """F_k = (G^(p^k - 1))^p, the trace's one-shot factor at e = k + 1.
+
+        The term-wise p-th power is a ring endomorphism in characteristic p, so
+        with H = G^(p-1) and H^[p^i] its i-fold term-wise p-th power,
+        F_k = H^[p] H^[p^2] ... H^[p^k].  The rung grows from the kept one by
+        F_(j+1) = F_j H^[p^(j+1)], the twist taking one _frobenius of its |H|
+        terms per step, or from F_0 = 1 and H^[1] = H for a k below the kept
+        one, so a run of e = 1..e_max forms each rung once and never raises a
+        rung to the p-th power."""
+        j, rung, twist = self._chain if self._chain[0] <= k else self._first
+        for _ in range(k - j):
+            twist = _frobenius(twist, self.p)
+            rung = rung * twist
+        self._chain = (k, rung, twist)
+        return rung
 
     def trace_with_pole(self, f: BiPoly, e: int) -> TopForm:
         """Image of (f/G) dx^dy under the e-iterated trace, C^e(G^(p^e - 1) f)/G.
 
-        The image is iterated by p^-1-linearity, h <- C(G^(p-1) h) e times
-        from h = f, so every step multiplies by G^(p-1) alone.  The one-shot
-        side must agree with it, or ConsistencyError is raised: it extracts
-        C^e mod p^e at once from G^(p^e - 1) f = trace_factor(e - 1)^p *
-        (G^(p-1) f), forming only the products whose exponents survive
-        (_extract_product).  The p-th power is rung e - 1 (_rung),
-        F_(e-1) = F_(e-2) H^[p^(e-1)] with H^[p^i] the i-fold term-wise p-th
-        power of H = G^(p-1): a run of e = 1..e_max forms one new rung per e.
-        e < 1 raises ValueError; for f = 0 the image is 0."""
+        The image is iterated by p^-1-linearity, h <- C(H h) e times from
+        h = f, with the operator's H = G^(p-1).  The one-shot side must agree
+        with it, or ConsistencyError is raised: it extracts C^e mod p^e at
+        once from G^(p^e - 1) f = (G^(p^(e-1) - 1))^p * (H f), forming only
+        the products whose exponents survive (_extract_product).  The p-th
+        power is rung e - 1 (_rung), F_(e-1) = F_(e-2) H^[p^(e-1)] with
+        H^[p^i] the i-fold term-wise p-th power of H: a run of e = 1..e_max
+        forms one new rung per e.  e < 1 raises ValueError; for f = 0 the
+        image is 0."""
         if e < 1:
             raise ValueError("iteration count e must be >= 1")
         if f.is_zero():
             return TopForm(f, 1, self.quadric)
-        p = self.p
-        step = self.quadric.G ** (p - 1)
+        p, step = self.p, self.step
         image = f
         for _ in range(e):
             image = cartier_once(step * image, p)
-        factor = _rung(self.quadric, e - 1)
-        if image != _extract_product(factor, step * f, p, e):
+        if image != _extract_product(self._rung(e - 1), step * f, p, e):
             raise ConsistencyError("e-fold Cartier composition disagrees with one-shot extraction")
         return TopForm(image, 1, self.quadric)
 

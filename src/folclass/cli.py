@@ -21,8 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .cartier import Quadric, TraceOperator, release_rung
-from .polynomial import BiPoly
+from .cartier import Quadric, TraceOperator
 from .classifier import classify
 from .derivation import DerivationTriple, LieCase
 from .enumerator import (
@@ -33,7 +32,7 @@ from .enumerator import (
 )
 from .errors import FolclassError, ParseError
 from .finite_field import _MAX_DIGITS, _read_element, format_modulus, parse_field
-from .polynomial import MAX_EXPONENT, parse_poly
+from .polynomial import MAX_EXPONENT, BiPoly, parse_poly
 
 _ALL_CASES = tuple(LieCase)
 
@@ -500,30 +499,25 @@ def cmd_cartier(args):
     op = TraceOperator(quadric)
     results = []
     vanished = 0
-    try:
-        for e in range(1, e_max + 1):
-            nonzero, form = op.verify_nonvanishing(e)
-            if not nonzero:
-                vanished += 1
-            one = quadric.G.constant_term()
-            entry = {
-                "e": e,
-                "nonzero": nonzero,
-                "image": str(form),
-                "numerator_degree": form.numerator.total_degree() if nonzero else 0,
-                # whether the image is literally 1/G dx^dy (it is for p = 3; for
-                # p = 2 the computed image is the square root of G over G instead)
-                "image_is_1_over_G": form.numerator == BiPoly.monomial(0, 0, one),
-            }
-            if quadric.p == 2:
-                entry["numerator_squared_equals_G"] = (
-                    form.numerator * form.numerator == quadric.G
-                )
-            results.append(entry)
-    finally:
-        # the last rung kept is the run's largest: a long-lived caller
-        # should not hold it once the run ends
-        release_rung()
+    for e in range(1, e_max + 1):
+        nonzero, form = op.verify_nonvanishing(e)
+        if not nonzero:
+            vanished += 1
+        one = quadric.G.constant_term()
+        entry = {
+            "e": e,
+            "nonzero": nonzero,
+            "image": str(form),
+            "numerator_degree": form.numerator.total_degree() if nonzero else 0,
+            # whether the image is literally 1/G dx^dy (it is for p = 3; for
+            # p = 2 the computed image is the square root of G over G instead)
+            "image_is_1_over_G": form.numerator == BiPoly.monomial(0, 0, one),
+        }
+        if quadric.p == 2:
+            entry["numerator_squared_equals_G"] = (
+                form.numerator * form.numerator == quadric.G
+            )
+        results.append(entry)
     payload = {
         "manifest": _manifest("cartier", args, G=args.G, p=quadric.p, e_max=e_max),
         "results": results,

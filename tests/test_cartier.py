@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -251,6 +252,7 @@ def test_trace_with_pole_p3_matches_closed_form():
             op.trace_with_pole(BiPoly({}), e)
 
 
+@functools.cache
 def _quadrics():
     F3, F4, F5, F8, F9 = GF(3), GF(4), GF(5), GF(8), GF(9)
     return [
@@ -271,6 +273,7 @@ def _conic(F, u):
     return Quadric(BiPoly(terms), F.p)
 
 
+@functools.cache
 def _conics():
     F3, F4, F5 = GF(3), GF(4), GF(5)
     return [
@@ -280,30 +283,27 @@ def _conics():
     ]
 
 
-def _powers(G, exponents):
-    """{n: G^n} for the given n >= 1, by one running product."""
-    out, power = {}, G
-    for n in range(1, max(exponents) + 1):
-        if n > 1:
-            power = power * G
-        if n in exponents:
-            out[n] = power
-    return out
+# the running products of each shared quadric's G, G^1 first
+_power_lists: dict = {}
+
+
+def _power(quadric, n):
+    """G^n for n >= 1, by one running product of G kept per quadric, so the
+    tests that compare against plain powers of one quadric form each once."""
+    powers = _power_lists.setdefault(quadric, [quadric.G])
+    while len(powers) < n:
+        powers.append(powers[-1] * quadric.G)
+    return powers[n - 1]
 
 
 @pytest.mark.parametrize("quadric, e_max", _quadrics() + _conics())
 def test_trace_factor_matches_repeated_product(quadric, e_max):
-    # the twist-built rungs F_k = G^(p^(k+1)-p) and G^(p^e-1) against plain
-    # products of G
+    # the twist-built rungs F_k = (G^(p^k-1))^p = G^(p^(k+1)-p) against
+    # plain products of G, one new rung per k as in a run of e = 1..e_max
     p = quadric.p
-    rungs = {k: p ** (k + 1) - p for k in range(1, e_max)}
-    factors = {e: p**e - 1 for e in range(1, e_max + 1)}
-    powers = _powers(quadric.G, set(rungs.values()) | set(factors.values()))
-    assert cartier._rung(quadric, 0) == quadric.trace_factor(0)
-    for k, n in rungs.items():
-        assert cartier._rung(quadric, k) == powers[n], k
-    for e, n in factors.items():
-        assert quadric.trace_factor(e) == powers[n], e
+    op = TraceOperator(quadric)
+    for k in range(1, e_max):
+        assert op._rung(k) == _power(quadric, p ** (k + 1) - p), k
 
 
 @pytest.mark.parametrize(
@@ -312,10 +312,11 @@ def test_trace_factor_matches_repeated_product(quadric, e_max):
 def test_conic_rungs_merge_and_cancel(quadric, e_max):
     # rung * twist lands several products on one exponent (merge) and some
     # sums vanish (cancel): the paths of BiPoly.__mul__ a diagonal G skips
+    op = TraceOperator(quadric)
     for k in range(2, e_max):
-        previous = cartier._rung(quadric, k - 1)
-        rung = cartier._rung(quadric, k)
-        twist = cartier._last_rung[3]
+        previous = op._rung(k - 1)
+        rung = op._rung(k)
+        twist = op._chain[2]
         keys = {(i1 + i2, j1 + j2) for i1, j1 in previous.terms for i2, j2 in twist.terms}
         assert len(rung.terms) < len(keys) < len(previous.terms) * len(twist.terms), k
 
@@ -324,25 +325,44 @@ def test_conic_rungs_merge_and_cancel(quadric, e_max):
     "labels", [("symbolic", "GF(4)"), ("GF(3)", "GF(9)"), ("conic-GF(4)", "conic-GF(3)")]
 )
 def test_kept_rung_follows_quadric_and_e(labels):
-    # trace_factor and trace_with_pole on two quadrics in a seeded order, e
-    # going up and down: the rung or twist kept for one quadric, or for a
-    # higher e, must not stand in for another's
+    # two operators' rungs and traces, interleaved in a seeded order with e
+    # going up and down: the rung and twist each keeps, grown for a higher e
+    # or between the other's calls, must give a fresh operator's results
     quadrics = {q.id: q.values for q in _quadrics() + _conics()}
     rng = random.Random(67)
     cases = []
     for label in labels:
         quadric, e_max = quadrics[label]
+        op = TraceOperator(quadric)
         p, pool = quadric.p, _coeff_pool(quadric)
         for e in range(1, e_max + 1):
             f = rand_bipoly(rng, pool, max_exp=2 * p**e)
-            fresh = TraceOperator(Quadric(quadric.G, p)).trace_with_pole(f, e)
-            cases.append((quadric, e, f, fresh.numerator))
+            image = TraceOperator(quadric).trace_with_pole(f, e).numerator
+            cases.append((op, e, f, image, TraceOperator(quadric)._rung(e - 1)))
     for _ in range(40):
-        quadric, e, f, image = rng.choice(cases)
+        op, e, f, image, rung = rng.choice(cases)
         if rng.randrange(2):
-            assert quadric.trace_factor(e) == quadric.G ** (quadric.p**e - 1), e
+            assert op._rung(e - 1) == rung, e
         else:
-            assert TraceOperator(quadric).trace_with_pole(f, e).numerator == image, e
+            assert op.trace_with_pole(f, e).numerator == image, e
+
+
+def test_interleaved_operators_keep_their_own_rungs(monkeypatch):
+    """B's trace between A's e = 5 and e = 6 leaves A's chain alone: A's
+    rung 5 takes one _frobenius from its kept rung 4.  A chain shared by all
+    operators restarted A from F_0 = 1 there, which took 5."""
+    a = TraceOperator(Quadric.symbolic())
+    b = TraceOperator(_parse_quadric("u,u+1@GF(4)"))
+    for e in range(1, 6):
+        a.verify_nonvanishing(e)
+    b.verify_nonvanishing(3)
+    real = cartier._frobenius
+    calls = []
+    monkeypatch.setattr(cartier, "_frobenius", lambda h, p: calls.append(p) or real(h, p))
+    image = a.verify_nonvanishing(6)[1].numerator
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert image == TraceOperator(Quadric.symbolic()).verify_nonvanishing(6)[1].numerator
 
 
 def _coeff_pool(quadric):
@@ -360,7 +380,7 @@ def test_trace_matches_brute_force_extraction(quadric, e_max):
     p, pool = quadric.p, _coeff_pool(quadric)
     op = TraceOperator(quadric)
     for e in range(1, e_max + 1):
-        factor = quadric.trace_factor(e)
+        factor = _power(quadric, p**e - 1)  # shares nothing with the rung chain
         nonzero = 0
         for _ in range(50):
             f = rand_bipoly(rng, pool, max_exp=2 * p**e)
@@ -381,7 +401,7 @@ def test_seeded_frobenius_defect_is_caught(e, monkeypatch, capsys):
     # the rungs' term-by-term p-th power feeds only the one-shot side
     real = cartier._frobenius
     monkeypatch.setattr(cartier, "_frobenius", lambda h, p: _drop_largest_term(real(h, p)))
-    # a fresh quadric: a rung kept for a shared one would skip the defect
+    # a fresh operator: a rung it had kept would skip the defect
     op = TraceOperator(Quadric.symbolic())
     with pytest.raises(ConsistencyError, match="one-shot extraction"):
         op.trace_with_pole(op.canonical_input(e), e)
@@ -409,7 +429,7 @@ def test_run_forms_each_rung_once(monkeypatch, capsys):
 
 
 def test_cartier_run_releases_the_kept_rung(capsys):
-    # the run's last rung, 19,683 terms at e = 10, is dropped when it ends
+    # the run's last rung, 19,683 terms at e = 10, goes with its operator
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -418,7 +438,6 @@ def test_cartier_run_releases_the_kept_rung(capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert cartier._last_rung == (None, 0, None, None)
     assert held < 1_000_000, held
 
 
@@ -517,10 +536,13 @@ def test_extract_product_cancellation_and_empty_image(p, pool, e):
 
 @pytest.mark.parametrize("quadric, _e_max", _quadrics())
 def test_trace_factor_at_zero_is_one(quadric, _e_max):
-    one = quadric.trace_factor(0)
-    assert one * quadric.G == quadric.G and len(one.terms) == 1
-    with pytest.raises(ValueError, match="e must be >= 0"):
-        quadric.trace_factor(-1)
+    # rung 0, F_0 = (G^0)^p = 1: on a fresh operator, and again once the
+    # chain has grown to rung 2 and restarts
+    op = TraceOperator(quadric)
+    fresh = op._rung(0)
+    op._rung(2)
+    for one in (fresh, op._rung(0)):
+        assert one * quadric.G == quadric.G and len(one.terms) == 1
 
 
 _real_extract_product = cartier._extract_product
