@@ -11,22 +11,24 @@ G^(p^e-1) = G^(p-1) * (G^(p^(e-1)-1))^p, so the image is iterated as
 h <- C(G^(p-1) h), e times from h = f: each step multiplies by G^(p-1)
 alone and keeps h to a few terms.  The one-shot cross-check extracts C^e
 mod p^e at once from the same identity read as
-G^(p^e-1) f = (G^(p^(e-1)-1))^p * (G^(p-1) f), and must agree with the
-iterate.  It never forms G^(p^e-1) f: a term of the p-th power is paired
-only with the terms of G^(p-1) f whose exponents complete its own to
-p^e - 1 mod p^e, so only the products the extraction keeps are made
+G^(p^e-1) f = F_(e-1) * (G^(p-1) f), F_k = (G^(p^k-1))^p, and must agree
+with the iterate.  It forms neither G^(p^e-1) f nor F_(e-1): for each term
+of G^(p-1) f it reads only the coefficients of F_(e-1) whose exponents
+complete the term's own to p^e - 1 mod p^e, inside F_(e-1)'s degree bound,
+so of the product it makes only the terms the extraction keeps
 (_extract_product).  The p-th power is taken term by term,
 c x^i y^j |-> c^p x^(pi) y^(pj).  That is exact because both coefficient
 rings have characteristic p, where (a + b)^p = a^p + b^p (the binomial
 coefficients C(p, k), 0 < k < p, vanish), and it makes the term-wise p-th
 power a ring endomorphism.  So with H = G^(p-1) and H^[p^i] its i-fold
-term-wise p-th power, the p-th powers F_k = (G^(p^k-1))^p are the rungs of
-a chain, F_(k+1) = F_k H^[p^(k+1)] from F_0 = 1: each new rung raises only
-the |H|-term twist, never the rung itself.  Each TraceOperator keeps its
-last rung and twist (TraceOperator._rung), so a run of e = 1..e_max forms
-one new rung per e, and the chain goes with the operator.  The iterate runs
-no Frobenius and the one-shot side no cartier_once, so the two sides share
-neither.
+term-wise p-th power, F_k = F_(k-1) H^[p^k] from F_0 = 1, and a
+coefficient of F_k is a sum over the |H| terms of the twist H^[p^k] of
+coefficients of F_(k-1) (TraceOperator._reader), a recursion memoised for
+one trace call and pruned by deg F_k <= deg H (p + ... + p^k).  Each
+TraceOperator keeps only its twists, each formed once, so a run of
+e = 1..e_max takes one twist per e and holds no power of G beyond H.  The
+iterate runs no Frobenius and the one-shot side no cartier_once, so the
+two sides share neither.
 
 Coefficients are either finite-field elements or elements of a symbolic
 ring: GF(2)-combinations of monomials s^α t^β, where s and t are formal
@@ -160,8 +162,8 @@ def _check_characteristic(c, p):
 
 def _frobenius(h: BiPoly, p: int) -> BiPoly:
     """h^p, taken term by term (exact in characteristic p).  Only
-    TraceOperator._rung calls it, on the twist H^[p^k] of G^(p-1), never on
-    a rung; Quadric checks G's coefficients once against p."""
+    TraceOperator._reader calls it, on the twist H^[p^k] of H = G^(p-1);
+    Quadric checks G's coefficients once against p."""
     return BiPoly({(p * i, p * j): c.frobenius() for (i, j), c in h.terms.items()})
 
 
@@ -188,24 +190,26 @@ def cartier_extract(h: BiPoly, p: int, e: int) -> BiPoly:
     return BiPoly(out)
 
 
-def _extract_product(h: BiPoly, g: BiPoly, p: int, e: int) -> BiPoly:
-    """cartier_extract(h * g, p, e), forming only the terms it keeps.
+def _extract_product(read, bound, g: BiPoly, p: int, e: int) -> BiPoly:
+    """cartier_extract(h * g, p, e) for an h known only by its coefficients.
 
-    A term of h pairs with the terms of g whose exponents, mod p^e, complete
-    its own to p^e - 1 in both variables: g is indexed by that residue, so
-    no other product is formed.  The survivors are summed (pairs may land
-    on one exponent and cancel) and handed to cartier_extract, which takes
-    the e p-th roots."""
+    read(X, Y) is h's coefficient of x^X y^Y (None or 0 off its support),
+    and bound is at least h's total degree.  A term x^i y^j of g survives
+    only with the exponents of h that complete its own to p^e - 1 mod p^e
+    in both variables, so only those, within the bound, are read and
+    multiplied.  The products are summed (several may land on one exponent
+    and cancel) and handed to cartier_extract, which takes the e p-th
+    roots."""
     pe = p**e
-    by_residue: dict = {}
-    for (i, j), c in g.terms.items():
-        by_residue.setdefault((i % pe, j % pe), []).append((i, j, c))
     kept: dict = {}
-    for (i1, j1), c1 in h.terms.items():
-        for i2, j2, c2 in by_residue.get(((-1 - i1) % pe, (-1 - j1) % pe), ()):
-            key = (i1 + i2, j1 + j2)
-            c = c1 * c2
-            kept[key] = kept[key] + c if key in kept else c
+    for (i2, j2), c2 in g.terms.items():
+        for X in range((-1 - i2) % pe, bound + 1, pe):
+            for Y in range((-1 - j2) % pe, bound - X + 1, pe):
+                c1 = read(X, Y)
+                if c1:
+                    key = (X + i2, Y + j2)
+                    c = c1 * c2
+                    kept[key] = kept[key] + c if key in kept else c
     return cartier_extract(BiPoly(kept), p, e)
 
 
@@ -289,34 +293,59 @@ class TopForm(NamedTuple):
 class TraceOperator:
     """The p^e-iterated trace along the quadric, with a simple pole.
 
-    It forms H = G^(p-1) once, and keeps the last rung of its one-shot
-    chain with the rung's twist, (k, F_k, H^[p^k]) from (0, 1, H)."""
+    It forms H = G^(p-1) once, and keeps the twists H^[p^k] that its
+    one-shot side has read, H^[1] = H first, each formed once."""
 
     def __init__(self, quadric: Quadric):
         self.quadric = quadric
         self.p = quadric.p
         self.step = quadric.G ** (quadric.p - 1)
         c0 = quadric.G.constant_term()
-        one = c0.spec.one if isinstance(c0, FieldElement) else SymbolicCoeff.one()
-        self._first = (0, BiPoly.monomial(0, 0, one), self.step)
-        self._chain = self._first
+        self._one = c0.spec.one if isinstance(c0, FieldElement) else SymbolicCoeff.one()
+        self._twists = [self.step]
 
-    def _rung(self, k: int) -> BiPoly:
-        """F_k = (G^(p^k - 1))^p, the trace's one-shot factor at e = k + 1.
+    def _degree_bound(self, k: int) -> int:
+        """deg F_k <= deg H (p + ... + p^k), F_k = (G^(p^k - 1))^p."""
+        p = self.p
+        return self.step.total_degree() * (p ** (k + 1) - p) // (p - 1)
 
-        The term-wise p-th power is a ring endomorphism in characteristic p, so
-        with H = G^(p-1) and H^[p^i] its i-fold term-wise p-th power,
-        F_k = H^[p] H^[p^2] ... H^[p^k].  The rung grows from the kept one by
-        F_(j+1) = F_j H^[p^(j+1)], the twist taking one _frobenius of its |H|
-        terms per step, or from F_0 = 1 and H^[1] = H for a k below the kept
-        one, so a run of e = 1..e_max forms each rung once and never raises a
-        rung to the p-th power."""
-        j, rung, twist = self._chain if self._chain[0] <= k else self._first
-        for _ in range(k - j):
-            twist = _frobenius(twist, self.p)
-            rung = rung * twist
-        self._chain = (k, rung, twist)
-        return rung
+    def _reader(self, k: int):
+        """read(X, Y), the coefficient of x^X y^Y in F_k = (G^(p^k - 1))^p,
+        None or 0 where F_k has no term.
+
+        The term-wise p-th power is a ring endomorphism in characteristic p,
+        so F_j = F_(j-1) H^[p^j] from F_0 = 1, and
+        F_j[X, Y] = sum of c F_(j-1)[X - u, Y - v] over the terms c x^u y^v
+        of the twist H^[p^j].  Only exponents within F_(j-1)'s degree
+        bound (_degree_bound) are read, and each (j, X, Y) is summed once
+        per reader: one reader serves one trace call.  Twists missing from
+        the kept list are formed by one _frobenius each from the last
+        one."""
+        p, twists = self.p, self._twists
+        while len(twists) <= k:
+            twists.append(_frobenius(twists[-1], p))
+        bounds = [self._degree_bound(j) for j in range(k)]
+        memo: dict = {}
+
+        def coefficient(j, X, Y):
+            if j == 0:
+                return self._one if X == Y == 0 else None
+            key = (j, X, Y)
+            if key in memo:
+                return memo[key]
+            total = None
+            bound = bounds[j - 1]
+            for (u, v), c in twists[j].terms.items():
+                a, b = X - u, Y - v
+                if a >= 0 and b >= 0 and a + b <= bound:
+                    d = coefficient(j - 1, a, b)
+                    if d:
+                        d = d * c
+                        total = d if total is None else total + d
+            memo[key] = total
+            return total
+
+        return lambda X, Y: coefficient(k, X, Y)
 
     def trace_with_pole(self, f: BiPoly, e: int) -> TopForm:
         """Image of (f/G) dx^dy under the e-iterated trace, C^e(G^(p^e - 1) f)/G.
@@ -324,12 +353,11 @@ class TraceOperator:
         The image is iterated by p^-1-linearity, h <- C(H h) e times from
         h = f, with the operator's H = G^(p-1).  The one-shot side must agree
         with it, or ConsistencyError is raised: it extracts C^e mod p^e at
-        once from G^(p^e - 1) f = (G^(p^(e-1) - 1))^p * (H f), forming only
-        the products whose exponents survive (_extract_product).  The p-th
-        power is rung e - 1 (_rung), F_(e-1) = F_(e-2) H^[p^(e-1)] with
-        H^[p^i] the i-fold term-wise p-th power of H: a run of e = 1..e_max
-        forms one new rung per e.  e < 1 raises ValueError; for f = 0 the
-        image is 0."""
+        once from G^(p^e - 1) f = F_(e-1) * (H f), F_k = (G^(p^k - 1))^p,
+        reading only the coefficients of F_(e-1) whose products survive
+        (_extract_product) from a reader of F_(e-1) (_reader), so neither
+        the product nor F_(e-1) is formed.  e < 1 raises ValueError; for
+        f = 0 the image is 0."""
         if e < 1:
             raise ValueError("iteration count e must be >= 1")
         if f.is_zero():
@@ -338,7 +366,8 @@ class TraceOperator:
         image = f
         for _ in range(e):
             image = cartier_once(step * image, p)
-        if image != _extract_product(self._rung(e - 1), step * f, p, e):
+        read, bound = self._reader(e - 1), self._degree_bound(e - 1)
+        if image != _extract_product(read, bound, step * f, p, e):
             raise ConsistencyError("e-fold Cartier composition disagrees with one-shot extraction")
         return TopForm(image, 1, self.quadric)
 

@@ -486,10 +486,10 @@ def cmd_cartier(args):
     started = time.monotonic()
     quadric = _parse_quadric(args.G)
     e_max = args.e_max if args.e_max is not None else (4 if quadric.p == 2 else 3)
-    # the trace's one-shot cross-check at e extracts from G^(p^e - 1) f, whose
-    # factor (G^(p^(e-1) - 1))^p is rung e - 1 of a chain that grows by one
-    # rung per e, F_(k+1) = F_k * (G^(p-1))^[p^(k+1)]; keep p^e - 1 within
-    # parse_poly's exponent bound
+    # the trace at e takes e p-th roots of every coefficient it keeps, and
+    # SymbolicCoeff's exponents are multiples of 2^-10, so a symbolic trace
+    # stops at e = 10; keep p^e - 1, the canonical input's exponent, within
+    # MAX_EXPONENT = 2^10, the bound that scale was chosen for
     exponent = quadric.p**e_max - 1
     if exponent > MAX_EXPONENT:
         raise ValueError(

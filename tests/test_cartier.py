@@ -266,8 +266,9 @@ def _quadrics():
 
 
 def _conic(F, u):
-    """u x^2 + xy + y^2 + u x + y + 1 over F: not diagonal, so the terms of
-    rung * twist collide from rung 2 on, where a diagonal G's never do."""
+    """u x^2 + xy + y^2 + u x + y + 1 over F: not diagonal, so several twist
+    paths reach one exponent of F_k from k = 2 on, where a diagonal G's never
+    do."""
     one = F.one
     terms = {(2, 0): u, (1, 1): one, (0, 2): one, (1, 0): u, (0, 1): one, (0, 0): one}
     return Quadric(BiPoly(terms), F.p)
@@ -296,38 +297,60 @@ def _power(quadric, n):
     return powers[n - 1]
 
 
+def _factor(quadric, k):
+    """F_k = (G^(p^k - 1))^p = G^(p^(k+1) - p) by plain products of G."""
+    p = quadric.p
+    if k == 0:
+        return BiPoly.monomial(0, 0, TraceOperator(quadric)._one)
+    return _power(quadric, p ** (k + 1) - p)
+
+
+def _triangle(degree):
+    """Every exponent (X, Y) with X, Y >= 0 and X + Y <= degree."""
+    return [(X, Y) for X in range(degree + 1) for Y in range(degree + 1 - X)]
+
+
 @pytest.mark.parametrize("quadric, e_max", _quadrics() + _conics())
 def test_trace_factor_matches_repeated_product(quadric, e_max):
-    # the twist-built rungs F_k = (G^(p^k-1))^p = G^(p^(k+1)-p) against
-    # plain products of G, one new rung per k as in a run of e = 1..e_max
-    p = quadric.p
+    # every coefficient the reader gives for F_k = G^(p^(k+1) - p), at every
+    # exponent up to one degree past F_k's, against plain products of G;
+    # the degree bound the reader prunes by is F_k's degree, attained
     op = TraceOperator(quadric)
-    for k in range(1, e_max):
-        assert op._rung(k) == _power(quadric, p ** (k + 1) - p), k
+    for k in range(e_max):
+        factor = _factor(quadric, k)
+        assert op._degree_bound(k) == factor.total_degree(), k
+        read = op._reader(k)
+        for X, Y in _triangle(factor.total_degree() + 1):
+            c = read(X, Y)
+            assert (c or None) == factor.terms.get((X, Y)), (k, X, Y)
 
 
 @pytest.mark.parametrize(
     "quadric, e_max", [q for q in _conics() if q.id in ("conic-GF(4)", "conic-GF(3)")]
 )
 def test_conic_rungs_merge_and_cancel(quadric, e_max):
-    # rung * twist lands several products on one exponent (merge) and some
-    # sums vanish (cancel): the paths of BiPoly.__mul__ a diagonal G skips
+    # F_k[X, Y] sums F_(k-1)[X - u, Y - v] c over the twist's terms: on a
+    # conic several of those paths meet on one exponent, and on some the
+    # sum cancels, the paths of the reader's sum a diagonal G never takes
     op = TraceOperator(quadric)
+    met = cancelled = 0
     for k in range(2, e_max):
-        previous = op._rung(k - 1)
-        rung = op._rung(k)
-        twist = op._chain[2]
-        keys = {(i1 + i2, j1 + j2) for i1, j1 in previous.terms for i2, j2 in twist.terms}
-        assert len(rung.terms) < len(keys) < len(previous.terms) * len(twist.terms), k
+        below, read = op._reader(k - 1), op._reader(k)
+        twist = op._twists[k]
+        for X, Y in _triangle(op._degree_bound(k)):
+            paths = sum(bool(below(X - u, Y - v)) for u, v in twist.terms if u <= X and v <= Y)
+            met += paths > 1
+            cancelled += paths > 1 and not read(X, Y)
+    assert 0 < cancelled < met, (met, cancelled)
 
 
 @pytest.mark.parametrize(
     "labels", [("symbolic", "GF(4)"), ("GF(3)", "GF(9)"), ("conic-GF(4)", "conic-GF(3)")]
 )
 def test_kept_rung_follows_quadric_and_e(labels):
-    # two operators' rungs and traces, interleaved in a seeded order with e
-    # going up and down: the rung and twist each keeps, grown for a higher e
-    # or between the other's calls, must give a fresh operator's results
+    # two operators' traces, interleaved in a seeded order with e going up
+    # and down: the twists each keeps, grown for a higher e or between the
+    # other's calls, must give a fresh operator's images
     quadrics = {q.id: q.values for q in _quadrics() + _conics()}
     rng = random.Random(67)
     cases = []
@@ -338,19 +361,16 @@ def test_kept_rung_follows_quadric_and_e(labels):
         for e in range(1, e_max + 1):
             f = rand_bipoly(rng, pool, max_exp=2 * p**e)
             image = TraceOperator(quadric).trace_with_pole(f, e).numerator
-            cases.append((op, e, f, image, TraceOperator(quadric)._rung(e - 1)))
+            cases.append((op, e, f, image))
     for _ in range(40):
-        op, e, f, image, rung = rng.choice(cases)
-        if rng.randrange(2):
-            assert op._rung(e - 1) == rung, e
-        else:
-            assert op.trace_with_pole(f, e).numerator == image, e
+        op, e, f, image = rng.choice(cases)
+        assert op.trace_with_pole(f, e).numerator == image, e
 
 
 def test_interleaved_operators_keep_their_own_rungs(monkeypatch):
-    """B's trace between A's e = 5 and e = 6 leaves A's chain alone: A's
-    rung 5 takes one _frobenius from its kept rung 4.  A chain shared by all
-    operators restarted A from F_0 = 1 there, which took 5."""
+    """B's trace between A's e = 5 and e = 6 leaves A's twists alone: A's
+    e = 6 takes one _frobenius, for H^[p^5], from its kept H^[p^4].  A chain
+    shared by all operators restarted A from F_0 = 1 there, which took 5."""
     a = TraceOperator(Quadric.symbolic())
     b = TraceOperator(_parse_quadric("u,u+1@GF(4)"))
     for e in range(1, 6):
@@ -380,7 +400,7 @@ def test_trace_matches_brute_force_extraction(quadric, e_max):
     p, pool = quadric.p, _coeff_pool(quadric)
     op = TraceOperator(quadric)
     for e in range(1, e_max + 1):
-        factor = _power(quadric, p**e - 1)  # shares nothing with the rung chain
+        factor = _power(quadric, p**e - 1)  # shares nothing with the reader
         nonzero = 0
         for _ in range(50):
             f = rand_bipoly(rng, pool, max_exp=2 * p**e)
@@ -398,10 +418,10 @@ def _drop_largest_term(h):
 
 @pytest.mark.parametrize("e", [2, 3])
 def test_seeded_frobenius_defect_is_caught(e, monkeypatch, capsys):
-    # the rungs' term-by-term p-th power feeds only the one-shot side
+    # the twists' term-by-term p-th power feeds only the one-shot side
     real = cartier._frobenius
     monkeypatch.setattr(cartier, "_frobenius", lambda h, p: _drop_largest_term(real(h, p)))
-    # a fresh operator: a rung it had kept would skip the defect
+    # a fresh operator: a twist it had kept would skip the defect
     op = TraceOperator(Quadric.symbolic())
     with pytest.raises(ConsistencyError, match="one-shot extraction"):
         op.trace_with_pole(op.canonical_input(e), e)
@@ -412,11 +432,11 @@ def test_seeded_frobenius_defect_is_caught(e, monkeypatch, capsys):
 
 
 def test_run_forms_each_rung_once(monkeypatch, capsys):
-    """cartier at e = 1..8 takes 7 p-th powers, one per new rung from the
-    kept one (rung 0 is the constant 1), and each raises the twist
-    H^[p^k] of H = G^(p-1) to H^[p^(k+1)], never the rung: no call sees
-    more than |H| terms.  Rebuilding the chain at every e took e - 1 of
-    them at each e >= 2 and one at e = 1, 29 in all."""
+    """cartier at e = 1..8 takes 7 p-th powers, one per new twist: the
+    reader of F_(e-1) needs H^[p], ..., H^[p^(e-1)] of H = G^(p-1), and each
+    is formed once, from the one before, so no call sees more than |H|
+    terms.  Rebuilding the chain at every e took e - 1 of them at each
+    e >= 2 and one at e = 1, 29 in all."""
     real = cartier._frobenius
     sizes = []
     monkeypatch.setattr(
@@ -429,16 +449,48 @@ def test_run_forms_each_rung_once(monkeypatch, capsys):
 
 
 def test_cartier_run_releases_the_kept_rung(capsys):
-    # the run's last rung, 19,683 terms at e = 10, goes with its operator
+    # the run keeps no power of G beyond H and its twists, and forms none:
+    # F_9 = (G^511)^2 alone has 19,683 terms, and the run that built it
+    # peaked at 13.4 MB (0.26 MB here)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         assert main(["cartier", "--G", "s,t", "--e-max", "10", "--no-timing"]) == 0
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = tracemalloc.get_traced_memory()
+        held -= before
     finally:
         tracemalloc.stop()
     capsys.readouterr()
     assert held < 1_000_000, held
+    assert peak < 1_000_000, peak
+
+
+def test_one_shot_side_makes_few_products(monkeypatch, capsys):
+    """cartier at e = 1..10 makes 648 SymbolicCoeff products: 93 on the
+    one-shot side, which reads F_(e-1) at a few exponents per term of H f,
+    and 555 in the iterate and the report.  Forming the rungs F_(e-1) made
+    it 30,108."""
+    real_mul, real_extract = SymbolicCoeff.__mul__, cartier._extract_product
+    counts = {"run": 0, "one-shot": 0}
+    inside = []
+
+    def mul(c, d):
+        counts["run"] += 1
+        counts["one-shot"] += bool(inside)
+        return real_mul(c, d)
+
+    def extract(*args):
+        inside.append(True)
+        try:
+            return real_extract(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(SymbolicCoeff, "__mul__", mul)
+    monkeypatch.setattr(cartier, "_extract_product", extract)
+    assert main(["cartier", "--G", "s,t", "--e-max", "10", "--no-timing"]) == 0
+    capsys.readouterr()
+    assert 0 < counts["one-shot"] <= 93 and counts["run"] <= 648, counts
 
 
 def _cartier_once_without_root(h, p):
@@ -491,6 +543,11 @@ def _rand_residue_pair(rng, pool, pe):
     return draw(False), draw(True)
 
 
+def _reading(h):
+    """h as _extract_product reads it: its coefficient reader and degree."""
+    return (lambda X, Y: h.terms.get((X, Y))), max((i + j for i, j in h.terms), default=-1)
+
+
 def test_extract_product_matches_extraction_of_product():
     # the one-shot side's survivor-only product against extracting h * g
     rng = random.Random(61)
@@ -501,7 +558,8 @@ def test_extract_product_matches_extraction_of_product():
             for _ in range(40):
                 h, g = _rand_residue_pair(rng, pool, pe)
                 expected = cartier_extract(h * g, p, e)
-                assert cartier._extract_product(h, g, p, e) == expected, (p, e, str(h), str(g))
+                image = cartier._extract_product(*_reading(h), g, p, e)
+                assert image == expected, (p, e, str(h), str(g))
                 keys = {
                     (i1 + i2, j1 + j2)
                     for i1, j1 in h.terms
@@ -526,38 +584,41 @@ def test_extract_product_cancellation_and_empty_image(p, pool, e):
         h = BiPoly({(0, 0): c, (1, 0): c})
         g = BiPoly({(pe - 1, pe - 1): c, (pe - 2, pe - 1): minus})
         assert not (h * g).is_zero()
-        assert cartier._extract_product(h, g, p, e).is_zero()
+        assert cartier._extract_product(*_reading(h), g, p, e).is_zero()
         assert cartier_extract(h * g, p, e).is_zero()
         # no pair survives at all: every exponent of both is 0 mod p^e
         h0, g0 = BiPoly({(pe, 0): c, (0, 2 * pe): c}), BiPoly({(0, 0): c, (pe, pe): c})
-        assert cartier._extract_product(h0, g0, p, e).is_zero()
-        assert cartier._extract_product(BiPoly({}), g0, p, e).is_zero()
+        assert cartier._extract_product(*_reading(h0), g0, p, e).is_zero()
+        assert cartier._extract_product(*_reading(BiPoly({})), g0, p, e).is_zero()
 
 
 @pytest.mark.parametrize("quadric, _e_max", _quadrics())
 def test_trace_factor_at_zero_is_one(quadric, _e_max):
-    # rung 0, F_0 = (G^0)^p = 1: on a fresh operator, and again once the
-    # chain has grown to rung 2 and restarts
+    # F_0 = (G^0)^p = 1: the reader of F_0 on a fresh operator, and again
+    # once the operator has formed the twists up to H^[p^2]
     op = TraceOperator(quadric)
-    fresh = op._rung(0)
-    op._rung(2)
-    for one in (fresh, op._rung(0)):
-        assert one * quadric.G == quadric.G and len(one.terms) == 1
+    fresh = op._reader(0)
+    op._reader(2)(0, 0)
+    for read in (fresh, op._reader(0)):
+        one = read(0, 0)
+        assert BiPoly.monomial(0, 0, one) * quadric.G == quadric.G
+        assert not any(read(X, Y) for X, Y in _triangle(4) if (X, Y) != (0, 0))
 
 
 _real_extract_product = cartier._extract_product
 
 
-def _extract_dropping_lowest_class(h, g, p, e):
+def _extract_dropping_lowest_class(read, bound, g, p, e):
     # the survivor filter loses g's residue class (p^e - 1, p^e - 1)
     pe = p**e
     kept = {k: c for k, c in g.terms.items() if (k[0] % pe, k[1] % pe) != (pe - 1, pe - 1)}
-    return _real_extract_product(h, BiPoly(kept), p, e)
+    return _real_extract_product(read, bound, BiPoly(kept), p, e)
 
 
-def _extract_one_root_short(h, g, p, e):
+def _extract_one_root_short(read, bound, g, p, e):
     # e - 1 p-th roots instead of e: the p-th power of the right image
-    return BiPoly({k: c.frobenius() for k, c in _real_extract_product(h, g, p, e).terms.items()})
+    image = _real_extract_product(read, bound, g, p, e)
+    return BiPoly({k: c.frobenius() for k, c in image.terms.items()})
 
 
 @pytest.mark.parametrize("defect", [_extract_dropping_lowest_class, _extract_one_root_short])
