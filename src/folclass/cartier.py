@@ -9,8 +9,13 @@ simple pole is  f/G = G^(p^e-1) f / G^(p^e)  |->  C^e(G^(p^e-1) f)/G.
 The operator is p^-1-linear, C(g^p h) = g C(h), and
 G^(p^e-1) = G^(p-1) * (G^(p^(e-1)-1))^p, so the image is iterated as
 h <- C(G^(p-1) h), e times from h = f: each step multiplies by G^(p-1)
-alone and keeps h to a few terms.  The one-shot cross-check extracts C^e
-mod p^e at once from the same identity read as
+alone and keeps h to a few terms.  The canonical input
+G(0, 0) x^(p^e-1) y^(p^e-1) needs no e steps per e: with
+x^(p^e-1) y^(p^e-1) = x^(p-1) y^(p-1) (x^(p^(e-1)-1) y^(p^(e-1)-1))^p the
+same identity makes its image T^e(G(0, 0)), T(h) = C(G^(p-1) x^(p-1)
+y^(p-1) h), so each TraceOperator keeps that orbit of T and a run of
+e = 1..e_max takes e_max Cartier steps.  The one-shot cross-check
+extracts C^e mod p^e at once from the same identity read as
 G^(p^e-1) f = F_(e-1) * (G^(p-1) f), F_k = (G^(p^k-1))^p, and must agree
 with the iterate.  It forms neither G^(p^e-1) f nor F_(e-1): for each term
 of G^(p-1) f it reads only the coefficients of F_(e-1) whose exponents
@@ -25,10 +30,11 @@ term-wise p-th power, F_k = F_(k-1) H^[p^k] from F_0 = 1, and a
 coefficient of F_k is a sum over the |H| terms of the twist H^[p^k] of
 coefficients of F_(k-1) (TraceOperator._reader), a recursion memoised for
 one trace call and pruned by deg F_k <= deg H (p + ... + p^k).  Each
-TraceOperator keeps only its twists, each formed once, so a run of
-e = 1..e_max takes one twist per e and holds no power of G beyond H.  The
-iterate runs no Frobenius and the one-shot side no cartier_once, so the
-two sides share neither.
+TraceOperator keeps its twists, each formed once, and its orbit, so a run
+of e = 1..e_max takes one twist and one Cartier step per e and holds no
+power of G beyond H.  The iterate and the orbit run no Frobenius and the
+one-shot side no cartier_once, so the two sides share neither, and the
+one-shot check at every e re-proves the orbit's identity.
 
 Coefficients are either finite-field elements or elements of a symbolic
 ring: GF(2)-combinations of monomials s^α t^β, where s and t are formal
@@ -42,7 +48,7 @@ frobenius.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .errors import ConsistencyError
@@ -132,13 +138,14 @@ class SymbolicCoeff:
             for sym, a in (("s", sa), ("t", ta)):
                 if a == 0:
                     continue
-                e = Fraction(a, SCALE)
-                if e == 1:
+                g = gcd(a, SCALE)
+                num, den = a // g, SCALE // g  # a/SCALE in lowest terms
+                if a == SCALE:
                     factors.append(sym)
-                elif e.denominator == 1:
-                    factors.append(f"{sym}^{e.numerator}")
+                elif den == 1:
+                    factors.append(f"{sym}^{num}")
                 else:
-                    factors.append(f"{sym}^({e.numerator}/{e.denominator})")
+                    factors.append(f"{sym}^({num}/{den})")
             parts.append("*".join(factors) if factors else "1")
         return "+".join(parts)
 
@@ -294,7 +301,10 @@ class TraceOperator:
     """The p^e-iterated trace along the quadric, with a simple pole.
 
     It forms H = G^(p-1) once, and keeps the twists H^[p^k] that its
-    one-shot side has read, H^[1] = H first, each formed once."""
+    one-shot side has read, H^[1] = H first, each formed once.  Beside them
+    it keeps the orbit of its canonical input's coefficient G(0, 0) under
+    T(h) = C(H x^(p-1) y^(p-1) h), one Cartier step per point, so that the
+    canonical image at e is read off the orbit (verify_nonvanishing)."""
 
     def __init__(self, quadric: Quadric):
         self.quadric = quadric
@@ -303,6 +313,10 @@ class TraceOperator:
         c0 = quadric.G.constant_term()
         self._one = c0.spec.one if isinstance(c0, FieldElement) else SymbolicCoeff.one()
         self._twists = [self.step]
+        # T^0 = G(0, 0), the canonical input's coefficient; T is p^-1-linear,
+        # so the start matters when G(0, 0) != 1
+        self._orbit = [BiPoly.monomial(0, 0, c0)]
+        self._multiplier = None  # H x^(p-1) y^(p-1), formed on first use
 
     def _degree_bound(self, k: int) -> int:
         """deg F_k <= deg H (p + ... + p^k), F_k = (G^(p^k - 1))^p."""
@@ -347,17 +361,23 @@ class TraceOperator:
 
         return lambda X, Y: coefficient(k, X, Y)
 
+    def _check_one_shot(self, image: BiPoly, f: BiPoly, e: int):
+        """Raise ConsistencyError unless image = C^e(G^(p^e - 1) f), extracted
+        mod p^e at once from G^(p^e - 1) f = F_(e-1) * (H f),
+        F_k = (G^(p^k - 1))^p.  Only the coefficients of F_(e-1) whose
+        products survive are read (_extract_product), from a reader of
+        F_(e-1) (_reader), so neither the product nor F_(e-1) is formed."""
+        read, bound = self._reader(e - 1), self._degree_bound(e - 1)
+        if image != _extract_product(read, bound, self.step * f, self.p, e):
+            raise ConsistencyError("e-fold Cartier composition disagrees with one-shot extraction")
+
     def trace_with_pole(self, f: BiPoly, e: int) -> TopForm:
         """Image of (f/G) dx^dy under the e-iterated trace, C^e(G^(p^e - 1) f)/G.
 
         The image is iterated by p^-1-linearity, h <- C(H h) e times from
         h = f, with the operator's H = G^(p-1).  The one-shot side must agree
-        with it, or ConsistencyError is raised: it extracts C^e mod p^e at
-        once from G^(p^e - 1) f = F_(e-1) * (H f), F_k = (G^(p^k - 1))^p,
-        reading only the coefficients of F_(e-1) whose products survive
-        (_extract_product) from a reader of F_(e-1) (_reader), so neither
-        the product nor F_(e-1) is formed.  e < 1 raises ValueError; for
-        f = 0 the image is 0."""
+        with it, or ConsistencyError is raised (_check_one_shot).  e < 1
+        raises ValueError; for f = 0 the image is 0."""
         if e < 1:
             raise ValueError("iteration count e must be >= 1")
         if f.is_zero():
@@ -366,9 +386,7 @@ class TraceOperator:
         image = f
         for _ in range(e):
             image = cartier_once(step * image, p)
-        read, bound = self._reader(e - 1), self._degree_bound(e - 1)
-        if image != _extract_product(read, bound, step * f, p, e):
-            raise ConsistencyError("e-fold Cartier composition disagrees with one-shot extraction")
+        self._check_one_shot(image, f, e)
         return TopForm(image, 1, self.quadric)
 
     def canonical_input(self, e: int) -> BiPoly:
@@ -376,15 +394,42 @@ class TraceOperator:
         pe = self.p**e
         return BiPoly.monomial(pe - 1, pe - 1, self.quadric.G.constant_term())
 
+    def _canonical_image(self, e: int) -> BiPoly:
+        """T^e(G(0, 0)), T(h) = C(H x^(p-1) y^(p-1) h): the numerator of the
+        canonical input's image at e, read off the kept orbit, which grows
+        by one cartier_once per point it lacks.
+
+        G^(p^e-1) x^(p^e-1) y^(p^e-1) is the product of the (H x^(p-1)
+        y^(p-1))^(p^i), i < e, and C(g^p h) = g C(h), so C^e of the
+        canonical input G(0, 0) x^(p^e-1) y^(p^e-1) is T^e(G(0, 0)) for any
+        G."""
+        orbit, p = self._orbit, self.p
+        while len(orbit) <= e:
+            if self._multiplier is None:
+                self._multiplier = BiPoly(
+                    {(i + p - 1, j + p - 1): c for (i, j), c in self.step.terms.items()}
+                )
+            orbit.append(cartier_once(self._multiplier * orbit[-1], p))
+        return orbit[e]
+
     def verify_nonvanishing(self, e: int):
         """Trace the canonical form and confirm the image is nonzero.
+
+        The image is read off the orbit of G(0, 0) under T (_canonical_image),
+        so a run of e = 1..e_max takes e_max Cartier steps, and at every e it
+        is checked against the one-shot extraction of the canonical input
+        (_check_one_shot), which re-proves the orbit identity.  e < 1 raises
+        ValueError.
 
         Also asserts the image numerator has total degree <= 1: the target
         space on this chart is spanned by 1/G, x/G, y/G, so a higher-degree
         image would mean the operator left the target, which is a bug."""
-        form = self.trace_with_pole(self.canonical_input(e), e)
-        if form.numerator.total_degree() > 1:
+        if e < 1:
+            raise ValueError("iteration count e must be >= 1")
+        image = self._canonical_image(e)
+        self._check_one_shot(image, self.canonical_input(e), e)
+        if image.total_degree() > 1:
             raise ConsistencyError(
-                f"trace image degree {form.numerator.total_degree()} exceeds the target bound 1"
+                f"trace image degree {image.total_degree()} exceeds the target bound 1"
             )
-        return not form.is_zero(), form
+        return not image.is_zero(), TopForm(image, 1, self.quadric)

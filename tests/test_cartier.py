@@ -265,13 +265,21 @@ def _quadrics():
     ]
 
 
-def _conic(F, u):
-    """u x^2 + xy + y^2 + u x + y + 1 over F: not diagonal, so several twist
-    paths reach one exponent of F_k from k = 2 on, where a diagonal G's never
-    do."""
+def _conic(F, u, c0=None):
+    """u x^2 + xy + y^2 + u x + y + c0 over F, c0 = 1 unless given: not
+    diagonal, so several twist paths reach one exponent of F_k from k = 2
+    on, where a diagonal G's never do."""
     one = F.one
-    terms = {(2, 0): u, (1, 1): one, (0, 2): one, (1, 0): u, (0, 1): one, (0, 0): one}
+    terms = {(2, 0): u, (1, 1): one, (0, 2): one, (1, 0): u, (0, 1): one, (0, 0): c0 or one}
     return Quadric(BiPoly(terms), F.p)
+
+
+@functools.cache
+def _unit_conic():
+    """The GF(4) conic with G(0, 0) = u: its canonical input's coefficient
+    is u, so the orbit of T starts at u, not 1."""
+    F4 = GF(4)
+    return _conic(F4, F4.generator, F4.generator)
 
 
 @functools.cache
@@ -385,6 +393,32 @@ def test_interleaved_operators_keep_their_own_rungs(monkeypatch):
     assert image == TraceOperator(Quadric.symbolic()).verify_nonvanishing(6)[1].numerator
 
 
+@pytest.mark.parametrize(
+    "quadric, e_max",
+    _quadrics() + _conics() + [pytest.param(_unit_conic(), 5, id="conic-GF(4)-c0=u")],
+)
+def test_orbit_matches_iterate(quadric, e_max):
+    # verify_nonvanishing reads T^e(G(0, 0)) off the operator's orbit; at
+    # every e it must give the e-step iterate from the canonical input.  One
+    # operator is asked in a seeded order, e going up and down, between
+    # calls of a second operator on another quadric
+    rng = random.Random(71)
+    iterate = TraceOperator(quadric)
+    expected = {
+        e: iterate.trace_with_pole(iterate.canonical_input(e), e).numerator
+        for e in range(1, e_max + 1)
+    }
+    other = TraceOperator(Quadric.symbolic() if quadric is _unit_conic() else _unit_conic())
+    op = TraceOperator(quadric)
+    order = list(expected) * 2
+    rng.shuffle(order)
+    assert order != sorted(order)
+    for e in order:
+        other.verify_nonvanishing(rng.randrange(1, 4))
+        assert op.verify_nonvanishing(e)[1].numerator == expected[e], e
+    assert len(op._orbit) == e_max + 1
+
+
 def _coeff_pool(quadric):
     """Nonzero coefficients from the quadric's own ring."""
     one = quadric.G.constant_term()
@@ -448,6 +482,18 @@ def test_run_forms_each_rung_once(monkeypatch, capsys):
     assert max(sizes) <= len(Quadric.symbolic().G.terms)  # |H| = |G| = 3 at p = 2
 
 
+def test_run_takes_one_cartier_step_per_e(monkeypatch, capsys):
+    """cartier at e = 1..8 makes 8 cartier_once calls, one per point of the
+    orbit of T: the image at e is read off the orbit the run has grown.
+    Iterating e steps from the canonical input at every e took 36."""
+    real = cartier.cartier_once
+    calls = []
+    monkeypatch.setattr(cartier, "cartier_once", lambda h, p: calls.append(p) or real(h, p))
+    assert main(["cartier", "--G", "s,t", "--e-max", "8", "--no-timing"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 8
+
+
 def test_cartier_run_releases_the_kept_rung(capsys):
     # the run keeps no power of G beyond H and its twists, and forms none:
     # F_9 = (G^511)^2 alone has 19,683 terms, and the run that built it
@@ -466,10 +512,11 @@ def test_cartier_run_releases_the_kept_rung(capsys):
 
 
 def test_one_shot_side_makes_few_products(monkeypatch, capsys):
-    """cartier at e = 1..10 makes 648 SymbolicCoeff products: 93 on the
+    """cartier at e = 1..10 makes 297 SymbolicCoeff products: 93 on the
     one-shot side, which reads F_(e-1) at a few exponents per term of H f,
-    and 555 in the iterate and the report.  Forming the rungs F_(e-1) made
-    it 30,108."""
+    and 204 in the orbit, the one-shot side's H f and the report.
+    Iterating e steps from the canonical input at every e made it 648, and
+    forming the rungs F_(e-1) 30,108."""
     real_mul, real_extract = SymbolicCoeff.__mul__, cartier._extract_product
     counts = {"run": 0, "one-shot": 0}
     inside = []
@@ -490,7 +537,7 @@ def test_one_shot_side_makes_few_products(monkeypatch, capsys):
     monkeypatch.setattr(cartier, "_extract_product", extract)
     assert main(["cartier", "--G", "s,t", "--e-max", "10", "--no-timing"]) == 0
     capsys.readouterr()
-    assert 0 < counts["one-shot"] <= 93 and counts["run"] <= 648, counts
+    assert 0 < counts["one-shot"] <= 93 and counts["run"] <= 297, counts
 
 
 def _cartier_once_without_root(h, p):
@@ -505,12 +552,60 @@ def _cartier_once_without_root(h, p):
     "quadric, _e_max", [q for q in _quadrics() if q.id in ("symbolic", "GF(8)")]
 )
 @pytest.mark.parametrize("e", [1, 2, 3])
-def test_seeded_cartier_once_defect_is_caught(quadric, _e_max, e, monkeypatch):
-    # the iterate's step keeps a surviving coefficient without its p-th root
+def test_seeded_cartier_once_defect_is_caught(quadric, _e_max, e, monkeypatch, capsys):
+    # the iterate's step, and the orbit's, keeps a surviving coefficient
+    # without its p-th root: caught through trace_with_pole, through
+    # verify_nonvanishing and through the command, which exits 1
     monkeypatch.setattr(cartier, "cartier_once", _cartier_once_without_root)
     op = TraceOperator(quadric)
     with pytest.raises(ConsistencyError, match="one-shot extraction"):
         op.trace_with_pole(op.canonical_input(e), e)
+    with pytest.raises(ConsistencyError, match="one-shot extraction"):
+        TraceOperator(quadric).verify_nonvanishing(e)
+    G = "s,t" if quadric.G.constant_term() == sym_one() else "u,u+1@GF(8)"
+    assert main(["cartier", "--G", G, "--e-max", str(e), "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "one-shot extraction" in captured.err
+
+
+@pytest.mark.parametrize("quadric, _e_max", _quadrics() + _conics())
+def test_seeded_orbit_multiplier_without_shift_is_caught(quadric, _e_max):
+    # the orbit steps by C(H h), without the x^(p-1) y^(p-1) that makes
+    # G^(p^e-1) x^(p^e-1) y^(p^e-1) a product of p^i-th powers of the
+    # multiplier.  A run stops at e = 1, where every quadric catches it; a
+    # fresh operator at a deeper e may not: where the right image is 1 (e = 2
+    # on GF(3), GF(9), GF(5) and conic-GF(5), e = 4 on conic-GF(4)), the
+    # wrong orbit has come back to 1 too
+    op = TraceOperator(quadric)
+    op._multiplier = op.step
+    with pytest.raises(ConsistencyError, match="one-shot extraction"):
+        op.verify_nonvanishing(1)
+
+
+def test_seeded_orbit_started_at_one_is_caught():
+    # T is p^-1-linear, so on the conic with G(0, 0) = u the orbit of 1 is
+    # off by u^(1/p^e) at every e
+    for e in range(1, 6):
+        op = TraceOperator(_unit_conic())
+        op._orbit[0] = BiPoly.monomial(0, 0, GF(4).one)
+        with pytest.raises(ConsistencyError, match="one-shot extraction"):
+            op.verify_nonvanishing(e)
+
+
+def test_seeded_orbit_read_one_short_is_caught(monkeypatch):
+    # orbit[e - 1] read for orbit[e], on a conic whose image changes with e
+    quadric, e_max = next(q.values for q in _conics() if q.id == "conic-GF(4)")
+    fresh = TraceOperator(quadric)
+    images = [fresh._canonical_image(e) for e in range(e_max + 1)]
+    assert all(images[e] != images[e - 1] for e in range(1, e_max + 1))
+    real = TraceOperator._canonical_image
+    monkeypatch.setattr(
+        TraceOperator, "_canonical_image", lambda self, e: (real(self, e), self._orbit[e - 1])[1]
+    )
+    op = TraceOperator(quadric)
+    for e in range(1, e_max + 1):
+        with pytest.raises(ConsistencyError, match="one-shot extraction"):
+            op.verify_nonvanishing(e)
 
 
 def _helper_pools():
